@@ -19,11 +19,10 @@ from . import __version__
 from .baker import BakerParams, orbit, tiling_report
 from .correlation import (decay_slope_fit, exact_reduced_correlation,
                           exp_rate_fit, mc_correlation_series)
-from .observables import parse_observable
+from .observables import ParseError, parse_observable
 from .pcfun import frac, pcfun1d_from_json, pcfun1d_to_json, \
     pcfun3d_from_json, pcfun3d_to_json
-from .ruin import (RuinState, evolve_from, transition_prob,
-                   transition_prob_float)
+from .ruin import RuinState, evolve_from, step, transition_prob
 from .transfer import ReducedOp, p0_apply, p_alpha, p_beta, p_full_3d_n
 from .verify import run_identity_suite
 
@@ -111,7 +110,6 @@ def cmd_ruin(args) -> int:
             if q or args.dense:
                 rows.append((n, l, float(q) if args.mode == "double" else q))
         if n < args.n:
-            from .ruin import step
             state = step(state)
     _write_csv(args.out, ["n", "l", "q"], rows, args)
     return 0
@@ -120,20 +118,41 @@ def cmd_ruin(args) -> int:
 def cmd_ruin_transition(args) -> int:
     rows = []
     for n in args.n:
-        p = transition_prob(args.l, args.lp, n) if n <= 64 else \
-            transition_prob_float(args.l, args.lp, n)
+        p = transition_prob(args.l, args.lp, n)
         ratio = float(p) * n ** 1.5 / (args.l * args.lp)
         rows.append((n, args.l, args.lp, float(p), ratio))
     _write_csv(args.out, ["n", "l", "lp", "p", "ratio"], rows, args)
     return 0
 
 
+def _observable(text: str, flag: str):
+    try:
+        return parse_observable(text)
+    except ParseError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _n_values(args) -> list[int]:
+    if args.n_list is None:
+        if args.n_max < 0:
+            raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
+        return list(range(args.n_max + 1))
+    bad = ValueError("--n-list must be comma-separated integers >= 0, "
+                     f"got {args.n_list!r}")
+    try:
+        ns = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        raise bad from None
+    if min(ns) < 0:
+        raise bad
+    return ns
+
+
 def cmd_corr(args) -> int:
-    phi = parse_observable(args.phi)
-    psi = parse_observable(args.psi)
+    phi = _observable(args.phi, "--phi")
+    psi = _observable(args.psi, "--psi")
     params = _params_from(args)
-    ns = list(range(0, args.n_max + 1)) if args.n_list is None else \
-        [int(x) for x in args.n_list.split(",")]
+    ns = _n_values(args)
     rows = []
     if args.method in ("squarewave", "haar"):
         op = ReducedOp.from_params(params)

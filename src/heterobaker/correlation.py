@@ -2,16 +2,22 @@
 
 The exact reduced routes compute <P0^n phi, psi> for observables of the
 center coordinate.  On the square-wave span the coefficient vector obeys
-the absorbed-walk recursion, distinct levels are orthonormal, and the
-pairing is a dot product; geometric tails (affine observables project to
-a_l = c r^l with r = 1/2) are handled in closed form: as long as the
-truncation level L satisfies L >= n, walkers starting above L never feel
-the wall, so the truncated-tail contribution is exactly
+the absorbed-walk recursion (`ruin.walk_step`), distinct levels are
+orthonormal, and the pairing is a dot product.  In rational mode the state
+is a vector of Python ints with one Fraction scale: a step runs the walk
+with (up, down) = (wp, wq - wp) for w = wp/wq and divides the scale by wq,
+and a pairing is one integer dot product times the two scales.
+
+Geometric tails (affine observables project to a_l = c r^l with r = 1/2)
+are handled in closed form: as long as the truncation level L satisfies
+L >= n, walkers starting above L never feel the wall, so the
+truncated-tail contribution is exactly
 
     c_phi c_psi kappa^n r^(2(L+1)) / (1 - r^2),   kappa = w r + (1-w)/r.
 
-In double mode the state is truncated at a fixed depth and the discarded
-tail is bounded through the L2 contraction of the reduced operator.
+In double mode the same step runs on floats with (w, 1 - w); the state is
+truncated at a fixed depth and the discarded tail is bounded through the
+L2 contraction of the reduced operator.
 
 Monte Carlo samples the exact joint law of (x, f^n x) for x ~ Lebesgue:
 branch symbols of the expanding coordinate are i.i.d., the expanding
@@ -36,6 +42,7 @@ from scipy import stats as _scipy_stats
 from .baker import BakerParams
 from .observables import Observable3D
 from .pcfun import ZERO
+from .ruin import _to_int_vector, walk_step
 from .transfer import (NotInSquareWaveSpan, ReducedOp, p0_haar_apply,
                        square_wave_profile)
 
@@ -65,9 +72,6 @@ class CorrelationRecord:
     method: str                      # exact-squarewave | exact-haar | monte-carlo
     error: float                     # truncation bound / standard error
     exact: Fraction | None = None    # rational value when the route is exact
-
-
-CorrelationSeries = list
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +124,7 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
         return _haar_series(phi, psi, n_max, op, truncation_level)
     if mode != "squarewave":
         raise ValueError("mode must be 'squarewave' or 'haar'")
+    op.require_m2("square-wave subspace")
     prof_phi, c_phi = _squarewave_profile(phi)
     prof_psi, c_psi = _squarewave_profile(psi)
     pc_depth = max(len(prof_phi), len(prof_psi))
@@ -128,20 +133,22 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
         # a free walk and can only pair against geometric coefficients; its
         # contribution is the closed form below and the series is exact
         L = n_max + 2 + pc_depth
-        a = _materialize(prof_phi, c_phi, L)
-        b = _materialize(prof_psi, c_psi, L + n_max + 1)
+        state, den_a = _to_int_vector(_materialize(prof_phi, c_phi, L))
+        b, den_b = _to_int_vector(_materialize(prof_psi, c_psi, L + n_max + 1))
+        state, b = state.astype(object), b.astype(object)
+        scale = Fraction(1, den_a * den_b)
+        wp, wq = op.w.numerator, op.w.denominator
         r = HALF
         kappa = op.w * r + (1 - op.w) / r
         tail_scale = c_phi * c_psi * r ** (2 * (L + 1)) / (1 - r * r)
         out = []
-        state = list(a)
         for n in range(n_max + 1):
-            val = sum((x * y for x, y in zip(state, b)), ZERO)
-            val += tail_scale * kappa ** n
+            val = int(state @ b[:state.size]) * scale + tail_scale * kappa ** n
             out.append(CorrelationRecord(n, float(val), "exact-squarewave",
                                          0.0, val))
             if n < n_max:
-                state = _sw_step_list(state, op)
+                state = walk_step(state, wp, wq - wp)
+                scale /= wq
         return out
     if numeric != "double":
         raise ValueError("numeric must be 'rational' or 'double'")
@@ -156,31 +163,14 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
                        float(c_psi) ** 2 * 0.25 ** (depth + 1) / 0.75)
     w = float(op.w)
     out = []
-    state = arr.copy()
+    state = arr
     for n in range(n_max + 1):
-        m = state.size
-        val = float(state @ brr[:m])
+        val = float(state @ brr[:state.size])
         err = tail_l2 * psi_l2 + 1e-15 * (n + 1) * abs(val)
         out.append(CorrelationRecord(n, val, "exact-squarewave", err))
         if n < n_max:
-            new = np.zeros(m + 1)
-            new[1:] += w * state
-            new[:m - 1] += (1 - w) * state[1:]
-            state = new
+            state = walk_step(state, w, 1 - w)
     return out
-
-
-def _sw_step_list(state: list, op: ReducedOp) -> list:
-    w = op.w
-    m = len(state)
-    new = [ZERO] * (m + 1)
-    for i, c in enumerate(state):
-        if not c:
-            continue
-        new[i + 1] += w * c
-        if i >= 1:
-            new[i - 1] += (1 - w) * c
-    return new
 
 
 def _haar_pc_of(obs: Observable3D, level: int | None):

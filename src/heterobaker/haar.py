@@ -123,10 +123,6 @@ def coefficient(f: PCFun1D, l: int, k: int) -> Fraction:
     return inner_product(f, wavelet(l, k))
 
 
-def level_slice(expansion: Mapping, l: int) -> HaarExpansion:
-    return {(ll, k): c for (ll, k), c in expansion.items() if ll == l}
-
-
 def level_sup_norms(expansion: Mapping) -> dict[int, Fraction]:
     """Sup norm of each level component; wavelets in a level have disjoint
     interiors, so the sup is the largest |coefficient|."""

@@ -115,7 +115,8 @@ class _Parser:
     def take(self, kind=None, value=None):
         k, v = self.toks[self.i]
         if kind and k != kind or value is not None and v != value:
-            raise ParseError(f"expected {value or kind}, got {v!r}")
+            raise ParseError(
+                f"expected {value or kind!r}, got {_describe(k, v)}")
         self.i += 1
         return v
 
@@ -158,7 +159,11 @@ class _Parser:
             node = self.expr()
             self.take("sym", ")")
             return node
-        raise ParseError(f"unexpected {v!r}")
+        raise ParseError(f"unexpected {_describe(k, v)}")
+
+
+def _describe(kind, value) -> str:
+    return "end of input" if kind == "end" else repr(value)
 
 
 def _eval_node(node, xu, xc, xs):

@@ -2,7 +2,13 @@
 
 The level dynamics of the reduced transfer operator are compared against
 this chain: mass at level l splits evenly to l-1 and l+1, and whatever
-reaches 0 is absorbed.  The closed-form transition probability comes from
+reaches 0 is absorbed.  `walk_step` is the one implementation of that
+recursion, a'_l = up a_{l-1} + down a_{l+1} with level 0 absorbed, for
+every route that runs it: the walk itself, the square-wave coefficients of
+the reduced operator (up : down = w : 1-w), and the integer kernels of the
+exact routes.  Exact states are Python-int object arrays with one rational
+scale kept beside them, so a step is integer arithmetic plus one division
+of the scale.  The closed-form transition probability comes from
 the reflection principle,
 
     p_{l,l'}^(n) = 2^-n * ( C(n, (n-l+l')/2) - C(n, (n-l-l')/2) )
@@ -20,9 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .pcfun import ZERO, PCFun1D, frac
 
 EXACT_N_CUTOFF = 64
+HALF = Fraction(1, 2)
 
 
 class ZeroFunction(ValueError):
@@ -57,21 +66,47 @@ class RuinState:
         return sum(self.q, ZERO)
 
 
+def walk_step(a: np.ndarray, up, down) -> np.ndarray:
+    """One walk step on a level vector (a[i] is level i+1), dtype-generic:
+    out_l = up*a_{l-1} + down*a_{l+1}, whatever reaches level 0 is absorbed.
+    The result is one level longer and never trimmed."""
+    out = np.zeros(a.size + 1, dtype=a.dtype)
+    out[1:] += up * a
+    out[:-2] += down * a[1:]
+    return out
+
+
+def trim_levels(a: np.ndarray) -> np.ndarray:
+    """Drop trailing zero levels."""
+    nz = np.flatnonzero(a)
+    return a[:nz[-1] + 1] if nz.size else a[:0]
+
+
+def _to_int_vector(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """(integer numerators, common denominator); int64 while small."""
+    denom = 1
+    for v in values:
+        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    nums = [int(v * denom) for v in values]
+    big = max((abs(x) for x in nums), default=0)
+    dtype = object if big > 2 ** 40 else np.int64
+    return np.array(nums, dtype=dtype), denom
+
+
+def exact_walk_step(values: Sequence[Fraction], w: Fraction) -> tuple[Fraction, ...]:
+    """`walk_step` with (up, down) = (w, 1-w) on exact rationals: integer
+    numerators over their common denominator, stepped with (wp, wq-wp) at
+    scale 1/wq; trailing zero levels are dropped."""
+    nums, denom = _to_int_vector(values)
+    wp, wq = w.numerator, w.denominator
+    new = trim_levels(walk_step(nums.astype(object), wp, wq - wp))
+    denom *= wq
+    return tuple(Fraction(x, denom) for x in new)
+
+
 def step(state: RuinState) -> RuinState:
     """One step: q'_l = (q_{l-1} + q_{l+1})/2, with q'_1 = q_2/2."""
-    q = state.q
-    m = len(q)
-    new = [ZERO] * (m + 1)
-    half = Fraction(1, 2)
-    for i, mass in enumerate(q):
-        if not mass:
-            continue
-        new[i + 1] += half * mass
-        if i >= 1:
-            new[i - 1] += half * mass
-    while new and new[-1] == 0:
-        new.pop()
-    return RuinState(state.n + 1, tuple(new))
+    return RuinState(state.n + 1, exact_walk_step(state.q, HALF))
 
 
 def evolve_from(q0: RuinState, n: int) -> RuinState:

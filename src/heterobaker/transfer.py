@@ -10,7 +10,14 @@ center coordinate are implemented and cross-checked:
   level-l coefficient down to level l-1 with weight (1-w)/2 and annihilates
   level 1;
 * a square-wave route on the invariant span of s_l = sum_k chi_{l,k}, where
-  the coefficient vector evolves by the absorbed-random-walk recursion.
+  the coefficient vector evolves by the absorbed-random-walk recursion,
+  `ruin.walk_step` with (up, down) = (w, 1-w).
+
+The exact kernels keep integer numerators with one rational scale beside
+them: for w = wp/wq a grid or Haar step divides the scale by 2 wq and a
+square-wave step by wq.  The square-wave coefficients and the oracle
+comparison step with the same `walk_step` as the walk and the exact
+correlation series.
 
 The general weight w = M*a is derived from averaging the full 3D operator
 over (x_u, x_s): the alpha branches carry total mass w = 1 - M*b and the
@@ -24,7 +31,6 @@ x_c-average and the tensor-component actions.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +41,7 @@ import numpy as np
 from .baker import BakerParams, Kind, all_symbols, branch_affine
 from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D, frac,
                     merge_breakpoints)
+from .ruin import _to_int_vector, exact_walk_step, trim_levels, walk_step
 
 HALF = Fraction(1, 2)
 
@@ -72,6 +79,12 @@ class ReducedOp:
     @staticmethod
     def from_params(params: BakerParams) -> "ReducedOp":
         return ReducedOp(params.M, params.M * params.a)
+
+    def require_m2(self, route: str) -> None:
+        """Refuse M != 2 on the routes that are M = 2 representations."""
+        if self.M != 2:
+            raise ValueError(f"the {route} is the M = 2 representation; "
+                             f"got M = {self.M}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +197,6 @@ def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
     return f
 
 
-def _to_int_vector(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    nums = [int(v * denom) for v in values]
-    big = max((abs(x) for x in nums), default=0)
-    dtype = object if big > 2 ** 40 else np.int64
-    return np.array(nums, dtype=dtype), denom
-
-
 def _p0_step_int(nums: np.ndarray, op: ReducedOp) -> np.ndarray:
     """One uniform-grid step at scale factor 1/(2*wq):
     out[j] = 2*wp*u(2x) + (wq-wp)*(u(x/2) + u((x+1)/2))."""
@@ -227,8 +230,7 @@ def p0_haar_step(expansion: dict, op: ReducedOp) -> dict:
               +  ((1-w)/2)*chi_{l-1, k mod 2^(l-2)}   (the beta image;
                  level 1 is annihilated by the beta part).
     """
-    if op.M != 2:
-        raise ValueError("the Haar route is the M = 2 representation")
+    op.require_m2("Haar route")
     w = op.w
     down = (1 - w) / 2
     out: dict = {}
@@ -290,30 +292,12 @@ def squarewave_step(state: SquareWaveState, op: ReducedOp) -> SquareWaveState:
     This is exactly the level recursion of the absorbed walk when w = 1/2;
     for other weights it is the same biased-walk recursion.
     """
-    if op.M != 2:
-        raise ValueError("the square-wave subspace is the M = 2 representation")
-    a = state.coeffs
-    m = len(a)
-    if state.mode == "double":
-        w = float(op.w)
-        arr = np.asarray(a, dtype=float)
-        new = np.zeros(m + 1)
-        new[1:] += w * arr
-        new[:m - 1] += (1 - w) * arr[1:]
-        while new.size and new[-1] == 0.0:
-            new = new[:-1]
-        return SquareWaveState(tuple(new.tolist()), "double")
-    w = op.w
-    new = [ZERO] * (m + 1)
-    for i, c in enumerate(a):
-        if not c:
-            continue
-        new[i + 1] += w * c
-        if i >= 1:
-            new[i - 1] += (1 - w) * c
-    while new and new[-1] == 0:
-        new.pop()
-    return SquareWaveState(tuple(new), "rational")
+    op.require_m2("square-wave subspace")
+    if state.mode == "rational":
+        return SquareWaveState(exact_walk_step(state.coeffs, op.w), "rational")
+    w = float(op.w)
+    new = walk_step(np.asarray(state.coeffs, dtype=float), w, 1 - w)
+    return SquareWaveState(tuple(trim_levels(new).tolist()), "double")
 
 
 def squarewave_synthesize(state: SquareWaveState) -> PCFun1D:
@@ -350,8 +334,7 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
     step.  All three share the per-step scale 1/(2*wq), so agreement is a
     plain integer comparison.
     """
-    if op.M != 2:
-        raise ValueError("oracle comparison is defined for M = 2")
+    op.require_m2("oracle comparison")
     L0 = f.is_uniform_level(2)
     if L0 is None:
         raise ValueError("input must live on a uniform dyadic grid")
@@ -374,11 +357,9 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
             raise ValueError("unexpected non-integral Haar coefficient")
         levels[l][k] = int(ic)
     profile = square_wave_profile(expansion)
-    sw = None
+    sw = None  # square-wave levels, sw[i] is level i+1
     if profile is not None:
-        sw = np.zeros(lmax + 1, dtype=nums.dtype)
-        for i, c in enumerate(profile):
-            sw[i + 1] = int(c * hden)
+        sw = np.array([int(c * hden) for c in profile], dtype=nums.dtype)
 
     wp, wq = op.w.numerator, op.w.denominator
     agree_all = True
@@ -426,10 +407,7 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
         nums = _p0_step_int(nums, op)
         levels = step_levels(levels)
         if sw is not None:
-            new_sw = np.zeros(sw.size + 1, dtype=sw.dtype)
-            new_sw[2:] += 2 * wp * sw[1:]
-            new_sw[1:-2] += 2 * (wq - wp) * sw[2:]
-            sw = new_sw
+            sw = walk_step(sw, 2 * wp, 2 * (wq - wp))
 
         level_now = L0 + stepn
         coeffs, total = grid_coefficients(nums, level_now)
@@ -445,7 +423,7 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
         if sw is not None:
             for l in range(1, level_now + 1):
                 harr = levels[l] if l < len(levels) else None
-                target = sw[l] if l < sw.size else 0
+                target = sw[l - 1] if l <= sw.size else 0
                 if harr is None:
                     if target != 0:
                         sw_ok = False
@@ -479,6 +457,57 @@ def _strip_index(bps: Sequence[Fraction], edges: Sequence[Fraction]) -> list[int
     return out
 
 
+@dataclass(frozen=True)
+class _BranchGrid:
+    """The (x_u, x_c) grids of a pushforward: input breakpoints refined by
+    the branch edges, output breakpoints (the branch images of the refined
+    ones) with their position maps, and the branch of every input cell."""
+
+    bu: tuple
+    bc: tuple
+    gu: tuple
+    gc: tuple
+    pu: dict
+    pc: dict
+    affines: dict
+    syms: list      # syms[i][j]: branch key of input cell (i, j)
+
+    @staticmethod
+    def build(params: BakerParams, bps_u, bps_c) -> "_BranchGrid":
+        M, a = params.M, params.a
+        u_edges = [k * a for k in range(M + 1)] + [ONE]
+        c_edges = [Fraction(k, M) for k in range(M + 1)]
+        bu = merge_breakpoints(bps_u, u_edges)
+        bc = merge_breakpoints(bps_c, c_edges)
+        affines = {(s.kind, s.k): branch_affine(params, s)
+                   for s in all_symbols(params)}
+        out_u, out_c = set(), set()
+        for (kind, k), ((mu, cu), (mc, cc), _) in affines.items():
+            if kind is Kind.ALPHA:
+                lo, hi = (k - 1) * a, k * a
+                out_u.update(mu * b + cu for b in bu if lo <= b <= hi)
+                out_c.update(mc * b + cc for b in bc)
+            else:
+                out_u.update(mu * b + cu for b in bu if M * a <= b <= 1)
+                clo, chi = Fraction(k - 1, M), Fraction(k, M)
+                out_c.update(mc * b + cc for b in bc if clo <= b <= chi)
+        gu, gc = tuple(sorted(out_u)), tuple(sorted(out_c))
+        cstrip = _strip_index(bc, c_edges)
+        syms = [[(Kind.ALPHA, si + 1) if si < M else (Kind.BETA, cj + 1)
+                 for cj in cstrip] for si in _strip_index(bu, u_edges)]
+        return _BranchGrid(bu, bc, gu, gc, _axis_positions(gu),
+                           _axis_positions(gc), affines, syms)
+
+    def image(self, i: int, j: int):
+        """(branch key, output u range, output c range) of input cell (i, j)."""
+        sym = self.syms[i][j]
+        (mu, cu), (mc, cc), _ = self.affines[sym]
+        bu, bc, pu, pc = self.bu, self.bc, self.pu, self.pc
+        return (sym,
+                range(pu[mu * bu[i] + cu], pu[mu * bu[i + 1] + cu]),
+                range(pc[mc * bc[j] + cc], pc[mc * bc[j + 1] + cc]))
+
+
 def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
     """Exact pushforward u -> u o f^{-1} on a product grid.
 
@@ -487,56 +516,20 @@ def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
     """
     if not params.is_measure_preserving:
         raise ValueError("p_full_3d requires a + b = 1/M")
-    M, a = params.M, params.a
-    u_edges = [k * a for k in range(M + 1)] + [ONE]
-    c_edges = [Fraction(k, M) for k in range(M + 1)]
-
-    bu = merge_breakpoints(F.bps_u, u_edges)
-    bc = merge_breakpoints(F.bps_c, c_edges)
+    g = _BranchGrid.build(params, F.bps_u, F.bps_c)
     bs = F.bps_s
-    vals = F.on_grid(bu, bc, bs)
+    vals = F.on_grid(g.bu, g.bc, bs)
+    gs = tuple(sorted({ms * b + cs for _, _, (ms, cs) in g.affines.values()
+                       for b in bs}))
+    ps = _axis_positions(gs)
 
-    syms = all_symbols(params)
-    affines = {(s.kind, s.k): branch_affine(params, s) for s in syms}
-
-    # output breakpoints: branch images of the refined input breakpoints
-    out_u, out_c, out_s = set(), set(), set()
-    for sym in syms:
-        (mu, cu), (mc, cc), (ms, cs) = affines[(sym.kind, sym.k)]
-        if sym.kind is Kind.ALPHA:
-            lo, hi = (sym.k - 1) * a, sym.k * a
-            out_u.update(mu * b + cu for b in bu if lo <= b <= hi)
-            out_c.update(mc * b + cc for b in bc)
-        else:
-            lo, hi = M * a, ONE
-            out_u.update(mu * b + cu for b in bu if lo <= b <= hi)
-            clo, chi = Fraction(sym.k - 1, M), Fraction(sym.k, M)
-            out_c.update(mc * b + cc for b in bc if clo <= b <= chi)
-        out_s.update(ms * b + cs for b in bs)
-    gu = tuple(sorted(out_u))
-    gc = tuple(sorted(out_c))
-    gs = tuple(sorted(out_s))
-    pu, pc, ps = _axis_positions(gu), _axis_positions(gc), _axis_positions(gs)
-
-    nu, nc, ns = len(gu) - 1, len(gc) - 1, len(gs) - 1
-    out = [[[ZERO] * ns for _ in range(nc)] for _ in range(nu)]
-
-    ustrip = _strip_index(bu, u_edges[:-1] + [ONE])
-    cstrip = _strip_index(bc, c_edges)
-
-    for i, (u0, u1) in enumerate(zip(bu, bu[1:])):
-        si = ustrip[i]
-        alpha = si < M
-        for j, (c0, c1) in enumerate(zip(bc, bc[1:])):
-            if alpha:
-                sym = (Kind.ALPHA, si + 1)
-            else:
-                sym = (Kind.BETA, cstrip[j] + 1)
-            (mu, cu), (mc, cc), (ms, cs) = affines[sym]
-            iu0 = pu[mu * u0 + cu]
-            iu1 = pu[mu * u1 + cu]
-            jc0 = pc[mc * c0 + cc]
-            jc1 = pc[mc * c1 + cc]
+    ns = len(gs) - 1
+    out = [[[ZERO] * ns for _ in range(len(g.gc) - 1)]
+           for _ in range(len(g.gu) - 1)]
+    for i in range(len(g.bu) - 1):
+        for j in range(len(g.bc) - 1):
+            sym, urange, crange = g.image(i, j)
+            ms, cs = g.affines[sym][2]
             row = vals[i][j]
             for k, (s0, s1) in enumerate(zip(bs, bs[1:])):
                 v = row[k]
@@ -544,13 +537,13 @@ def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
                     continue
                 ks0 = ps[ms * s0 + cs]
                 ks1 = ps[ms * s1 + cs]
-                for ii in range(iu0, iu1):
+                for ii in urange:
                     plane = out[ii]
-                    for jj in range(jc0, jc1):
+                    for jj in crange:
                         cell = plane[jj]
                         for kk in range(ks0, ks1):
                             cell[kk] = v
-    return PCFun3D(gu, gc, gs,
+    return PCFun3D(g.gu, g.gc, gs,
                    tuple(tuple(tuple(r) for r in p) for p in out))
 
 
@@ -570,58 +563,25 @@ def p_full_2d(params: BakerParams, h: PCFun2D,
     before pushing; this realizes weighted operators like the stable-slope
     cocycle used by `fiber_average_decay_check`.
     """
-    M, a = params.M, params.a
-    u_edges = [k * a for k in range(M + 1)] + [ONE]
-    c_edges = [Fraction(k, M) for k in range(M + 1)]
-    bu = merge_breakpoints(h.bps_x, u_edges)
-    bc = merge_breakpoints(h.bps_y, c_edges)
-    vals = h.on_grid(bu, bc)
-
-    syms = all_symbols(params)
-    affines = {(s.kind, s.k): branch_affine(params, s) for s in syms}
-    inv_det = {}
-    for s in syms:
-        (mu, _), (mc, _), _ = affines[(s.kind, s.k)]
-        inv_det[(s.kind, s.k)] = 1 / (mu * mc)
-
-    out_u, out_c = set(), set()
-    for sym in syms:
-        (mu, cu), (mc, cc), _ = affines[(sym.kind, sym.k)]
-        if sym.kind is Kind.ALPHA:
-            lo, hi = (sym.k - 1) * a, sym.k * a
-            out_u.update(mu * b + cu for b in bu if lo <= b <= hi)
-            out_c.update(mc * b + cc for b in bc)
-        else:
-            out_u.update(mu * b + cu for b in bu if M * a <= b <= 1)
-            clo, chi = Fraction(sym.k - 1, M), Fraction(sym.k, M)
-            out_c.update(mc * b + cc for b in bc if clo <= b <= chi)
-    gu, gc = tuple(sorted(out_u)), tuple(sorted(out_c))
-    pu, pc = _axis_positions(gu), _axis_positions(gc)
-    nu, nc = len(gu) - 1, len(gc) - 1
-    out = [[ZERO] * nc for _ in range(nu)]
-
-    ustrip = _strip_index(bu, u_edges[:-1] + [ONE])
-    cstrip = _strip_index(bc, c_edges)
+    g = _BranchGrid.build(params, h.bps_x, h.bps_y)
+    vals = h.on_grid(g.bu, g.bc)
     w_alpha, w_beta = region_weight if region_weight else (ONE, ONE)
+    weight = {sym: (w_alpha if sym[0] is Kind.ALPHA else w_beta) / (mu * mc)
+              for sym, ((mu, _), (mc, _), _) in g.affines.items()}
 
-    for i, (u0, u1) in enumerate(zip(bu, bu[1:])):
-        si = ustrip[i]
-        alpha = si < M
-        for j, (c0, c1) in enumerate(zip(bc, bc[1:])):
+    out = [[ZERO] * (len(g.gc) - 1) for _ in range(len(g.gu) - 1)]
+    for i in range(len(g.bu) - 1):
+        for j in range(len(g.bc) - 1):
             v = vals[i][j]
             if not v:
                 continue
-            sym = (Kind.ALPHA, si + 1) if alpha else (Kind.BETA, cstrip[j] + 1)
-            (mu, cu), (mc, cc), _ = affines[sym]
-            weight = (w_alpha if alpha else w_beta) * inv_det[sym]
-            iu0, iu1 = pu[mu * u0 + cu], pu[mu * u1 + cu]
-            jc0, jc1 = pc[mc * c0 + cc], pc[mc * c1 + cc]
-            add = v * weight
-            for ii in range(iu0, iu1):
+            sym, urange, crange = g.image(i, j)
+            add = v * weight[sym]
+            for ii in urange:
                 row = out[ii]
-                for jj in range(jc0, jc1):
+                for jj in crange:
                     row[jj] += add
-    return PCFun2D(gu, gc, tuple(tuple(r) for r in out))
+    return PCFun2D(g.gu, g.gc, tuple(tuple(r) for r in out))
 
 
 # ---------------------------------------------------------------------------
@@ -653,18 +613,6 @@ def component_split_apply(which: str, params: BakerParams, F: PCFun3D) -> PCFun3
     G = F - pi0(F) if complement_in else pi0(F)
     H = P(G)
     return H - pi0(H) if complement_out else pi0(H)
-
-
-def p_star_n(params: BakerParams, F: PCFun3D, n: int) -> PCFun3D:
-    for _ in range(n):
-        F = component_split_apply("star", params, F)
-    return F
-
-
-def p00_n(params: BakerParams, F: PCFun3D, n: int) -> PCFun3D:
-    for _ in range(n):
-        F = component_split_apply("00", params, F)
-    return F
 
 
 # ---------------------------------------------------------------------------

@@ -103,3 +103,29 @@ def test_determinism(capsys):
     _, out2 = run(capsys, *args, "--workers", "2")
     assert out1.replace("--workers", "") .splitlines()[1:3] == \
         out2.splitlines()[1:3]
+
+
+def test_squarewave_refuses_m3(capsys):
+    # the square-wave route is the M = 2 representation: at M = 3 it must
+    # refuse, not print the M = 2 series
+    code = main(["corr", "--M", "3", "--a", "1/6", "--b", "1/6",
+                 "--phi", "xc-1/2", "--psi", "xc-1/2",
+                 "--method", "squarewave", "--n-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "M = 3" in captured.err
+
+
+def test_negative_n_max_names_the_flag(capsys):
+    code = main(["corr", "--phi", "xc-1/2", "--psi", "xc-1/2",
+                 "--n-max", "-3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--n-max" in err and "max()" not in err
+
+
+def test_truncated_observable_names_the_flag(capsys):
+    code = main(["corr", "--phi", "xc-", "--psi", "xc-1/2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--phi" in err and "unexpected end of input" in err

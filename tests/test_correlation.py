@@ -96,6 +96,31 @@ def test_double_mode_tracks_rational():
         assert abs(b.value - float(a.exact)) <= b.error + 1e-15
 
 
+@pytest.fixture(scope="module")
+def exact_affine_512():
+    """The exact affine series to n = 512 at w = 1/2 and w = 3/5."""
+    return {w: hb.exact_reduced_correlation(PHI, PHI, 512, op=hb.ReducedOp(2, w),
+                                            numeric="rational")
+            for w in (F(1, 2), F(3, 5))}
+
+
+@pytest.mark.parametrize("w", [F(1, 2), F(3, 5)])
+def test_double_mode_error_bar_is_a_bound(w, exact_affine_512):
+    sd = hb.exact_reduced_correlation(PHI, PHI, 512, op=hb.ReducedOp(2, w),
+                                      numeric="double")
+    for a, b in zip(exact_affine_512[w], sd):
+        assert abs(b.value - float(a.exact)) <= b.error
+
+
+def test_exact_series_satisfies_recurrence(exact_affine_512):
+    # an independent check of the integer walk kernel: at w = 1/2 the
+    # affine series is P-recursive with characteristic roots 5/4 and +-1
+    c = [rec.exact for rec in exact_affine_512[F(1, 2)]]
+    for n in range(len(c) - 3):
+        assert (F(5, 4) * (n + 1) * c[n] - n * c[n + 1]
+                - F(5, 4) * (n + 4) * c[n + 2] + (n + 3) * c[n + 3]) == 0
+
+
 def test_not_in_span():
     obs = pc_center(hb.wavelet(2, 0))
     with pytest.raises(NotInSquareWaveSpan):

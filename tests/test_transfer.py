@@ -93,15 +93,21 @@ def test_squarewave_step_examples():
     assert all(c == 0 for c in z.coeffs)
 
 
-def test_squarewave_double_mode_matches_rational():
+@pytest.mark.parametrize("w", [F(1, 2), F(2, 5), F(3, 5)])
+def test_squarewave_double_mode_matches_rational(w):
+    # dyadic weights keep every double step exact; otherwise each of the six
+    # steps rounds a few times against coefficients of l1 norm <= 7/8
+    op = hb.ReducedOp(2, w)
     prof = [F(1, 2), F(-1, 4), F(1, 8)]
     sr = hb.SquareWaveState.from_profile(prof)
     sd = hb.SquareWaveState.from_profile(prof, mode="double")
     for _ in range(6):
-        sr = hb.squarewave_step(sr, OP)
-        sd = hb.squarewave_step(sd, OP)
+        sr = hb.squarewave_step(sr, op)
+        sd = hb.squarewave_step(sd, op)
+    assert len(sr.coeffs) == len(sd.coeffs)
+    tol = 0.0 if w == F(1, 2) else 1e-15
     for cr, cd in zip(sr.coeffs, sd.coeffs):
-        assert float(cr) == cd
+        assert abs(float(cr) - cd) <= tol
 
 
 def test_subspace_invariance():
