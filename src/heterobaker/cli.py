@@ -27,8 +27,16 @@ from .transfer import ReducedOp, p0_apply, p_alpha, p_beta, p_full_3d_n
 from .verify import run_identity_suite
 
 
+def _frac(text: str, flag: str) -> Fraction:
+    try:
+        return frac(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: expected a fraction p/q with q != 0, "
+                         f"got {text!r}") from None
+
+
 def _params_from(args) -> BakerParams:
-    return BakerParams(args.M, frac(args.a), frac(args.b))
+    return BakerParams(args.M, _frac(args.a, "--a"), _frac(args.b, "--b"))
 
 
 def _config_hash(args) -> str:
@@ -60,7 +68,7 @@ def _write_json(path, obj):
 
 def cmd_orbit(args) -> int:
     params = _params_from(args)
-    point = [frac(c) for c in args.point.split(",")]
+    point = [_frac(c, "--point") for c in args.point.split(",")]
     if len(point) != 3:
         raise SystemExit(2)
     pts = orbit(params, tuple(point), args.n, exact=args.mode == "exact")
@@ -75,7 +83,7 @@ def cmd_apply_op(args) -> int:
         payload = fh.read()
     if args.op in ("p0", "palpha", "pbeta"):
         f = pcfun1d_from_json(payload)
-        op = ReducedOp(args.M, args.M * frac(args.a))
+        op = ReducedOp(args.M, args.M * _frac(args.a, "--a"))
         if args.op == "p0":
             g = p0_apply(op, f, args.n)
         else:
@@ -100,7 +108,7 @@ def cmd_apply_op(args) -> int:
 
 def cmd_ruin(args) -> int:
     if args.init:
-        profile = [frac(x) for x in args.init.split(",")]
+        profile = [_frac(x, "--init") for x in args.init.split(",")]
         state = RuinState.from_profile(profile)
     else:
         state = RuinState.delta(args.delta)
@@ -152,6 +160,11 @@ def cmd_corr(args) -> int:
     phi = _observable(args.phi, "--phi")
     psi = _observable(args.psi, "--psi")
     params = _params_from(args)
+    if not params.is_measure_preserving:
+        raise ValueError(
+            f"--a {args.a} and --b {args.b} do not preserve Lebesgue "
+            f"measure: corr needs a + b = 1/M = 1/{params.M}, "
+            f"got {params.a + params.b}")
     ns = _n_values(args)
     rows = []
     if args.method in ("squarewave", "haar"):
@@ -159,8 +172,9 @@ def cmd_corr(args) -> int:
         series = exact_reduced_correlation(
             phi, psi, max(ns), op=op, mode=args.method,
             numeric=args.numeric, truncation_level=args.truncation_level)
+        wanted = set(ns)
         for rec in series:
-            if rec.n in ns:
+            if rec.n in wanted:
                 rows.append((rec.n, repr(rec.value), rec.method, repr(rec.error)))
     elif args.method == "mc":
         if args.seed is None:

@@ -26,6 +26,14 @@ inverse branches, and the remaining coordinates run forward.  This
 sidesteps the mantissa exhaustion that makes naive float orbits of
 dyadic-slope maps collapse, and it uses common random numbers across n
 (one orbit per sample, all time slices read from it).
+
+Samples come in fixed-size shards, each drawn from its own Philox stream
+keyed by (seed, shard index).  A worker thread simulates a batch of whole
+consecutive shards in one vectorised pass over a step-major int8
+itinerary.  A batch holds at most _BATCH_BYTES (4 MiB) of per-sample state
+or a single shard, so its memory does not grow with the sample count.  Sums
+are still reduced shard by shard in shard order, so estimates and
+batch-means errors are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -107,6 +115,31 @@ def _materialize(prof, c_tail, L: int):
     return out
 
 
+def _double_levels(prof, c_tail, L: int) -> tuple[np.ndarray, Fraction]:
+    """float(_materialize(prof, c_tail, L)) and the exact sum of its squares,
+    without building the tail Fractions.
+
+    A tail entry c 2^-l is the correctly rounded num / (den << l), the same
+    float as that of the Fraction; once one underflows to (signed) zero the
+    rest do too.  The tail's squares sum to c^2 (4^-p - 4^-L) / 3 past the
+    p = len(prof) intrinsic levels.
+    """
+    p = min(len(prof), L)
+    out = np.zeros(L)
+    out[:p] = [float(x) for x in prof[:p]]
+    l2 = sum((x * x for x in prof[:p]), ZERO)
+    if c_tail:
+        num, den = c_tail.numerator, c_tail.denominator
+        for l in range(p + 1, L + 1):
+            v = num / (den << l)
+            if v == 0.0:
+                out[l - 1:] = v
+                break
+            out[l - 1] = v
+        l2 += c_tail * c_tail * (Fraction(1, 4 ** p) - Fraction(1, 4 ** L)) / 3
+    return out, l2
+
+
 def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
                               n_max: int, op: ReducedOp | None = None,
                               mode: str = "squarewave",
@@ -154,12 +187,11 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
         raise ValueError("numeric must be 'rational' or 'double'")
     L = max(64, truncation_level or 0, pc_depth)
     depth = L + n_max + 1
-    arr = np.array([float(x) for x in _materialize(prof_phi, c_phi, L)])
-    b = _materialize(prof_psi, c_psi, depth)
-    brr = np.array([float(x) for x in b])
+    arr, _ = _double_levels(prof_phi, c_phi, L)
+    brr, b_l2 = _double_levels(prof_psi, c_psi, depth)
     # discarded-tail bound: ||tail of phi||_2 ||psi||_2 via L2 contraction
     tail_l2 = abs(float(c_phi)) * 0.5 ** (L + 1) / math.sqrt(0.75)
-    psi_l2 = math.sqrt(float(sum((x * x for x in b), ZERO)) +
+    psi_l2 = math.sqrt(float(b_l2) +
                        float(c_psi) ** 2 * 0.25 ** (depth + 1) / 0.75)
     w = float(op.w)
     out = []
@@ -221,6 +253,9 @@ def _haar_series(phi: Observable3D, psi: Observable3D, n_max: int,
 # Monte Carlo over the exact joint law
 
 SHARD_SIZE = 1 << 14
+_BATCH_BYTES = 1 << 22    # per-sample state of one batch, see _batch_plan
+_WORK_FLOATS = 16        # float64 working arrays of the passes, an upper estimate
+_DRAW_BLOCK = 1 << 16    # itinerary uniforms drawn at a time (float64)
 
 
 def _shard_plan(samples: int) -> list[tuple[int, int]]:
@@ -239,54 +274,112 @@ def _shard_plan(samples: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _simulate_shard(params: BakerParams, n_list: Sequence[int], n_max: int,
-                    size: int, key: tuple[int, int], phi: Observable3D,
+def _batch_plan(shards: list[tuple[int, int]], n_max: int, kept: int,
+                workers: int) -> list[list[tuple[int, int]]]:
+    """Split the shard plan into batches of whole consecutive shards.
+
+    A batch holds at most _BATCH_BYTES of per-sample state (the int8
+    itinerary, `kept` stored x_u slices and the float working arrays of
+    the passes) or a single shard, so its memory does not grow with the
+    sample count.  There are at least `workers` batches when there are
+    that many shards, and batch sizes differ by at most one shard.
+    """
+    per_sample = n_max + 8 * (kept + _WORK_FLOATS)
+    cap = max(1, _BATCH_BYTES // (shards[0][1] * per_sample))
+    count = min(len(shards), max(workers, -(-len(shards) // cap)))
+    q, r = divmod(len(shards), count)
+    out, lo = [], 0
+    for j in range(count):
+        hi = lo + q + (j < r)
+        out.append(shards[lo:hi])
+        lo = hi
+    return out
+
+
+def _simulate_batch(params: BakerParams, batch: list[tuple[int, int]],
+                    seed: int, n_list: Sequence[int], phi: Observable3D,
                     psi: Observable3D):
-    """One shard: (sum phi, sum psi at time 0, {n: sum phi*psi_n}, end state)."""
-    rng = np.random.Generator(np.random.Philox(key=key))
+    """Consecutive shards of the same stream in one vectorised pass.
+
+    Shard `sidx` draws from Philox(key=(seed, sidx)) in a fixed order: its
+    (size, n_max) itinerary uniforms in row blocks, then x_u at time n_max,
+    x_c and x_s.  Every step of the backward x_u pass and of the forward
+    pass runs once over the whole batch on a contiguous row of the
+    step-major int8 itinerary.  Returns the per-shard sums
+    [(size, sum phi, sum psi at time 0, {n: sum phi*psi_n})] and the batch's
+    end state (x_u, x_c, x_s) at time n_max = max(n_list).
+    """
     M = params.M
     a, b = float(params.a), float(params.b)
     Ma, Mb = M * a, M * b
+    n_max = max(n_list)
+    total = sum(size for _, size in batch)
+    itin = np.empty((n_max, total), dtype=np.int8)
+    xu_end, xc, xs = np.empty(total), np.empty(total), np.empty(total)
+    rows = max(1, _DRAW_BLOCK // max(n_max, 1))
+    u = np.empty((min(rows, batch[0][1]), n_max))
+    beta = np.empty(u.shape, dtype=bool)
+    bounds, lo = [], 0
+    for sidx, size in batch:
+        rng = np.random.Generator(np.random.Philox(key=(seed, sidx)))
+        for r in range(0, size, rows):
+            k = min(rows, size - r)
+            # np.where(u < Ma, min(floor(u / a), M - 1), M) without int64
+            # temporaries: u >= Ma implies u / a >= M - 1, so the clamp
+            # gives M - 1 there and adding the mask gives M
+            rng.random(out=u[:k])
+            np.greater_equal(u[:k], Ma, out=beta[:k])
+            np.divide(u[:k], a, out=u[:k])
+            np.minimum(u[:k], M - 1, out=u[:k])
+            np.add(u[:k], beta[:k], out=u[:k])
+            itin[:, lo + r:lo + r + k] = u[:k].T
+        hi = lo + size
+        for arr in (xu_end, xc, xs):
+            rng.random(out=arr[lo:hi])
+        bounds.append((lo, hi))
+        lo = hi
 
-    if n_max:
-        u = rng.random((size, n_max))
-        symbols = np.where(u < Ma, np.minimum((u / a).astype(np.int64), M - 1),
-                           M).astype(np.int8)
-    xu_end = rng.random(size)
-    xc = rng.random(size)
-    xs = rng.random(size)
+    def shard_sums(v):
+        return [float(v[lo:hi].sum()) for lo, hi in bounds]
 
     want = set(n_list)
     xu_at = {}
-    if n_max:
-        cur = xu_end
-        if n_max in want:
-            xu_at[n_max] = cur
-        for i in range(n_max - 1, -1, -1):
-            w = symbols[:, i]
-            alpha = w < M
-            cur = np.where(alpha, a * (cur + w), (1.0 - Ma) * cur + Ma)
-            if i in want or i == 0:
-                xu_at[i] = cur
-    else:
-        xu_at[0] = xu_end
+    cur = xu_end
+    for i in range(n_max - 1, -1, -1):
+        if i + 1 in want:
+            xu_at[i + 1] = cur
+        w = itin[i]
+        cur = np.where(w < M, a * (cur + w), (1.0 - Ma) * cur + Ma)
 
-    phi0 = np.asarray(phi(xu_at[0], xc, xs), dtype=float)
-    psi0 = np.asarray(psi(xu_at[0], xc, xs), dtype=float)
-    per_n = {}
-    if 0 in want:
-        per_n[0] = float((phi0 * psi0).sum())
+    phi0 = np.asarray(phi(cur, xc, xs), dtype=float)
+    psi0 = np.asarray(psi(cur, xc, xs), dtype=float)
+    per_n = {0: shard_sums(phi0 * psi0)} if 0 in want else {}
     for i in range(n_max):
-        w = symbols[:, i]
+        w = itin[i]
+        # k = min(floor(M xc), M - 1) held as a float, so M xc - k and
+        # b (k - M) round as with an integer k; where alpha selects it,
+        # w / M equals clip(w, 0, M - 1) / M
+        y = xc * M
+        k = np.floor(y)
+        np.minimum(k, M - 1, out=k)
         alpha = w < M
-        k = np.minimum((xc * M).astype(np.int64), M - 1)
-        xc = np.where(alpha, xc / M + w.clip(0, M - 1) / M, M * xc - k)
-        xs = np.where(alpha, (1.0 - Mb) * xs, b * xs + 1.0 + b * (k + 1 - M - 1))
-        t = i + 1
-        if t in want:
-            psin = np.asarray(psi(xu_at[t], xc, xs), dtype=float)
-            per_n[t] = float((phi0 * psin).sum())
-    return float(phi0.sum()), float(psi0.sum()), per_n, (xu_at.get(n_max), xc, xs)
+        xc = np.where(alpha, xc / M + w / M, y - k)
+        xs = np.where(alpha, (1.0 - Mb) * xs, b * xs + 1.0 + b * (k - M))
+        if i + 1 in want:
+            psin = np.asarray(psi(xu_at.pop(i + 1), xc, xs), dtype=float)
+            per_n[i + 1] = shard_sums(phi0 * psin)
+    sphi, spsi0 = shard_sums(phi0), shard_sums(psi0)
+    sums = [(size, sphi[j], spsi0[j], {n: v[j] for n, v in per_n.items()})
+            for j, (_, size) in enumerate(batch)]
+    return sums, (xu_end, xc, xs)
+
+
+def _run_batches(fn, batches: list, workers: int) -> list:
+    """fn over the batches in order, on `workers` threads when above one."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, batches))
+    return [fn(batch) for batch in batches]
 
 
 def mc_correlation_series(params: BakerParams, phi: Observable3D,
@@ -296,9 +389,10 @@ def mc_correlation_series(params: BakerParams, phi: Observable3D,
     """Cor(phi, psi o f^n) estimates with batch-means standard errors.
 
     Shards of fixed size are keyed by (seed, shard index) on a Philox
-    counter generator, so results are byte-identical for a given (config,
-    seed) regardless of worker count.  Common random numbers: every n in
-    n_list is read off the same orbit.
+    counter generator and reduced shard by shard in shard order, so results
+    are byte-identical for a given (config, seed) regardless of worker
+    count.  Common random numbers: every n in n_list is read off the same
+    orbit.
     """
     if not params.is_measure_preserving:
         raise NotMeasurePreserving("Monte Carlo pairing assumes a + b = 1/M")
@@ -306,33 +400,25 @@ def mc_correlation_series(params: BakerParams, phi: Observable3D,
         raise ValueError("use at least 10^4 samples")
     n_list = sorted(set(int(n) for n in n_list))
     n_max = max(n_list)
-    shards = _shard_plan(samples)
+    batches = _batch_plan(_shard_plan(samples), n_max, len(n_list), workers)
 
-    def run(entry):
-        sidx, size = entry
-        return size, _simulate_shard(params, n_list, n_max, size,
-                                     (seed, sidx), phi, psi)
+    def run(batch):
+        return _simulate_batch(params, batch, seed, n_list, phi, psi)[0]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, shards))
-    else:
-        results = [run(s) for s in shards]
+    results = [shard for sums in _run_batches(run, batches, workers)
+               for shard in sums]
 
-    tot_phi = sum(r[1][0] for r in results)
-    tot_psi0 = sum(r[1][1] for r in results)
+    tot_phi = sum(r[1] for r in results)
+    tot_psi0 = sum(r[2] for r in results)
+    full = max(r[0] for r in results)
     out = {}
     for n in n_list:
-        tot_prod = sum(r[1][2][n] for r in results)
+        tot_prod = sum(r[3][n] for r in results)
         estimate = tot_prod / samples - (tot_phi / samples) * (tot_psi0 / samples)
         # batch means over the full-size shards
-        full = max(size for size, _ in results)
-        vals = []
-        for size, (sphi, spsi0, per_n, _) in results:
-            if size != full:
-                continue
-            vals.append(per_n[n] / size - (sphi / size) * (spsi0 / size))
-        vals = np.asarray(vals)
+        vals = np.asarray([per_n[n] / size - (sphi / size) * (spsi0 / size)
+                           for size, sphi, spsi0, per_n in results
+                           if size == full])
         stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 \
             else float("nan")
         out[n] = CorrelationRecord(n, estimate, "monte-carlo", stderr)
@@ -357,28 +443,16 @@ def measure_invariance_chisq(params: BakerParams, n: int = 50,
     the tail so measure-preserving parameters essentially never fail.
     """
     ident = Observable3D("one", lambda xu, xc, xs: np.ones_like(xc))
-    shards = _shard_plan(samples)
-    counts = np.zeros((boxes, boxes, boxes), dtype=np.int64)
 
-    def run(entry):
-        sidx, size = entry
-        _, _, _, (xu, xc, xs) = _simulate_shard(params, [n], n, size,
-                                                (seed, sidx), ident, ident)
-        iu = np.minimum((xu * boxes).astype(np.int64), boxes - 1)
-        ic = np.minimum((xc * boxes).astype(np.int64), boxes - 1)
-        isx = np.minimum((xs * boxes).astype(np.int64), boxes - 1)
-        hist = np.zeros((boxes, boxes, boxes), dtype=np.int64)
-        np.add.at(hist, (iu, ic, isx), 1)
-        return hist
+    def run(batch):
+        cell = 0
+        for x in _simulate_batch(params, batch, seed, [n], ident, ident)[1]:
+            cell = cell * boxes + np.minimum((x * boxes).astype(np.int64),
+                                             boxes - 1)
+        return np.bincount(cell, minlength=boxes ** 3)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for h in pool.map(run, shards):
-                counts += h
-    else:
-        for s in shards:
-            counts += run(s)
-
+    batches = _batch_plan(_shard_plan(samples), n, 1, workers)
+    counts = sum(_run_batches(run, batches, workers))
     expected = samples / boxes ** 3
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = boxes ** 3 - 1

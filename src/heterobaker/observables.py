@@ -94,7 +94,10 @@ def _tokenize(text: str) -> list:
             raise ParseError(f"bad token at {text[pos:]!r}")
         num, word, sym = m.groups()
         if num:
-            out.append(("num", Fraction(num)))
+            try:
+                out.append(("num", Fraction(num)))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {num!r}") from None
         elif word:
             out.append(("word", word))
         else:

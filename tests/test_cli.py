@@ -129,3 +129,29 @@ def test_truncated_observable_names_the_flag(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "--phi" in err and "unexpected end of input" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--phi", "1/0"), ("--a", "1/0"),
+                                        ("--b", "0/0")])
+def test_zero_denominator_names_the_flag(capsys, flag, value):
+    argv = {"--phi": "xc-1/2", "--psi": "xc-1/2", "--n-max": "2"}
+    argv[flag] = value
+    code = main(["corr", *(x for kv in argv.items() for x in kv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert flag in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("method", ["squarewave", "haar", "mc"])
+def test_corr_refuses_non_preserving_parameters(capsys, method):
+    # (1/4, 1/5) at M = 2 does not preserve Lebesgue measure; the
+    # square-wave and Haar routes read only w = M a, so they would print
+    # the (1/4, 1/4) series instead
+    code = main(["corr", "--a", "1/4", "--b", "1/5", "--phi", "xc-1/2",
+                 "--psi", "xc-1/2", "--method", method, "--n-max", "2",
+                 "--samples", "10000", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert all(s in captured.err for s in ("--a", "--b", "1/M"))

@@ -160,6 +160,97 @@ def test_mc_requires_preservation():
                           10 ** 4, seed=1)
 
 
+# Monte Carlo outputs (repr of value, error) recorded before the shards of
+# a worker were batched into one vectorised pass; the (seed, shard) stream
+# and the per-shard reductions must reproduce them bit for bit
+MC_PINNED = {
+    "affine": {
+        0: ("0.08386467178680768", "0.0007244017543194419"),
+        1: ("0.042274286852281975", "0.0008312701826082513"),
+        64: ("0.0011950731441717798", "0.0006863849578292998"),
+        512: ("0.000368471199810842", "0.00047065155826812524")},
+    "staircase": {
+        0: ("0.31292229426318313", "0.0007416931266857592"),
+        1: ("0.10487677110675105", "0.0006933868300356101"),
+        64: ("0.002512146018033865", "0.0006927659669166375"),
+        512: ("-0.001242714683506565", "0.0009383466606412882")},
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mc_stream_is_pinned(workers):
+    ns = [0, 1, 64, 512]
+    runs = {
+        "affine": hb.mc_correlation_series(
+            hb.BakerParams(2, F(1, 4), F(1, 4)), PHI, PHI, ns, 2 ** 14,
+            seed=11, workers=workers),
+        # 10^5 + 37 samples: 15 full shards and a partial last one, M = 3
+        "staircase": hb.mc_correlation_series(
+            hb.BakerParams(3, F(1, 6), F(1, 6)), hb.staircase4(),
+            hb.staircase4(), ns, 10 ** 5 + 37, seed=5, workers=workers),
+    }
+    for key, out in runs.items():
+        got = {n: (repr(out[n].value), repr(out[n].error)) for n in ns}
+        assert got == MC_PINNED[key], key
+    chi = hb.measure_invariance_chisq(hb.BakerParams(2, F(1, 8), F(1, 8)),
+                                      n=50, samples=2 ** 15, seed=3,
+                                      workers=workers)
+    assert chi["statistic"] == 50300.125
+    chi = hb.measure_invariance_chisq(hb.BakerParams(3, F(1, 6), F(1, 6)),
+                                      n=7, samples=54321, seed=1,
+                                      workers=workers)
+    assert chi["statistic"] == 527.3569890097751
+
+
+@pytest.mark.parametrize("samples,n_max,kept,workers", [
+    (2 ** 14, 512, 10, 2), (10 ** 5 + 37, 512, 4, 3), (10 ** 6, 1, 2, 1),
+    (10 ** 6, 50_000, 1, 2), (10 ** 4, 0, 1, 64)])
+def test_batch_plan_bounds(samples, n_max, kept, workers):
+    from heterobaker.correlation import (_BATCH_BYTES, _WORK_FLOATS,
+                                         _batch_plan, _shard_plan)
+    shards = _shard_plan(samples)
+    batches = _batch_plan(shards, n_max, kept, workers)
+    # whole consecutive shards, in order, none empty
+    assert [s for batch in batches for s in batch] == shards
+    assert all(batches)
+    assert len(batches) >= min(workers, len(shards))
+    per_sample = n_max + 8 * (kept + _WORK_FLOATS)
+    for batch in batches:
+        size = sum(n for _, n in batch)
+        assert len(batch) == 1 or size * per_sample <= _BATCH_BYTES
+    assert max(map(len, batches)) - min(map(len, batches)) <= 1
+
+
+def test_mc_memory_is_bounded():
+    # tracemalloc peak of this call before batching (one (shard, n_max)
+    # float64 uniform array and int64 symbol temporaries per shard):
+    # 106346806 bytes, about 101 MiB; the batched kernel holds a 4 MiB
+    # itinerary budget
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        hb.mc_correlation_series(NEUTRAL, PHI, PHI, [0, 1, 64, 1024], 2 ** 16,
+                                 seed=1, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 106346806 // 2
+
+
+@pytest.mark.parametrize("prof,c_tail,L", [
+    ([], F(-1, 2), 1200), ([], F(1, 7), 1100), ([], F(2, 3), 40),
+    ([F(3, 8), F(-1, 8)], F(0), 70), ([F(1, 3)] * 5, F(0), 3)])
+def test_double_levels_match_fractions(prof, c_tail, L):
+    from heterobaker.correlation import _double_levels, _materialize
+    arr, l2 = _double_levels(prof, c_tail, L)
+    ref = _materialize(prof, c_tail, L)
+    expect = np.array([float(x) for x in ref])
+    # same floats, including the sign of the zeros past the underflow
+    assert np.array_equal(arr, expect)
+    assert np.array_equal(np.signbit(arr), np.signbit(expect))
+    assert l2 == sum((x * x for x in ref), F(0))
+
+
 def test_chisq_harness():
     ok = hb.measure_invariance_chisq(NEUTRAL, n=50, samples=10 ** 5, seed=3)
     assert ok["passed"]
