@@ -18,9 +18,9 @@ from .correlation import (CorrelationRecord, NonPositiveValue, NotMonotone,
                           lower_bound_check, mc_correlation,
                           mc_correlation_series, measure_invariance_chisq)
 from .haar import (HaarExpansion, LevelComponents, TensorComponents, analyze,
-                   analyze_general_M, coefficient, holder_bound_check,
-                   square_wave, synthesize, tensor_analyze, tensor_synthesize,
-                   wavelet)
+                   analyze_general_M, analyze_levels, coefficient,
+                   holder_bound_check, square_wave, synthesize, tensor_analyze,
+                   tensor_synthesize, wavelet)
 from .observables import Observable3D, affine_center, parse_observable, staircase4
 from .pcfun import (PAFun1D, PCFun1D, PCFun2D, PCFun3D, axpy, frac,
                     from_affine, inner_product, inner_product_pa, mean,

@@ -17,8 +17,9 @@ from fractions import Fraction
 
 from . import __version__
 from .baker import BakerParams, orbit, tiling_report
-from .correlation import (decay_slope_fit, exact_reduced_correlation,
-                          exp_rate_fit, mc_correlation_series)
+from .correlation import (TruncationBudgetExceeded, decay_slope_fit,
+                          exact_reduced_correlation, exp_rate_fit,
+                          mc_correlation_series)
 from .observables import ParseError, parse_observable
 from .pcfun import frac, pcfun1d_from_json, pcfun1d_to_json, \
     pcfun3d_from_json, pcfun3d_to_json
@@ -70,7 +71,7 @@ def cmd_orbit(args) -> int:
     params = _params_from(args)
     point = [_frac(c, "--point") for c in args.point.split(",")]
     if len(point) != 3:
-        raise SystemExit(2)
+        raise ValueError(f"--point needs three coordinates, got {len(point)}")
     pts = orbit(params, tuple(point), args.n, exact=args.mode == "exact")
     rows = [(i, *(str(c) if args.mode == "exact" else repr(float(c))
                   for c in p)) for i, p in enumerate(pts)]
@@ -92,12 +93,10 @@ def cmd_apply_op(args) -> int:
             for _ in range(args.n):
                 g = fn(op, g)
         out = pcfun1d_to_json(g)
-    elif args.op == "pfull3d":
+    else:  # pfull3d
         F = pcfun3d_from_json(payload)
         params = _params_from(args)
         out = pcfun3d_to_json(p_full_3d_n(params, F, args.n))
-    else:
-        raise SystemExit(2)
     if args.out in (None, "-"):
         sys.stdout.write(out + "\n")
     else:
@@ -169,14 +168,20 @@ def cmd_corr(args) -> int:
     rows = []
     if args.method in ("squarewave", "haar"):
         op = ReducedOp.from_params(params)
-        series = exact_reduced_correlation(
-            phi, psi, max(ns), op=op, mode=args.method,
-            numeric=args.numeric, truncation_level=args.truncation_level)
+        try:
+            series = exact_reduced_correlation(
+                phi, psi, max(ns), op=op, mode=args.method,
+                numeric=args.numeric, truncation_level=args.truncation_level)
+        except TruncationBudgetExceeded as exc:
+            # the library names its parameters; name the flags that set them
+            n_flag = "--n-max" if args.n_list is None else "--n-list maximum"
+            raise ValueError(str(exc).replace("n_max", n_flag).replace(
+                "truncation_level", "--truncation-level")) from None
         wanted = set(ns)
         for rec in series:
             if rec.n in wanted:
                 rows.append((rec.n, repr(rec.value), rec.method, repr(rec.error)))
-    elif args.method == "mc":
+    else:  # mc
         if args.seed is None:
             print("error: --seed is required for Monte Carlo", file=sys.stderr)
             return 2
@@ -185,8 +190,6 @@ def cmd_corr(args) -> int:
         for n in ns:
             rec = out[n]
             rows.append((rec.n, repr(rec.value), rec.method, repr(rec.error)))
-    else:
-        return 2
     _write_csv(args.out, ["n", "value", "method", "err"], rows, args)
     return 0
 
@@ -222,8 +225,8 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_verify_all(args) -> int:
     import numpy as np
-    from .haar import analyze, pair_expansions, square_wave
-    from .observables import affine_center
+    from .haar import square_wave
+    from .observables import affine_center, pc_center
     from .ruin import q_via_transition
     from .transfer import oracle_equivalence_report
     from .verify import random_pc1
@@ -261,10 +264,9 @@ def cmd_verify_all(args) -> int:
     checks["hand_values"] = (series[0].exact == Fraction(1, 12) and
                              series[1].exact == Fraction(1, 24))
 
-    chi = analyze(square_wave(1))
-    from .transfer import p0_haar_apply
-    checks["chi_pairing"] = pair_expansions(
-        p0_haar_apply(chi, op, 2), chi) == Fraction(1, 4)
+    chi = pc_center(square_wave(1))
+    series = exact_reduced_correlation(chi, chi, 2, mode="haar")
+    checks["chi_pairing"] = series[2].exact == Fraction(1, 4)
 
     from .pcfun import PCFun1D, PCFun3D
     from .ruin import domination_check

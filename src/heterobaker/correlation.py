@@ -51,10 +51,11 @@ from .baker import BakerParams
 from .observables import Observable3D
 from .pcfun import ZERO
 from .ruin import _to_int_vector, walk_step
-from .transfer import (NotInSquareWaveSpan, ReducedOp, p0_haar_apply,
+from .transfer import (NotInSquareWaveSpan, ReducedOp, p0_haar_step,
                        square_wave_profile)
 
 HALF = Fraction(1, 2)
+_HAAR_MAX_LEVEL = 20      # deepest level the Haar route may reach
 
 
 class NotMeasurePreserving(ValueError):
@@ -150,7 +151,8 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
     squarewave: both observables must lie in the span of s_l; rational
     numeric is exact including geometric tails, double numeric attaches an
     L2 truncation bound.  haar: both observables must be PC in x_c; the
-    sparse coefficient route (exact, no truncation).
+    Haar-level route (exact, no truncation), refused when an observable's
+    dyadic depth plus n_max would pass level 20.
     """
     op = op or ReducedOp.neutral(2)
     if mode == "haar":
@@ -168,7 +170,6 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
         L = n_max + 2 + pc_depth
         state, den_a = _to_int_vector(_materialize(prof_phi, c_phi, L))
         b, den_b = _to_int_vector(_materialize(prof_psi, c_psi, L + n_max + 1))
-        state, b = state.astype(object), b.astype(object)
         scale = Fraction(1, den_a * den_b)
         wp, wq = op.w.numerator, op.w.denominator
         r = HALF
@@ -205,47 +206,66 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
     return out
 
 
-def _haar_pc_of(obs: Observable3D, level: int | None):
+def _haar_pc_of(obs: Observable3D, level: int | None, n_max: int):
     """(PC representative, L2 norm of the discarded tail) for the haar route.
 
     PC observables are exact.  Affine observables are projected onto the
     dyadic level-L cell averages; the tail phi - phi_L has the closed-form
     L2 norm |m| 2^-L / sqrt(12), and pairings against it are bounded via
-    the L2 contraction of the reduced operator.
+    the L2 contraction of the reduced operator.  Refused before anything
+    is built when the observable's depth plus n_max passes level 20.
     """
+    from .haar import dyadic_level
     from .pcfun import from_affine, project_zero_mean
     if obs.xc_pc is not None:
-        return project_zero_mean(obs.xc_pc), 0.0
-    if obs.xc_affine is not None:
+        depth = dyadic_level(obs.xc_pc)
+    elif obs.xc_affine is not None:
         if level is None:
             raise TruncationBudgetExceeded(
                 f"{obs.name}: the haar route needs an explicit "
                 "truncation_level for non-PC observables")
-        m, _ = obs.xc_affine
-        tail = abs(float(m)) * 2.0 ** (-level) / math.sqrt(12.0)
-        return from_affine(m, -m * HALF, level), tail
-    raise ValueError(f"{obs.name} is not an exact x_c observable")
+        depth = level
+    else:
+        raise ValueError(f"{obs.name} is not an exact x_c observable")
+    if depth + n_max > _HAAR_MAX_LEVEL:
+        # each step doubles the state; level 20 alone is 2^19 Python ints
+        hint = "n_max" if obs.xc_pc is not None else "n_max or truncation_level"
+        raise TruncationBudgetExceeded(
+            f"{obs.name}: n_max = {n_max} on depth {depth} would take the "
+            f"haar route to level {depth + n_max}, past its limit of "
+            f"{_HAAR_MAX_LEVEL}; lower {hint} or use the square-wave route")
+    if obs.xc_pc is not None:
+        return project_zero_mean(obs.xc_pc), 0.0
+    m, _ = obs.xc_affine
+    tail = abs(float(m)) * 2.0 ** (-level) / math.sqrt(12.0)
+    return from_affine(m, -m * HALF, level), tail
 
 
 def _haar_series(phi: Observable3D, psi: Observable3D, n_max: int,
                  op: ReducedOp, truncation_level: int | None) -> list:
-    from .haar import analyze, pair_expansions
+    """Step the Haar levels of phi and pair them with those of psi as
+    sum_l (a_l . b_l) 2^(1-l) times the two scales."""
+    from .haar import analyze_levels
     from .pcfun import inner_product
-    f, tail_f = _haar_pc_of(phi, truncation_level)
-    g, tail_g = _haar_pc_of(psi, truncation_level)
+    f, tail_f = _haar_pc_of(phi, truncation_level, n_max)
+    g, tail_g = _haar_pc_of(psi, truncation_level, n_max)
+    a, scale = analyze_levels(f)
+    b, scale_b = analyze_levels(g)
     norm_f = math.sqrt(float(inner_product(f, f))) + tail_f
     norm_g = math.sqrt(float(inner_product(g, g))) + tail_g
     err = tail_f * norm_g + norm_f * tail_g
     exact_route = err == 0.0
-    cur = analyze(f)
-    target = analyze(g)
+    scale *= scale_b
     out = []
     for n in range(n_max + 1):
-        val = pair_expansions(cur, target)
+        # level l = i + 1 pairs with weight 2^(1-l)
+        val = scale * sum((Fraction(int(x @ y), 1 << i)
+                           for i, (x, y) in enumerate(zip(a[1:], b[1:]))), ZERO)
         out.append(CorrelationRecord(n, float(val), "exact-haar", err,
                                      val if exact_route else None))
         if n < n_max:
-            cur = p0_haar_apply(cur, op, 1)
+            a = p0_haar_step(a, op)
+            scale /= 2 * op.w.denominator
     return out
 
 

@@ -6,6 +6,13 @@ c_{l,k}, i.e. the represented function is sum c_{l,k} * chi_{l,k}.  Since
 2^{l-1} * <f, chi_{l,k}>.  This keeps the reduced operator's coefficient
 dynamics rational-sparse.
 
+There is one analysis.  `analyze_levels` returns the level state of the
+exact M = 2 routes: a list `levels` whose entry l holds the 2^(l-1) integer
+numerators of level l (Python ints in an object array; entry 0 holds the
+total), beside one Fraction scale.  It comes from a sums pyramid over the
+integer cell values of the uniform 2^L grid, which the oracle report of
+`transfer` also runs on its stepped grids.  `analyze` is its dict form.
+
 For M > 2 there is no convenient wavelet basis; level components are stored
 as piecewise-constant functions obtained from conditional expectations on
 the M-adic partition tower (K_l, with H_l the complement of K_{l-1}).
@@ -18,8 +25,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .pcfun import (ONE, ZERO, PCFun1D, PCFun2D, PCFun3D, frac,
                     inner_product, merge_breakpoints)
+from .ruin import _to_int_vector
 
 HaarExpansion = dict            # (l, k) -> Fraction synthesis weight
 
@@ -73,33 +83,47 @@ def dyadic_level(f: PCFun1D) -> int:
     return L
 
 
-def _mean_pyramid(vals: list[Fraction]) -> list[list[Fraction]]:
-    """Cell means at every coarser dyadic level, finest first."""
-    levels = [vals]
-    while len(levels[-1]) > 1:
-        prev = levels[-1]
-        levels.append([(prev[2 * i] + prev[2 * i + 1]) / 2
-                       for i in range(len(prev) // 2)])
+def _grid_levels(nums: np.ndarray) -> list[np.ndarray]:
+    """Sums pyramid of the integer cell values of a uniform 2^L grid.
+
+    levels[l][k] = (S_left - S_right) * 2^(l-1), with S the sums over the
+    two halves of chi_{l,k}'s support, is its synthesis weight at scale
+    1/(den * 2^L) for cell values nums/den; levels[0] = [total].
+    """
+    L = nums.size.bit_length() - 1
+    levels: list = [None] * (L + 1)
+    cur = nums
+    for l in range(L, 0, -1):
+        left, right = cur[0::2], cur[1::2]
+        levels[l] = (left - right) << (l - 1)
+        cur = left + right
+    levels[0] = cur
     return levels
+
+
+def analyze_levels(f: PCFun1D) -> tuple[list[np.ndarray], Fraction]:
+    """(levels, scale): the exact Haar expansion of a zero-mean dyadic PC
+    function as integer level numerators and one rational scale."""
+    L = dyadic_level(f)
+    n = 2 ** L
+    nums, den = _to_int_vector(f.on_grid(tuple(Fraction(i, n)
+                                               for i in range(n + 1))))
+    levels = _grid_levels(nums)
+    scale = Fraction(1, den << L)
+    if levels[0][0]:
+        raise NonZeroMean(f"mean is {levels[0][0] * scale}, expected 0")
+    return levels, scale
+
+
+def _expansion(levels: list[np.ndarray], scale: Fraction) -> HaarExpansion:
+    """Dict form of a level state: (l, k) -> synthesis weight, zeros dropped."""
+    return {(l, k): c * scale for l in range(1, len(levels))
+            for k, c in enumerate(levels[l]) if c}
 
 
 def analyze(f: PCFun1D) -> HaarExpansion:
     """Exact Haar expansion of a zero-mean dyadic PC function."""
-    L = dyadic_level(f)
-    n = 2 ** L
-    vals = list(f.on_grid(tuple(Fraction(i, n) for i in range(n + 1))))
-    pyramid = _mean_pyramid(vals)
-    if pyramid[-1][0] != 0:
-        raise NonZeroMean(f"mean is {pyramid[-1][0]}, expected 0")
-    out: HaarExpansion = {}
-    # pyramid[L - l] holds the level-l cell means, one pair per wavelet
-    for l in range(1, L + 1):
-        level_means = pyramid[L - l]
-        for k in range(2 ** (l - 1)):
-            c = (level_means[2 * k] - level_means[2 * k + 1]) / 2
-            if c != 0:
-                out[(l, k)] = c
-    return out
+    return _expansion(*analyze_levels(f))
 
 
 def synthesize(expansion: Mapping) -> PCFun1D:

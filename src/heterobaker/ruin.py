@@ -83,14 +83,11 @@ def trim_levels(a: np.ndarray) -> np.ndarray:
 
 
 def _to_int_vector(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
-    """(integer numerators, common denominator); int64 while small."""
+    """(integer numerators as a Python-int object array, common denominator)."""
     denom = 1
     for v in values:
         denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    nums = [int(v * denom) for v in values]
-    big = max((abs(x) for x in nums), default=0)
-    dtype = object if big > 2 ** 40 else np.int64
-    return np.array(nums, dtype=dtype), denom
+    return np.array([int(v * denom) for v in values], dtype=object), denom
 
 
 def exact_walk_step(values: Sequence[Fraction], w: Fraction) -> tuple[Fraction, ...]:
@@ -99,7 +96,7 @@ def exact_walk_step(values: Sequence[Fraction], w: Fraction) -> tuple[Fraction, 
     scale 1/wq; trailing zero levels are dropped."""
     nums, denom = _to_int_vector(values)
     wp, wq = w.numerator, w.denominator
-    new = trim_levels(walk_step(nums.astype(object), wp, wq - wp))
+    new = trim_levels(walk_step(nums, wp, wq - wp))
     denom *= wq
     return tuple(Fraction(x, denom) for x in new)
 

@@ -5,7 +5,7 @@ center coordinate are implemented and cross-checked:
 
 * a grid route acting on piecewise-constant (and piecewise-affine)
   functions, straight from the branch formulas;
-* a sparse Haar-coefficient route (M = 2): the alpha part copies a level-l
+* a Haar-level route (M = 2): the alpha part copies a level-l
   coefficient to two level-(l+1) slots with weight w, the beta part folds a
   level-l coefficient down to level l-1 with weight (1-w)/2 and annihilates
   level 1;
@@ -13,11 +13,13 @@ center coordinate are implemented and cross-checked:
   the coefficient vector evolves by the absorbed-random-walk recursion,
   `ruin.walk_step` with (up, down) = (w, 1-w).
 
-The exact kernels keep integer numerators with one rational scale beside
-them: for w = wp/wq a grid or Haar step divides the scale by 2 wq and a
-square-wave step by wq.  The square-wave coefficients and the oracle
-comparison step with the same `walk_step` as the walk and the exact
-correlation series.
+Every exact M = 2 state holds Python ints in object arrays with one
+rational scale kept beside them: for w = wp/wq a grid step or a Haar step
+divides the scale by 2 wq and a square-wave step by wq.  The Haar state is
+the level list of `haar.analyze_levels` (levels[l] holds the 2^(l-1)
+numerators of level l), and `p0_haar_step` is the one Haar step.  The
+oracle report runs the grid step, the Haar step and `walk_step` side by
+side and compares the grid's analysis with the stepped levels.
 
 The general weight w = M*a is derived from averaging the full 3D operator
 over (x_u, x_s): the alpha branches carry total mass w = 1 - M*b and the
@@ -39,6 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .baker import BakerParams, Kind, all_symbols, branch_affine
+from .haar import _grid_levels
 from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D, frac,
                     merge_breakpoints)
 from .ruin import _to_int_vector, exact_walk_step, trim_levels, walk_step
@@ -179,8 +182,8 @@ def p0_apply_pa(op: ReducedOp, f: PAFun1D, n: int = 1) -> PAFun1D:
 def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
     """Exact P0^n f on piecewise-constant functions.
 
-    Uniform dyadic grids with M = 2 take an integer kernel (values over a
-    common power-of-two denominator); anything else runs the generic
+    Uniform dyadic grids with M = 2 take the integer kernel `_p0_step_int`
+    (numerators over a common denominator); anything else runs the generic
     rational path.
     """
     if n == 0:
@@ -189,9 +192,10 @@ def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
         L = f.is_uniform_level(2)
         if L is not None and L >= 1:
             nums, denom = _to_int_vector(f.values)
-            nums, scale = _p0_uniform_int(nums, Fraction(1, denom), op, n)
-            vals = tuple(Fraction(int(x)) * scale for x in nums)
-            return PCFun1D.uniform(vals)
+            for _ in range(n):
+                nums = _p0_step_int(nums, op)
+            scale = Fraction(1, denom * (2 * op.w.denominator) ** n)
+            return PCFun1D.uniform(tuple(Fraction(x) * scale for x in nums))
     for _ in range(n):
         f = p_alpha(op, f) + p_beta(op, f)
     return f
@@ -200,62 +204,43 @@ def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
 def _p0_step_int(nums: np.ndarray, op: ReducedOp) -> np.ndarray:
     """One uniform-grid step at scale factor 1/(2*wq):
     out[j] = 2*wp*u(2x) + (wq-wp)*(u(x/2) + u((x+1)/2))."""
-    half = nums.size
-    quarter = half // 2
+    quarter = nums.size // 2
     wp, wq = op.w.numerator, op.w.denominator
-    alpha = np.concatenate([nums, nums])
-    idx = np.arange(2 * half) >> 2
-    beta = nums[idx] + nums[quarter + idx]
-    return 2 * wp * alpha + (wq - wp) * beta
-
-
-def _p0_uniform_int(nums: np.ndarray, scale: Fraction, op: ReducedOp,
-                    n: int) -> tuple[np.ndarray, Fraction]:
-    wq = op.w.denominator
-    for _ in range(n):
-        if nums.dtype != object and int(np.abs(nums).max(initial=0)) > 2 ** 61 // (2 * wq):
-            nums = nums.astype(object)
-        nums = _p0_step_int(nums, op)
-        scale = scale / (2 * wq)
-    return nums, scale
+    # a beta value covers four output cells: multiply before repeating
+    beta = (wq - wp) * (nums[:quarter] + nums[quarter:])
+    return np.tile(2 * wp * nums, 2) + np.repeat(beta, 4)
 
 
 # ---------------------------------------------------------------------------
-# Haar-coefficient route (M = 2)
+# Haar-level route (M = 2)
 
-def p0_haar_step(expansion: dict, op: ReducedOp) -> dict:
-    """One sparse coefficient step of P0 = P_alpha + P_beta for M = 2.
+def p0_haar_step(levels: list, op: ReducedOp) -> list:
+    """One step of P0 = P_alpha + P_beta on Haar levels (M = 2), at scale
+    factor 1/(2 wq) for w = wp/wq.
+
+    levels[l] holds the 2^(l-1) integer numerators of level l (see
+    `haar.analyze_levels`); the result is one level deeper:
 
     chi_{l,k} -> w*(chi_{l+1,k} + chi_{l+1,k+2^(l-1)})
               +  ((1-w)/2)*chi_{l-1, k mod 2^(l-2)}   (the beta image;
-                 level 1 is annihilated by the beta part).
+                 level 1 is annihilated by the beta part),
+
+    while the mean in levels[0] is kept (its numerator times 2 wq).
     """
     op.require_m2("Haar route")
-    w = op.w
-    down = (1 - w) / 2
-    out: dict = {}
-
-    def add(key, val):
-        cur = out.get(key, ZERO) + val
-        if cur:
-            out[key] = cur
-        elif key in out:
-            del out[key]
-
-    for (l, k), c in expansion.items():
-        if not c:
+    wp, wq = op.w.numerator, op.w.denominator
+    new = [np.zeros(2 ** max(l - 1, 0), dtype=object)
+           for l in range(len(levels) + 1)]
+    new[0] = 2 * wq * levels[0]
+    for l in range(1, len(levels)):
+        arr = levels[l]
+        if not arr.any():
             continue
-        add((l + 1, k), w * c)
-        add((l + 1, k + 2 ** (l - 1)), w * c)
+        new[l + 1] += np.tile(2 * wp * arr, 2)
         if l >= 2:
-            add((l - 1, k % 2 ** (l - 2)), down * c)
-    return out
-
-
-def p0_haar_apply(expansion: dict, op: ReducedOp, n: int) -> dict:
-    for _ in range(n):
-        expansion = p0_haar_step(expansion, op)
-    return expansion
+            q = arr.size // 2
+            new[l - 1] += (wq - wp) * (arr[:q] + arr[q:])
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +314,16 @@ def square_wave_profile(expansion: dict) -> list | None:
 # oracle equivalence (integer kernels; used by the acceptance suite)
 
 def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
-    """Iterate the PC grid, Haar coefficient, and (if applicable) square-wave
+    """Iterate the PC grid, Haar level, and (if applicable) square-wave
     routes side by side in exact integer arithmetic and compare after every
-    step.  All three share the per-step scale 1/(2*wq), so agreement is a
-    plain integer comparison.
+    step.
+
+    The Haar levels and the square-wave coefficients start from the sums
+    pyramid of the grid numerators, at scale 1/(den 2^L0).  All three
+    routes shrink their scales by 1/(2 wq) per step, so after n steps the
+    analysis of the grid (on 2^(L0+n) cells) must equal the levels times
+    2^n, and on the square-wave span each level must be constant and equal
+    to the walked coefficient.
     """
     op.require_m2("oracle comparison")
     L0 = f.is_uniform_level(2)
@@ -341,100 +332,29 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
     if L0 == 0:
         raise ValueError("input must be a nonconstant dyadic function")
 
-    from .haar import analyze
-    nums, denom = _to_int_vector(f.values)
-    expansion = analyze(f)
-    # Haar coefficients carry an extra 2^L0 in their denominators (they are
-    # half-differences of dyadic cell means), so their integer units are
-    # denom * 2^L0; the scale ratio to the grid stays 2^L0 forever since
-    # both sides shrink by 1/(2 wq) per step.
-    hden = denom << L0
-    lmax = L0
-    levels = [np.zeros(2 ** max(l - 1, 0), dtype=nums.dtype) for l in range(lmax + 1)]
-    for (l, k), c in expansion.items():
-        ic = c * hden
-        if ic.denominator != 1:
-            raise ValueError("unexpected non-integral Haar coefficient")
-        levels[l][k] = int(ic)
-    profile = square_wave_profile(expansion)
+    nums, _ = _to_int_vector(f.values)
+    levels = _grid_levels(nums)
     sw = None  # square-wave levels, sw[i] is level i+1
-    if profile is not None:
-        sw = np.array([int(c * hden) for c in profile], dtype=nums.dtype)
+    if all((arr == arr[0]).all() for arr in levels[1:]):
+        sw = np.array([arr[0] for arr in levels[1:]], dtype=object)
 
     wp, wq = op.w.numerator, op.w.denominator
     agree_all = True
     per_step = []
-
-    def step_levels(levs):
-        new = [np.zeros(2 ** max(l - 1, 0), dtype=nums.dtype)
-               for l in range(len(levs) + 1)]
-        for l in range(1, len(levs)):
-            arr = levs[l]
-            if not arr.any():
-                continue
-            half = arr.size
-            new[l + 1][:half] += 2 * wp * arr
-            new[l + 1][half:2 * half] += 2 * wp * arr
-            if l >= 2:
-                q = half // 2
-                new[l - 1] += (wq - wp) * (arr[:q] + arr[q:])
-        return new
-
-    def grid_coefficients(vec, level):
-        """Synthesis-weight numerators from the sums pyramid: the level-l
-        coefficient equals (S_left - S_right) / (2 * span) in grid units."""
-        out = {}
-        cur = vec
-        span = 1
-        for l in range(level, 0, -1):
-            pairs = cur.reshape(-1, 2)
-            diff = pairs[:, 0] - pairs[:, 1]
-            out[l] = (diff, 2 * span)
-            cur = pairs[:, 0] + pairs[:, 1]
-            span *= 2
-        return out, cur  # cur holds the total sum (zero-mean check)
-
     for stepn in range(1, n_steps + 1):
-        # promote to arbitrary precision before the span-weighted comparison
-        # below could overflow int64
-        margin = 1 << (L0 + stepn + L0 + 3)
-        if nums.dtype != object and \
-                int(np.abs(nums).max(initial=0)) * 4 > 2 ** 62 // margin:
-            nums = nums.astype(object)
-            levels = [a.astype(object) for a in levels]
-            if sw is not None:
-                sw = sw.astype(object)
         nums = _p0_step_int(nums, op)
-        levels = step_levels(levels)
-        if sw is not None:
-            sw = walk_step(sw, 2 * wp, 2 * (wq - wp))
-
-        level_now = L0 + stepn
-        coeffs, total = grid_coefficients(nums, level_now)
-        ok = int(np.asarray(total).reshape(-1)[0]) == 0
-        for l in range(1, level_now + 1):
-            diff, factor = coeffs[l]
-            harr = levels[l] if l < len(levels) else np.zeros(2 ** (l - 1),
-                                                              dtype=nums.dtype)
-            if not np.array_equal((1 << L0) * diff, factor * harr):
-                ok = False
-                break
+        levels = p0_haar_step(levels, op)
+        grid = _grid_levels(nums)
+        ok = len(grid) == len(levels) and \
+            all(np.array_equal(g, h << stepn) for g, h in zip(grid, levels))
         sw_ok = True
         if sw is not None:
-            for l in range(1, level_now + 1):
-                harr = levels[l] if l < len(levels) else None
-                target = sw[l - 1] if l <= sw.size else 0
-                if harr is None:
-                    if target != 0:
-                        sw_ok = False
-                        break
-                elif not np.array_equal(harr, np.full_like(harr, target)):
-                    sw_ok = False
-                    break
-        agree = ok and sw_ok
+            sw = walk_step(sw, 2 * wp, 2 * (wq - wp))
+            sw_ok = len(sw) == len(levels) - 1 and \
+                all((arr == c).all() for arr, c in zip(levels[1:], sw))
         per_step.append({"n": stepn, "grid_vs_haar": ok,
                          "squarewave": sw_ok if sw is not None else None})
-        agree_all = agree_all and agree
+        agree_all = agree_all and ok and sw_ok
 
     return {"agree": agree_all, "squarewave_applicable": sw is not None,
             "steps": per_step}

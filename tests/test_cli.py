@@ -155,3 +155,27 @@ def test_corr_refuses_non_preserving_parameters(capsys, method):
     assert code == 2
     assert captured.out == ""
     assert all(s in captured.err for s in ("--a", "--b", "1/M"))
+
+
+@pytest.mark.parametrize("obs,extra", [
+    # depth 2 + 64 steps: refuse instead of doubling the state 64 times
+    ("staircase-4", ["--n-max", "64"]),
+    # depth 19 + 2 steps: refuse before building the 2^19-cell projection
+    ("xc-1/2", ["--n-max", "2", "--truncation-level", "19"]),
+])
+def test_haar_refuses_deep_levels(capsys, obs, extra):
+    code = main(["corr", "--method", "haar", "--phi", obs, "--psi", obs,
+                 *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert all(flag in captured.err for flag in extra[::2])
+    assert "square-wave" in captured.err
+
+
+def test_orbit_point_needs_three_coordinates(capsys):
+    code = main(["orbit", "--point", "1/2,1/3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--point needs three coordinates, got 2" in captured.err

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import heterobaker as hb
+from heterobaker import transfer
+from heterobaker.haar import _expansion
 from heterobaker.transfer import (_p0_step_int, _to_int_vector,
                                   square_wave_profile, squarewave_synthesize,
                                   xs_fiber_averages_zero)
@@ -47,14 +49,21 @@ def test_p0_chi_pairing():
     assert hb.inner_product(g, chi10) == F(1, 4)
 
 
+def _haar_step_image(f, op=OP):
+    """Expansion of P0 f through one Haar step on the levels of f."""
+    levels, scale = hb.analyze_levels(f)
+    return _expansion(hb.p0_haar_step(levels, op),
+                      scale / (2 * op.w.denominator))
+
+
 def test_p0_haar_step_examples():
-    assert hb.p0_haar_step({(1, 0): F(1)}, OP) == \
+    assert _haar_step_image(hb.wavelet(1, 0)) == \
         {(2, 0): F(1, 2), (2, 1): F(1, 2)}
     # the generator image of chi_{2,0}: alpha keeps weight 1/2 per child,
     # beta folds down with 1/4 (checked against the PC-grid oracle)
-    assert hb.p0_haar_step({(2, 0): F(1)}, OP) == \
+    assert _haar_step_image(hb.wavelet(2, 0)) == \
         {(3, 0): F(1, 2), (3, 2): F(1, 2), (1, 0): F(1, 4)}
-    assert hb.p0_haar_step({}, OP) == {}
+    assert _haar_step_image(hb.PCFun1D.zero()) == {}
 
 
 def test_fast_path_matches_generic():
@@ -76,10 +85,12 @@ def test_haar_matches_grid():
     rng = np.random.Generator(np.random.Philox(key=12))
     for _ in range(5):
         f = random_pc1(rng, int(rng.integers(1, 4)))
-        exp = hb.analyze(f)
+        levels, scale = hb.analyze_levels(f)
         for n in range(1, 6):
-            exp = hb.p0_haar_step(exp, OP)
-            assert exp == hb.analyze(hb.p0_apply(OP, f, n))
+            levels = hb.p0_haar_step(levels, OP)
+            scale /= 4
+            assert _expansion(levels, scale) == \
+                hb.analyze(hb.p0_apply(OP, f, n))
 
 
 def test_squarewave_step_examples():
@@ -296,3 +307,30 @@ def test_oracle_equivalence_reports():
     f = hb.square_wave(1) * F(1, 3) + hb.square_wave(2) * F(1, 5)
     rep = hb.oracle_equivalence_report(f, OP, 10)
     assert rep["agree"] and rep["squarewave_applicable"]
+    # the Haar step carries the mean, so a nonzero mean still agrees
+    rep = hb.oracle_equivalence_report(f + hb.PCFun1D.constant(F(1, 7)), OP, 6)
+    assert rep["agree"] and rep["squarewave_applicable"]
+
+
+def _off_by_one(step):
+    """A wrong step: the true one with its last entry (or last level) + 1."""
+    def wrong(state, *args):
+        out = step(state, *args)
+        last = out[-1] if isinstance(out, list) else out
+        last[-1] += 1
+        return out
+    return wrong
+
+
+@pytest.mark.parametrize("name", ["p0_haar_step", "_p0_step_int",
+                                  "walk_step"])
+@pytest.mark.parametrize("w", [F(1, 2), F(2, 5)])
+def test_oracle_detects_a_wrong_step(monkeypatch, name, w):
+    # each of the three routes the report compares is replaced in turn by a
+    # step that is wrong in one entry; the report must disagree
+    op = hb.ReducedOp(2, w)
+    f = hb.square_wave(1) * F(1, 3) + hb.square_wave(2) * F(1, 5)
+    assert hb.oracle_equivalence_report(f, op, 4)["agree"]
+    monkeypatch.setattr(transfer, name, _off_by_one(getattr(transfer, name)))
+    rep = transfer.oracle_equivalence_report(f, op, 4)
+    assert rep["squarewave_applicable"] and not rep["agree"]
