@@ -36,6 +36,12 @@ def _frac(text: str, flag: str) -> Fraction:
                          f"got {text!r}") from None
 
 
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
 def _params_from(args) -> BakerParams:
     return BakerParams(args.M, _frac(args.a, "--a"), _frac(args.b, "--b"))
 
@@ -79,11 +85,20 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def cmd_apply_op(args) -> int:
-    with open(args.infile) as fh:
+def _read_pcfun(path: str, parse, keys: str):
+    with open(path) as fh:
         payload = fh.read()
+    try:
+        return parse(payload)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"--in: {path} is not a PC function in JSON with keys "
+                         f"{keys} ({type(exc).__name__}: {exc})") from None
+
+
+def cmd_apply_op(args) -> int:
+    _at_least(args.n, 0, "--n")
     if args.op in ("p0", "palpha", "pbeta"):
-        f = pcfun1d_from_json(payload)
+        f = _read_pcfun(args.infile, pcfun1d_from_json, "breakpoints, values")
         op = ReducedOp(args.M, args.M * _frac(args.a, "--a"))
         if args.op == "p0":
             g = p0_apply(op, f, args.n)
@@ -94,7 +109,7 @@ def cmd_apply_op(args) -> int:
                 g = fn(op, g)
         out = pcfun1d_to_json(g)
     else:  # pfull3d
-        F = pcfun3d_from_json(payload)
+        F = _read_pcfun(args.infile, pcfun3d_from_json, "xu, xc, xs, values")
         params = _params_from(args)
         out = pcfun3d_to_json(p_full_3d_n(params, F, args.n))
     if args.out in (None, "-"):
@@ -106,11 +121,12 @@ def cmd_apply_op(args) -> int:
 
 
 def cmd_ruin(args) -> int:
+    _at_least(args.n, 0, "--n")
     if args.init:
         profile = [_frac(x, "--init") for x in args.init.split(",")]
         state = RuinState.from_profile(profile)
     else:
-        state = RuinState.delta(args.delta)
+        state = RuinState.delta(_at_least(args.delta, 1, "--delta"))
     rows = []
     for n in range(args.n + 1):
         for l, q in enumerate(state.q, start=1):
@@ -141,9 +157,7 @@ def _observable(text: str, flag: str):
 
 def _n_values(args) -> list[int]:
     if args.n_list is None:
-        if args.n_max < 0:
-            raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
-        return list(range(args.n_max + 1))
+        return list(range(_at_least(args.n_max, 0, "--n-max") + 1))
     bad = ValueError("--n-list must be comma-separated integers >= 0, "
                      f"got {args.n_list!r}")
     try:
@@ -196,6 +210,11 @@ def cmd_corr(args) -> int:
 
 def cmd_slope(args) -> int:
     import csv
+    try:
+        lo, hi = (int(x) for x in args.window.split(":"))
+    except ValueError:
+        raise ValueError("--window must be lo:hi with integers lo and hi, "
+                         f"got {args.window!r}") from None
     ns, vs = [], []
     with open(args.infile) as fh:
         for row in csv.DictReader(r for r in fh if not r.startswith("#")):
@@ -203,7 +222,6 @@ def cmd_slope(args) -> int:
             vs.append(abs(float(row["value"])))
     from .correlation import CorrelationRecord
     series = [CorrelationRecord(n, v, "csv", 0.0) for n, v in zip(ns, vs)]
-    lo, hi = (int(x) for x in args.window.split(":"))
     if args.model == "power":
         fit = decay_slope_fit(series, (lo, hi))
         out = {"slope": fit["slope"], "intercept": fit["intercept"],

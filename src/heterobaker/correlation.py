@@ -45,7 +45,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .baker import BakerParams
 from .observables import Observable3D
@@ -476,7 +475,8 @@ def measure_invariance_chisq(params: BakerParams, n: int = 50,
     expected = samples / boxes ** 3
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = boxes ** 3 - 1
-    pvalue = float(_scipy_stats.chi2.sf(stat, dof))
+    from scipy import stats   # only here: importing it costs about 0.5 s
+    pvalue = float(stats.chi2.sf(stat, dof))
     return {"statistic": stat, "dof": dof, "pvalue": pvalue,
             "passed": pvalue > 1e-9}
 

@@ -68,8 +68,10 @@ def wavelet(l: int, k: int) -> PCFun1D:
 
 def square_wave(l: int) -> PCFun1D:
     """s_l = sum_k chi_{l,k}: the +-1 square wave at frequency 2^(l-1)."""
-    n = 2 ** l
-    return PCFun1D.uniform([Fraction((-1) ** i) for i in range(n)])
+    if l == 0:
+        return PCFun1D.constant(1)
+    # one shared Fraction per sign, not one per cell (2^20 of them at l = 20)
+    return PCFun1D.uniform((ONE, -ONE) * 2 ** (l - 1))
 
 
 def dyadic_level(f: PCFun1D) -> int:

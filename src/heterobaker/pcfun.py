@@ -6,6 +6,16 @@ evaluation at a breakpoint returns the right-hand cell's value.  All
 breakpoints and values are `fractions.Fraction`, so every operation here
 is exact.  Floats only enter through the Monte Carlo fast paths elsewhere.
 
+There is one product-grid core, `_ProductGrid`: `PCFun1D`, `PCFun2D` and
+`PCFun3D` only name their axes (`(breakpoints,)`, `(bps_x, bps_y)`,
+`(bps_u, bps_c, bps_s)`), and point evaluation, `on_grid`, `equals`,
+`simplify`, `+`, `-`, scalar `*`, `integral` and `l1_norm` are written once
+for d axes over values nested one tuple level per axis.  Every weighted
+cell sum is one axis contraction, `_contract`: the value tensor against
+one weight vector per axis (cell widths, first moments, box overlaps),
+with `None` for an axis that is kept.  It sums one axis at a time, so it
+takes about one Fraction product per cell.
+
 `PAFun1D` is the one-dimensional piecewise-*affine* sibling used as an
 independent grid oracle for affine observables like x - 1/2; it shares the
 breakpoint conventions.
@@ -17,6 +27,8 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -65,26 +77,183 @@ def merge_breakpoints(*lists: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sorted(set().union(*map(set, lists))))
 
 
+# ---------------------------------------------------------------------------
+# the product-grid core: nested value tuples, one level per axis
+
+def _widths(bps: Sequence[Fraction]) -> list[Fraction]:
+    """Cell widths b1 - b0: the weights of an integral along an axis."""
+    return [b - a for a, b in zip(bps, bps[1:])]
+
+
+def _moments(bps: Sequence[Fraction]) -> list[Fraction]:
+    """First moments (b1^2 - b0^2)/2: the integrals of x over the cells."""
+    return [(b * b - a * a) / 2 for a, b in zip(bps, bps[1:])]
+
+
+def _contract(values, weights: Sequence):
+    """Sum a nested value tensor against one weight vector per axis.
+
+    An axis whose weight is None is kept: the result is a Fraction when
+    every axis is summed, else a nested tuple over the kept axes.  Slices
+    of weight zero are skipped.
+    """
+    w, *rest = weights
+    if w is None:
+        return tuple(_contract(v, rest) for v in values) if rest else values
+    rows, xs = zip(*[(v, x) for v, x in zip(values, w) if x])
+    return _weighted_sum([_contract(v, rest) for v in rows] if rest else rows,
+                         xs)
+
+
+def _weighted_sum(rows: Sequence, xs: Sequence):
+    """sum of x * row over the rows, entrywise when the rows are tuples."""
+    if isinstance(rows[0], tuple):
+        return tuple(_weighted_sum(col, xs) for col in zip(*rows))
+    return sum(map(mul, rows, xs), ZERO)
+
+
+def _map(fn, depth: int, *tensors):
+    """fn applied cell by cell to nested value tensors of the same shape."""
+    if depth == 1:
+        return tuple(map(fn, *tensors))
+    return tuple(_map(fn, depth - 1, *ts) for ts in zip(*tensors))
+
+
+def _gather(values, index: Sequence):
+    """The cells of `values` picked by one index list per axis."""
+    head, *rest = index
+    if not rest:
+        return tuple(values[i] for i in head)
+    return tuple(_gather(values[i], rest) for i in head)
+
+
+def _has_shape(values, shape: Sequence[int]) -> bool:
+    n, *rest = shape
+    return len(values) == n and (
+        not rest or all(_has_shape(v, rest) for v in values))
+
+
+def _nested_tuple(values, depth: int):
+    if depth == 0:
+        return frac(values)
+    return tuple(_nested_tuple(v, depth - 1) for v in values)
+
+
+class _ProductGrid:
+    """A piecewise-constant function on the product of its axis grids.
+
+    Subclasses are frozen dataclasses whose fields are the axis grids, named
+    in `_AXES`, followed by `values`, nested one tuple level per axis.
+    """
+
+    _AXES: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for bps in self.axes:
+            _check_breakpoints(bps)
+        if not _has_shape(self.values, [len(b) - 1 for b in self.axes]):
+            raise ValueError("value tensor shape does not match the grid")
+
+    @property
+    def axes(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(getattr(self, name) for name in self._AXES)
+
+    @classmethod
+    def _build(cls, axes, values):
+        return cls(*(tuple(frac(b) for b in bps) for bps in axes),
+                   _nested_tuple(values, len(axes)))
+
+    @classmethod
+    def constant(cls, c):
+        value = frac(c)
+        for _ in cls._AXES:
+            value = (value,)
+        return cls(*[(ZERO, ONE)] * len(cls._AXES), value)
+
+    def __call__(self, *point) -> Fraction:
+        if len(point) != len(self._AXES):
+            raise TypeError(f"{type(self).__name__} takes {len(self._AXES)} "
+                            f"coordinates, got {len(point)}")
+        v = self.values
+        for bps, x in zip(self.axes, point):
+            v = v[_cell_index(bps, frac(x))]
+        return v
+
+    def on_grid(self, *grids):
+        """Cell values on grids (one per axis) that refine this function's."""
+        return _gather(self.values, [
+            range(len(bps) - 1) if grid == bps else
+            [_cell_index(bps, (a + b) / 2) for a, b in zip(grid, grid[1:])]
+            for bps, grid in zip(self.axes, grids)])
+
+    def _common(self, other):
+        """The common refinement of both grids, and both value tensors on it."""
+        if type(other) is not type(self):
+            raise DimensionMismatch(f"cannot combine {type(self).__name__} "
+                                    f"with {type(other).__name__}")
+        axes = tuple(map(merge_breakpoints, self.axes, other.axes))
+        return axes, self.on_grid(*axes), other.on_grid(*axes)
+
+    def equals(self, other) -> bool:
+        _, a, b = self._common(other)
+        return a == b
+
+    def simplify(self):
+        """Drop grid lines across which all values agree (canonical form);
+        iterated pushforwards otherwise accumulate redundant breakpoints."""
+        axes, vals = self.axes, self.values
+        for d, bps in enumerate(axes):
+            index = [range(len(b) - 1) for b in axes]
+            # the slices along axis d, each one cell thick
+            cells = vals if d == 0 else [
+                _gather(vals, [*index[:d], [i], *index[d + 1:]])
+                for i in index[d]]
+            index[d] = [0] + [i for i in index[d][1:]
+                              if cells[i] != cells[i - 1]]
+            vals = _gather(vals, index)
+            axes = (*axes[:d], (*(bps[i] for i in index[d]), bps[-1]),
+                    *axes[d + 1:])
+        return type(self)(*axes, vals)
+
+    def _combine(self, op, other):
+        axes, a, b = self._common(other)
+        return type(self)(*axes, _map(op, len(axes), a, b))
+
+    def __add__(self, other):
+        return self._combine(add, other)
+
+    def __sub__(self, other):
+        return self._combine(sub, other)
+
+    def __mul__(self, scalar):
+        values = _map(partial(mul, frac(scalar)), len(self._AXES), self.values)
+        return type(self)(*self.axes, values)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def integral(self) -> Fraction:
+        return _contract(self.values, [_widths(b) for b in self.axes])
+
+    def l1_norm(self) -> Fraction:
+        return _contract(_map(abs, len(self._AXES), self.values),
+                         [_widths(b) for b in self.axes])
+
+
 @dataclass(frozen=True)
-class PCFun1D:
+class PCFun1D(_ProductGrid):
     """Piecewise-constant function on [0,1]: values[i] on [bps[i], bps[i+1])."""
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        _check_breakpoints(self.breakpoints)
-        if len(self.values) != len(self.breakpoints) - 1:
-            raise ValueError("need exactly one value per cell")
+    _AXES = ("breakpoints",)
 
     @staticmethod
     def build(breakpoints: Iterable, values: Iterable) -> "PCFun1D":
-        return PCFun1D(tuple(frac(b) for b in breakpoints),
-                       tuple(frac(v) for v in values))
-
-    @staticmethod
-    def constant(c) -> "PCFun1D":
-        return PCFun1D((ZERO, ONE), (frac(c),))
+        return PCFun1D._build((breakpoints,), values)
 
     @staticmethod
     def zero() -> "PCFun1D":
@@ -96,60 +265,14 @@ class PCFun1D:
         n = len(vals)
         return PCFun1D(tuple(Fraction(i, n) for i in range(n + 1)), vals)
 
-    def __call__(self, x) -> Fraction:
-        return self.values[_cell_index(self.breakpoints, frac(x))]
-
     def refine(self, extra: Iterable) -> "PCFun1D":
         """Same function on a finer grid; inner products are invariant."""
         bps = merge_breakpoints(self.breakpoints,
                                 [frac(b) for b in extra if 0 <= frac(b) <= 1])
-        mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
-        return PCFun1D(bps, tuple(self(m) for m in mids))
-
-    def on_grid(self, bps: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Cell values on a grid that refines this function's grid."""
-        return tuple(self((a + b) / 2) for a, b in zip(bps, bps[1:]))
-
-    def simplify(self) -> "PCFun1D":
-        """Merge adjacent cells with equal values (canonical form)."""
-        bps = [self.breakpoints[0]]
-        vals = []
-        for b, v in zip(self.breakpoints[1:], self.values):
-            if vals and v == vals[-1]:
-                bps[-1] = b
-            else:
-                vals.append(v)
-                bps.append(b)
-        return PCFun1D(tuple(bps), tuple(vals))
-
-    def equals(self, other: "PCFun1D") -> bool:
-        bps = merge_breakpoints(self.breakpoints, other.breakpoints)
-        return self.on_grid(bps) == other.on_grid(bps)
-
-    def __add__(self, other: "PCFun1D") -> "PCFun1D":
-        bps = merge_breakpoints(self.breakpoints, other.breakpoints)
-        a, b = self.on_grid(bps), other.on_grid(bps)
-        return PCFun1D(bps, tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "PCFun1D") -> "PCFun1D":
-        return self + (other * -1)
-
-    def __mul__(self, scalar) -> "PCFun1D":
-        s = frac(scalar)
-        return PCFun1D(self.breakpoints, tuple(s * v for v in self.values))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PCFun1D":
-        return self * -1
+        return PCFun1D(bps, self.on_grid(bps))
 
     def sup_norm(self) -> Fraction:
         return max(abs(v) for v in self.values)
-
-    def l1_norm(self) -> Fraction:
-        return sum((abs(v) * (b - a) for a, b, v in
-                    zip(self.breakpoints, self.breakpoints[1:], self.values)),
-                   ZERO)
 
     def is_uniform_level(self, base: int) -> int | None:
         """Return L if the grid is exactly the uniform base**L grid, else None."""
@@ -164,20 +287,23 @@ class PCFun1D:
         return L if self.breakpoints == expected else None
 
 
+def _pair(f: _ProductGrid, g: _ProductGrid) -> Fraction:
+    """<f, g>: the product on the common refinement, contracted against the
+    cell widths."""
+    axes, a, b = f._common(g)
+    return _contract(_map(mul, len(axes), a, b), [_widths(x) for x in axes])
+
+
 def inner_product(f: PCFun1D, g: PCFun1D) -> Fraction:
     """Exact Lebesgue inner product via the common refinement."""
     if not isinstance(f, PCFun1D) or not isinstance(g, PCFun1D):
         raise DimensionMismatch("inner_product pairs one-dimensional PC "
                                 "functions; use the _2d/_3d variants")
-    bps = merge_breakpoints(f.breakpoints, g.breakpoints)
-    a, b = f.on_grid(bps), g.on_grid(bps)
-    return sum((x * y * (hi - lo) for x, y, lo, hi in
-                zip(a, b, bps, bps[1:])), ZERO)
+    return _pair(f, g)
 
 
 def mean(f: PCFun1D) -> Fraction:
-    return sum((v * (hi - lo) for v, lo, hi in
-                zip(f.values, f.breakpoints, f.breakpoints[1:])), ZERO)
+    return f.integral()
 
 
 def project_zero_mean(f: PCFun1D) -> PCFun1D:
@@ -186,9 +312,8 @@ def project_zero_mean(f: PCFun1D) -> PCFun1D:
 
 
 def axpy(scalar, f: PCFun1D, g: PCFun1D) -> PCFun1D:
-    """scalar * f + g, exact."""
-    if type(f) is not type(g):
-        raise DimensionMismatch("axpy needs operands of the same dimension")
+    """scalar * f + g, exact; operands of different dimension raise
+    DimensionMismatch."""
     return f * scalar + g
 
 
@@ -234,106 +359,26 @@ def osc_norm_star(f: PCFun1D, M: int, level: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # product grids in 2D / 3D
 
-def _nested_tuple(values, depth: int):
-    if depth == 0:
-        return frac(values)
-    return tuple(_nested_tuple(v, depth - 1) for v in values)
-
-
 @dataclass(frozen=True)
-class PCFun2D:
+class PCFun2D(_ProductGrid):
     """Piecewise-constant on [0,1]^2 over a product grid (axes: x_u, x_s)."""
 
     bps_x: tuple[Fraction, ...]
     bps_y: tuple[Fraction, ...]
     values: tuple[tuple[Fraction, ...], ...]  # values[i][j] on cell i of x, j of y
 
-    def __post_init__(self):
-        _check_breakpoints(self.bps_x)
-        _check_breakpoints(self.bps_y)
-        if len(self.values) != len(self.bps_x) - 1 or any(
-                len(row) != len(self.bps_y) - 1 for row in self.values):
-            raise ValueError("value tensor shape does not match the grid")
+    _AXES = ("bps_x", "bps_y")
 
     @staticmethod
     def build(bps_x, bps_y, values) -> "PCFun2D":
-        return PCFun2D(tuple(frac(b) for b in bps_x),
-                       tuple(frac(b) for b in bps_y),
-                       _nested_tuple(values, 2))
-
-    @staticmethod
-    def constant(c) -> "PCFun2D":
-        return PCFun2D((ZERO, ONE), (ZERO, ONE), ((frac(c),),))
-
-    def __call__(self, x, y) -> Fraction:
-        i = _cell_index(self.bps_x, frac(x))
-        j = _cell_index(self.bps_y, frac(y))
-        return self.values[i][j]
-
-    def on_grid(self, bps_x, bps_y):
-        mx = [(a + b) / 2 for a, b in zip(bps_x, bps_x[1:])]
-        my = [(a + b) / 2 for a, b in zip(bps_y, bps_y[1:])]
-        ix = [_cell_index(self.bps_x, m) for m in mx]
-        iy = [_cell_index(self.bps_y, m) for m in my]
-        return tuple(tuple(self.values[i][j] for j in iy) for i in ix)
-
-    def equals(self, other: "PCFun2D") -> bool:
-        bx = merge_breakpoints(self.bps_x, other.bps_x)
-        by = merge_breakpoints(self.bps_y, other.bps_y)
-        return self.on_grid(bx, by) == other.on_grid(bx, by)
-
-    def simplify(self) -> "PCFun2D":
-        """Drop grid lines across which all values agree (canonical form);
-        iterated pushforwards otherwise accumulate redundant breakpoints."""
-        cols = list(zip(*self.values))  # cols[j][i] = values[i][j]
-        keep_x = [0] + [i for i in range(1, len(self.values))
-                        if self.values[i] != self.values[i - 1]]
-        rows = [self.values[i] for i in keep_x]
-        bx = tuple([self.bps_x[i] for i in keep_x] + [self.bps_x[-1]])
-        cols = list(zip(*rows))
-        keep_y = [0] + [j for j in range(1, len(cols))
-                        if cols[j] != cols[j - 1]]
-        by = tuple([self.bps_y[j] for j in keep_y] + [self.bps_y[-1]])
-        vals = tuple(tuple(row[j] for j in keep_y) for row in rows)
-        return PCFun2D(bx, by, vals)
-
-    def __add__(self, other: "PCFun2D") -> "PCFun2D":
-        bx = merge_breakpoints(self.bps_x, other.bps_x)
-        by = merge_breakpoints(self.bps_y, other.bps_y)
-        a, b = self.on_grid(bx, by), other.on_grid(bx, by)
-        vals = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-        return PCFun2D(bx, by, vals)
-
-    def __sub__(self, other: "PCFun2D") -> "PCFun2D":
-        return self + (other * -1)
-
-    def __mul__(self, scalar) -> "PCFun2D":
-        s = frac(scalar)
-        return PCFun2D(self.bps_x, self.bps_y,
-                       tuple(tuple(s * v for v in row) for row in self.values))
-
-    __rmul__ = __mul__
-
-    def integral(self) -> Fraction:
-        total = ZERO
-        for i, (x0, x1) in enumerate(zip(self.bps_x, self.bps_x[1:])):
-            for j, (y0, y1) in enumerate(zip(self.bps_y, self.bps_y[1:])):
-                total += self.values[i][j] * (x1 - x0) * (y1 - y0)
-        return total
-
-    def l1_norm(self) -> Fraction:
-        total = ZERO
-        for i, (x0, x1) in enumerate(zip(self.bps_x, self.bps_x[1:])):
-            for j, (y0, y1) in enumerate(zip(self.bps_y, self.bps_y[1:])):
-                total += abs(self.values[i][j]) * (x1 - x0) * (y1 - y0)
-        return total
+        return PCFun2D._build((bps_x, bps_y), values)
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.values for v in row)
 
 
 @dataclass(frozen=True)
-class PCFun3D:
+class PCFun3D(_ProductGrid):
     """Piecewise-constant on [0,1]^3 over a product grid (axes: x_u, x_c, x_s)."""
 
     bps_u: tuple[Fraction, ...]
@@ -341,25 +386,11 @@ class PCFun3D:
     bps_s: tuple[Fraction, ...]
     values: tuple  # values[i][j][k]
 
-    def __post_init__(self):
-        for bps in (self.bps_u, self.bps_c, self.bps_s):
-            _check_breakpoints(bps)
-        nu, nc, ns = len(self.bps_u) - 1, len(self.bps_c) - 1, len(self.bps_s) - 1
-        if len(self.values) != nu or any(len(p) != nc for p in self.values) or any(
-                len(r) != ns for p in self.values for r in p):
-            raise ValueError("value tensor shape does not match the grid")
+    _AXES = ("bps_u", "bps_c", "bps_s")
 
     @staticmethod
     def build(bps_u, bps_c, bps_s, values) -> "PCFun3D":
-        return PCFun3D(tuple(frac(b) for b in bps_u),
-                       tuple(frac(b) for b in bps_c),
-                       tuple(frac(b) for b in bps_s),
-                       _nested_tuple(values, 3))
-
-    @staticmethod
-    def constant(c) -> "PCFun3D":
-        g = (ZERO, ONE)
-        return PCFun3D(g, g, g, (((frac(c),),),))
+        return PCFun3D._build((bps_u, bps_c, bps_s), values)
 
     @staticmethod
     def from_xc(f: PCFun1D) -> "PCFun3D":
@@ -368,104 +399,29 @@ class PCFun3D:
         vals = (tuple((v,) for v in f.values),)
         return PCFun3D(g, f.breakpoints, g, vals)
 
-    def __call__(self, xu, xc, xs) -> Fraction:
-        i = _cell_index(self.bps_u, frac(xu))
-        j = _cell_index(self.bps_c, frac(xc))
-        k = _cell_index(self.bps_s, frac(xs))
-        return self.values[i][j][k]
-
-    def on_grid(self, bu, bc, bs):
-        iu = [_cell_index(self.bps_u, (a + b) / 2) for a, b in zip(bu, bu[1:])]
-        ic = [_cell_index(self.bps_c, (a + b) / 2) for a, b in zip(bc, bc[1:])]
-        isx = [_cell_index(self.bps_s, (a + b) / 2) for a, b in zip(bs, bs[1:])]
-        return tuple(tuple(tuple(self.values[i][j][k] for k in isx)
-                           for j in ic) for i in iu)
-
-    def equals(self, other: "PCFun3D") -> bool:
-        bu = merge_breakpoints(self.bps_u, other.bps_u)
-        bc = merge_breakpoints(self.bps_c, other.bps_c)
-        bs = merge_breakpoints(self.bps_s, other.bps_s)
-        return self.on_grid(bu, bc, bs) == other.on_grid(bu, bc, bs)
-
-    def __add__(self, other: "PCFun3D") -> "PCFun3D":
-        bu = merge_breakpoints(self.bps_u, other.bps_u)
-        bc = merge_breakpoints(self.bps_c, other.bps_c)
-        bs = merge_breakpoints(self.bps_s, other.bps_s)
-        a, b = self.on_grid(bu, bc, bs), other.on_grid(bu, bc, bs)
-        vals = tuple(tuple(tuple(x + y for x, y in zip(ra, rb))
-                           for ra, rb in zip(pa, pb)) for pa, pb in zip(a, b))
-        return PCFun3D(bu, bc, bs, vals)
-
-    def __sub__(self, other: "PCFun3D") -> "PCFun3D":
-        return self + (other * -1)
-
-    def __mul__(self, scalar) -> "PCFun3D":
-        s = frac(scalar)
-        vals = tuple(tuple(tuple(s * v for v in row) for row in plane)
-                     for plane in self.values)
-        return PCFun3D(self.bps_u, self.bps_c, self.bps_s, vals)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PCFun3D":
-        return self * -1
-
-    def integral(self) -> Fraction:
-        total = ZERO
-        for i, (u0, u1) in enumerate(zip(self.bps_u, self.bps_u[1:])):
-            for j, (c0, c1) in enumerate(zip(self.bps_c, self.bps_c[1:])):
-                for k, (s0, s1) in enumerate(zip(self.bps_s, self.bps_s[1:])):
-                    total += self.values[i][j][k] * (u1 - u0) * (c1 - c0) * (s1 - s0)
-        return total
-
-    def l1_norm(self) -> Fraction:
-        total = ZERO
-        for i, (u0, u1) in enumerate(zip(self.bps_u, self.bps_u[1:])):
-            for j, (c0, c1) in enumerate(zip(self.bps_c, self.bps_c[1:])):
-                for k, (s0, s1) in enumerate(zip(self.bps_s, self.bps_s[1:])):
-                    total += abs(self.values[i][j][k]) * (u1 - u0) * (c1 - c0) * (s1 - s0)
-        return total
-
 
 def inner_product_2d(f: PCFun2D, g: PCFun2D) -> Fraction:
-    bx = merge_breakpoints(f.bps_x, g.bps_x)
-    by = merge_breakpoints(f.bps_y, g.bps_y)
-    a, b = f.on_grid(bx, by), g.on_grid(bx, by)
-    total = ZERO
-    for i, (x0, x1) in enumerate(zip(bx, bx[1:])):
-        for j, (y0, y1) in enumerate(zip(by, by[1:])):
-            total += a[i][j] * b[i][j] * (x1 - x0) * (y1 - y0)
-    return total
+    return _pair(f, g)
 
 
 def inner_product_3d(f: PCFun3D, g: PCFun3D) -> Fraction:
-    bu = merge_breakpoints(f.bps_u, g.bps_u)
-    bc = merge_breakpoints(f.bps_c, g.bps_c)
-    bs = merge_breakpoints(f.bps_s, g.bps_s)
-    a, b = f.on_grid(bu, bc, bs), g.on_grid(bu, bc, bs)
-    total = ZERO
-    for i, (u0, u1) in enumerate(zip(bu, bu[1:])):
-        for j, (c0, c1) in enumerate(zip(bc, bc[1:])):
-            du = u1 - u0
-            for k, (s0, s1) in enumerate(zip(bs, bs[1:])):
-                total += a[i][j][k] * b[i][j][k] * du * (c1 - c0) * (s1 - s0)
-    return total
+    return _pair(f, g)
 
 
 def pair_with_affine_3d(f: PCFun3D, c0, cu, cc, cs) -> Fraction:
     """Exact <f, v> for affine v = c0 + cu*x_u + cc*x_c + cs*x_s.
 
-    The integral of an affine function over a box is volume * value at the
-    box midpoint.
+    Each term is one contraction: c0 against the cell widths on every axis,
+    and each coordinate against its first moments on its own axis.
     """
-    c0, cu, cc, cs = map(frac, (c0, cu, cc, cs))
+    widths = [_widths(b) for b in f.axes]
     total = ZERO
-    for i, (u0, u1) in enumerate(zip(f.bps_u, f.bps_u[1:])):
-        for j, (cc0, cc1) in enumerate(zip(f.bps_c, f.bps_c[1:])):
-            for k, (s0, s1) in enumerate(zip(f.bps_s, f.bps_s[1:])):
-                vol = (u1 - u0) * (cc1 - cc0) * (s1 - s0)
-                mid = c0 + cu * (u0 + u1) / 2 + cc * (cc0 + cc1) / 2 + cs * (s0 + s1) / 2
-                total += f.values[i][j][k] * vol * mid
+    for axis, coeff in enumerate(map(frac, (c0, cu, cc, cs)), start=-1):
+        if coeff:
+            weights = list(widths)
+            if axis >= 0:
+                weights[axis] = _moments(f.axes[axis])
+            total += coeff * _contract(f.values, weights)
     return total
 
 
@@ -525,13 +481,9 @@ def pa_mean(f: PAFun1D) -> Fraction:
 # ---------------------------------------------------------------------------
 # JSON wire format: fractions as "p/q" strings
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def pcfun1d_to_json(f: PCFun1D) -> str:
-    return json.dumps({"breakpoints": [_frac_str(b) for b in f.breakpoints],
-                       "values": [_frac_str(v) for v in f.values]})
+    return json.dumps({"breakpoints": list(map(str, f.breakpoints)),
+                       "values": list(map(str, f.values))})
 
 
 def pcfun1d_from_json(s: str) -> PCFun1D:
@@ -541,12 +493,8 @@ def pcfun1d_from_json(s: str) -> PCFun1D:
 
 def pcfun3d_to_json(f: PCFun3D) -> str:
     return json.dumps({
-        "xu": [_frac_str(b) for b in f.bps_u],
-        "xc": [_frac_str(b) for b in f.bps_c],
-        "xs": [_frac_str(b) for b in f.bps_s],
-        "values": [[[_frac_str(v) for v in row] for row in plane]
-                   for plane in f.values],
-    })
+        "xu": list(map(str, f.bps_u)), "xc": list(map(str, f.bps_c)),
+        "xs": list(map(str, f.bps_s)), "values": _map(str, 3, f.values)})
 
 
 def pcfun3d_from_json(s: str) -> PCFun3D:

@@ -87,7 +87,8 @@ def _to_int_vector(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
     denom = 1
     for v in values:
         denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return np.array([int(v * denom) for v in values], dtype=object), denom
+    return np.array([v.numerator * (denom // v.denominator) for v in values],
+                    dtype=object), denom
 
 
 def exact_walk_step(values: Sequence[Fraction], w: Fraction) -> tuple[Fraction, ...]:

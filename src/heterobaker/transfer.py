@@ -42,8 +42,8 @@ import numpy as np
 
 from .baker import BakerParams, Kind, all_symbols, branch_affine
 from .haar import _grid_levels
-from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D, frac,
-                    merge_breakpoints)
+from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D, _contract,
+                    _moments, _widths, frac, merge_breakpoints)
 from .ruin import _to_int_vector, exact_walk_step, trim_levels, walk_step
 
 HALF = Fraction(1, 2)
@@ -172,8 +172,14 @@ def _pa_add(f: PAFun1D, g: PAFun1D) -> PAFun1D:
     return PAFun1D(bps, tuple(slopes), tuple(icpts))
 
 
+def _check_steps(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+
+
 def p0_apply_pa(op: ReducedOp, f: PAFun1D, n: int = 1) -> PAFun1D:
     """Exact reduced operator on piecewise-affine functions (grid oracle)."""
+    _check_steps(n)
     for _ in range(n):
         f = _pa_add(p_alpha_pa(op, f), p_beta_pa(op, f))
     return f
@@ -186,6 +192,7 @@ def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
     (numerators over a common denominator); anything else runs the generic
     rational path.
     """
+    _check_steps(n)
     if n == 0:
         return f
     if op.M == 2:
@@ -468,6 +475,7 @@ def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
 
 
 def p_full_3d_n(params: BakerParams, F: PCFun3D, n: int) -> PCFun3D:
+    _check_steps(n)
     for _ in range(n):
         F = p_full_3d(params, F)
     return F
@@ -511,15 +519,8 @@ def pi0(F: PCFun3D) -> PCFun3D:
     """Projection onto the x_c-average component: average over x_c per
     (x_u, x_s) cell, re-tensored with the constant function.  The result is
     constant in x_c and carries the trivial x_c grid."""
-    nc = len(F.bps_c) - 1
-    widths = [c1 - c0 for c0, c1 in zip(F.bps_c, F.bps_c[1:])]
-    vals = []
-    for plane in F.values:
-        ns = len(plane[0])
-        avg_row = tuple(sum((plane[j][k] * widths[j] for j in range(nc)), ZERO)
-                        for k in range(ns))
-        vals.append((avg_row,))
-    return PCFun3D(F.bps_u, (ZERO, ONE), F.bps_s, tuple(vals))
+    avg = _contract(F.values, (None, _widths(F.bps_c), None))
+    return PCFun3D(F.bps_u, (ZERO, ONE), F.bps_s, tuple((row,) for row in avg))
 
 
 def component_split_apply(which: str, params: BakerParams, F: PCFun3D) -> PCFun3D:
@@ -654,26 +655,14 @@ def tensor_components_add(x, y):
 # fiber-average decay
 
 def xs_fiber_averages_zero(u: PCFun3D) -> bool:
-    widths = [s1 - s0 for s0, s1 in zip(u.bps_s, u.bps_s[1:])]
-    for plane in u.values:
-        for row in plane:
-            if sum((v * w for v, w in zip(row, widths)), ZERO) != 0:
-                return False
-    return True
+    averages = _contract(u.values, (None, None, _widths(u.bps_s)))
+    return PCFun2D(u.bps_u, u.bps_c, averages).is_zero()
 
 
 def xs_first_moment(u: PCFun3D) -> PCFun2D:
     """m1(x_u, x_c) = integral of u * x_s over the stable fiber."""
-    vals = []
-    for plane in u.values:
-        rows = []
-        for row in plane:
-            total = ZERO
-            for v, s0, s1 in zip(row, u.bps_s, u.bps_s[1:]):
-                total += v * (s1 ** 2 - s0 ** 2) / 2
-            rows.append(total)
-        vals.append(tuple(rows))
-    return PCFun2D(u.bps_u, u.bps_c, tuple(vals))
+    return PCFun2D(u.bps_u, u.bps_c,
+                   _contract(u.values, (None, None, _moments(u.bps_s))))
 
 
 def fiber_average_decay_check(params: BakerParams, u: PCFun3D,

@@ -12,7 +12,8 @@ import numpy as np
 
 from .baker import BakerParams, Kind, all_symbols, branch_affine
 from .haar import tensor_analyze, tensor_synthesize
-from .pcfun import ZERO, PCFun1D, PCFun3D
+from .pcfun import (ZERO, PCFun1D, PCFun3D, _contract, _widths,
+                    inner_product_3d, project_zero_mean)
 from .transfer import (ReducedOp, component_split_apply, p0_apply, p_full_3d,
                        p_full_3d_n, p_hat_alpha, p_hat_beta, pi0,
                        tensor_components_add)
@@ -36,9 +37,7 @@ def random_pc1(rng: np.random.Generator, level: int,
     n = 2 ** level
     vals = [Fraction(int(v), denominator)
             for v in rng.integers(-denominator, denominator + 1, size=n)]
-    f = PCFun1D.uniform(vals)
-    from .pcfun import project_zero_mean
-    return project_zero_mean(f)
+    return project_zero_mean(PCFun1D.uniform(vals))
 
 
 def check_phat_sum(params: BakerParams, F: PCFun3D) -> bool:
@@ -80,17 +79,8 @@ def check_formula_compositions(params: BakerParams, F: PCFun3D,
 
 def project_xc(F: PCFun3D) -> PCFun1D:
     """Average over (x_u, x_s): the reduction projection."""
-    vals = []
-    wu = [u1 - u0 for u0, u1 in zip(F.bps_u, F.bps_u[1:])]
-    ws = [s1 - s0 for s0, s1 in zip(F.bps_s, F.bps_s[1:])]
-    for j in range(len(F.bps_c) - 1):
-        total = ZERO
-        for i, du in enumerate(wu):
-            row = F.values[i][j]
-            for k, ds in enumerate(ws):
-                total += row[k] * du * ds
-        vals.append(total)
-    return PCFun1D(F.bps_c, tuple(vals)).simplify()
+    vals = _contract(F.values, (_widths(F.bps_u), None, _widths(F.bps_s)))
+    return PCFun1D(F.bps_c, vals).simplify()
 
 
 def check_reduction(params: BakerParams, f: PCFun1D, n: int) -> bool:
@@ -111,21 +101,10 @@ def _split_interval(lo: Fraction, hi: Fraction, cuts) -> list:
 
 
 def _box_integral(G: PCFun3D, box) -> Fraction:
-    (u0, u1), (c0, c1), (s0, s1) = box
-    total = ZERO
-    for i, (gu0, gu1) in enumerate(zip(G.bps_u, G.bps_u[1:])):
-        du = min(u1, gu1) - max(u0, gu0)
-        if du <= 0:
-            continue
-        for j, (gc0, gc1) in enumerate(zip(G.bps_c, G.bps_c[1:])):
-            dc = min(c1, gc1) - max(c0, gc0)
-            if dc <= 0:
-                continue
-            for k, (gs0, gs1) in enumerate(zip(G.bps_s, G.bps_s[1:])):
-                ds = min(s1, gs1) - max(s0, gs0)
-                if ds > 0:
-                    total += G.values[i][j][k] * du * dc * ds
-    return total
+    overlaps = [[max(min(hi, g1) - max(lo, g0), ZERO)
+                 for g0, g1 in zip(bps, bps[1:])]
+                for (lo, hi), bps in zip(box, G.axes)]
+    return _contract(G.values, overlaps)
 
 
 def pair_with_pullback(params: BakerParams, F: PCFun3D, G: PCFun3D,
@@ -172,7 +151,6 @@ def pair_with_pullback(params: BakerParams, F: PCFun3D, G: PCFun3D,
 def check_duality(params: BakerParams, F: PCFun3D, G: PCFun3D,
                   n: int) -> bool:
     """<P^n F, G> == <F, G o f^n> exactly, through two independent routes."""
-    from .pcfun import inner_product_3d
     lhs = inner_product_3d(p_full_3d_n(params, F, n), G)
     return lhs == pair_with_pullback(params, F, G, n)
 

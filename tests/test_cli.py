@@ -179,3 +179,27 @@ def test_orbit_point_needs_three_coordinates(capsys):
     assert code == 2
     assert captured.out == ""
     assert "--point needs three coordinates, got 2" in captured.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    # a uniform dyadic input takes the integer kernel, which died on n < 0
+    (["apply-op", "--op", "p0", "--n", "-1", "--in", "{pc1}"], "--n"),
+    # the other operators returned their input unchanged
+    (["apply-op", "--op", "palpha", "--n", "-1", "--in", "{pc1}"], "--n"),
+    (["apply-op", "--op", "pfull3d", "--in", "{pc1}"], "--in"),
+    (["apply-op", "--op", "p0", "--in", "{csv}"], "--in"),
+    (["slope", "--in", "{csv}", "--window", "512"], "--window"),
+    (["slope", "--in", "{csv}", "--window", "a:b"], "--window"),
+    (["ruin", "--delta", "0"], "--delta"),
+    (["ruin", "--n", "-3"], "--n"),
+])
+def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
+    pc1 = tmp_path / "chi.json"
+    pc1.write_text(pcfun1d_to_json(hb.wavelet(1, 0)))
+    csv = tmp_path / "series.csv"
+    csv.write_text("n,value,method,err\n1,0.5,x,0\n2,0.25,x,0\n")
+    code = main([a.format(pc1=pc1, csv=csv) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}")

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -312,3 +315,13 @@ def test_parse_observable_structure():
     assert gen(np.array([0.3]), np.array([0.9]), np.array([0.1]))[0] == \
         pytest.approx(0.1)
     assert parse_observable("xc-1/2").xc_affine == (F(1), F(-1, 2))
+
+
+def test_import_leaves_scipy_out():
+    # scipy.stats costs most of an import; only the chi-square test loads it
+    src = os.path.dirname(os.path.dirname(hb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, heterobaker; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

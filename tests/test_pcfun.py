@@ -1,13 +1,22 @@
+import itertools
+import math
+from collections import defaultdict
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heterobaker as hb
-from heterobaker.pcfun import (NotInKLevel, inner_product_pa, pa_mean,
-                               pcfun1d_from_json, pcfun1d_to_json,
-                               pcfun3d_from_json, pcfun3d_to_json)
+from heterobaker.pcfun import (NotInKLevel, inner_product_2d, inner_product_3d,
+                               inner_product_pa, pa_mean,
+                               pair_with_affine_3d, pcfun1d_from_json,
+                               pcfun1d_to_json, pcfun3d_from_json,
+                               pcfun3d_to_json)
+from heterobaker.transfer import (p_full_3d_n, pi0, xs_fiber_averages_zero,
+                                  xs_first_moment)
+from heterobaker.verify import pair_with_pullback, project_xc, random_pc3
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 
@@ -107,3 +116,188 @@ def test_evaluation_conventions():
     assert f(F(1, 2)) == 2      # right-hand cell at a breakpoint
     assert f(1) == 2            # last cell closed
     assert f(0) == 1
+
+
+# ---------------------------------------------------------------------------
+# reference: a cell-by-cell loop over the common refinement
+
+# non-dyadic cut points: thirds, fifths and sevenths
+CUTS = sorted({F(k, d) for d in (3, 5, 7) for k in range(1, d)})
+CLASSES = {1: hb.PCFun1D, 2: hb.PCFun2D, 3: hb.PCFun3D}
+
+
+def _axes(f):
+    if isinstance(f, hb.PCFun1D):
+        return (f.breakpoints,)
+    if isinstance(f, hb.PCFun2D):
+        return (f.bps_x, f.bps_y)
+    return (f.bps_u, f.bps_c, f.bps_s)
+
+
+def _own_cell(bps, lo, hi):
+    """Index of the cell of `bps` that holds the cell [lo, hi)."""
+    return next(i for i in range(len(bps) - 1)
+                if bps[i] <= lo and hi <= bps[i + 1])
+
+
+def _cells(*fs):
+    """(bounds, values) for every cell of the common refinement of fs:
+    one (lo, hi) per axis, and the value of each function on the cell."""
+    dim = len(_axes(fs[0]))
+    grids = [sorted(set().union(*(_axes(f)[d] for f in fs)))
+             for d in range(dim)]
+    per_axis = [[((lo, hi), [_own_cell(_axes(f)[d], lo, hi) for f in fs])
+                 for lo, hi in zip(g, g[1:])] for d, g in enumerate(grids)]
+    for combo in itertools.product(*per_axis):
+        vals = []
+        for n, f in enumerate(fs):
+            v = f.values
+            for _, idx in combo:
+                v = v[idx[n]]
+            vals.append(v)
+        yield tuple(b for b, _ in combo), vals
+
+
+def _value_at(f, point):
+    v = f.values
+    for bps, x in zip(_axes(f), point):
+        v = v[next(i for i in range(len(bps) - 1) if bps[i] <= x < bps[i + 1])]
+    return v
+
+
+def _mid(bounds):
+    return tuple((lo + hi) / 2 for lo, hi in bounds)
+
+
+def _volume(bounds):
+    return math.prod((hi - lo for lo, hi in bounds), start=F(1))
+
+
+def _random_value(rng):
+    return F(int(rng.integers(-9, 10)), int(rng.choice([1, 2, 3, 5, 7])))
+
+
+def _random_pcn(rng, dim):
+    """Random PC function on a product grid cut at thirds/fifths/sevenths."""
+    axes = []
+    for _ in range(dim):
+        picks = rng.choice(len(CUTS), size=int(rng.integers(1, 5)),
+                           replace=False)
+        axes.append([F(0), *sorted(CUTS[i] for i in picks), F(1)])
+
+    def values(shape):
+        if not shape:
+            return _random_value(rng)
+        return [values(shape[1:]) for _ in range(shape[0])]
+
+    return CLASSES[dim].build(*axes, values([len(a) - 1 for a in axes]))
+
+
+def _fiber_mean_free(rng):
+    """Random 3D function whose x_s fiber averages all vanish."""
+    F3 = _random_pcn(rng, 3)
+    ws = [b - a for a, b in zip(F3.bps_s, F3.bps_s[1:])]
+    vals = [[[*row[:-1], -sum((v * w for v, w in zip(row[:-1], ws)), F(0))
+              / ws[-1]] for row in plane] for plane in F3.values]
+    return hb.PCFun3D.build(F3.bps_u, F3.bps_c, F3.bps_s, vals)
+
+
+def _samples(seed, dim):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    fs = [_random_pcn(rng, dim) for _ in range(4)]
+    if dim == 3:
+        for params, n in ((hb.BakerParams(2, F(1, 5), F(3, 10)), 2),
+                          (hb.BakerParams(3, F(1, 6), F(1, 6)), 1)):
+            fs.append(p_full_3d_n(params, random_pc3(rng), n))
+        fs.append(_fiber_mean_free(rng))
+    return rng, fs
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_integrals_match_the_cell_loop(seed, dim):
+    _, fs = _samples(seed, dim)
+    for f in fs:
+        integral = sum((v * _volume(b) for b, (v,) in _cells(f)), F(0))
+        l1 = sum((abs(v) * _volume(b) for b, (v,) in _cells(f)), F(0))
+        assert (hb.mean(f) if dim == 1 else f.integral()) == integral
+        assert f.l1_norm() == l1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_pairings_match_the_cell_loop(seed, dim):
+    rng, fs = _samples(seed, dim)
+    pair = {1: hb.inner_product, 2: inner_product_2d, 3: inner_product_3d}[dim]
+    for f, g in zip(fs, fs[1:] + fs[:1]):
+        ref = sum((x * y * _volume(b) for b, (x, y) in _cells(f, g)), F(0))
+        assert pair(f, g) == ref
+        if dim == 3:  # n = 0: the box integrals of g over the cells of f
+            assert pair_with_pullback(hb.BakerParams.neutral(2), f, g, 0) == ref
+    if dim == 3:
+        for f in fs:
+            c = [_random_value(rng) for _ in range(4)]
+
+            def affine(point):
+                return c[0] + sum(ci * x for ci, x in zip(c[1:], point))
+
+            # an affine function integrates to volume * value at the midpoint
+            ref = sum((v * _volume(b) * affine(_mid(b))
+                       for b, (v,) in _cells(f)), F(0))
+            assert pair_with_affine_3d(f, *c) == ref
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_projections_match_the_cell_loop(seed):
+    _, fs = _samples(seed, 3)
+    for f in fs:
+        avg_c, along_c, moment_s, avg_s = (defaultdict(lambda: F(0))
+                                           for _ in range(4))
+        for (bu, bc, bs), (v,) in _cells(f):
+            avg_c[bu, bs] += v * (bc[1] - bc[0])
+            along_c[bc] += v * (bu[1] - bu[0]) * (bs[1] - bs[0])
+            moment_s[bu, bc] += v * (bs[1] ** 2 - bs[0] ** 2) / 2
+            avg_s[bu, bc] += v * (bs[1] - bs[0])
+
+        p = pi0(f)
+        assert (p.bps_u, p.bps_c, p.bps_s) == (f.bps_u, (0, 1), f.bps_s)
+        for (bu, bs), ref in avg_c.items():
+            assert _value_at(p, _mid((bu, (0, 1), bs))) == ref
+        g = project_xc(f)
+        for bc, ref in along_c.items():
+            assert _value_at(g, _mid((bc,))) == ref
+        h = xs_first_moment(f)
+        assert (h.bps_x, h.bps_y) == (f.bps_u, f.bps_c)
+        for (bu, bc), ref in moment_s.items():
+            assert _value_at(h, _mid((bu, bc))) == ref
+        assert xs_fiber_averages_zero(f) == all(
+            v == 0 for v in avg_s.values())
+    assert xs_fiber_averages_zero(fs[-1])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_algebra_matches_the_cell_loop(seed, dim):
+    rng, fs = _samples(seed, dim)
+    for f, g in zip(fs, fs[1:] + fs[:1]):
+        s = _random_value(rng)
+        cases = ((f + g, lambda x, y: x + y), (f - g, lambda x, y: x - y),
+                 (f * s, lambda x, y: x * s), (s * g, lambda x, y: s * y))
+        for h, op in cases:
+            for _, (x, y, z) in _cells(f, g, h):
+                assert z == op(x, y)
+        assert f.equals(g) == all(x == y for _, (x, y) in _cells(f, g))
+        assert (f + g - g).equals(f) and g.equals(g * 1)
+        assert not f.equals(f + CLASSES[dim].constant(1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_unary_minus_every_dimension(dim):
+    _, fs = _samples(5, dim)
+    for f in fs:
+        assert (-f).equals(f * -1) and (f + -f).equals(CLASSES[dim].constant(0))
+
+
+def test_point_evaluation_needs_one_coordinate_per_axis():
+    with pytest.raises(TypeError, match="takes 3 coordinates, got 2"):
+        hb.PCFun3D.constant(1)(0, 0)
