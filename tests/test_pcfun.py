@@ -13,7 +13,7 @@ from heterobaker.pcfun import (NotInKLevel, inner_product_2d, inner_product_3d,
                                inner_product_pa, pa_mean,
                                pair_with_affine_3d, pcfun1d_from_json,
                                pcfun1d_to_json, pcfun3d_from_json,
-                               pcfun3d_to_json)
+                               pcfun3d_to_json, restrict_to_m_adic)
 from heterobaker.transfer import (p_full_3d_n, pi0, xs_fiber_averages_zero,
                                   xs_first_moment)
 from heterobaker.verify import pair_with_pullback, project_xc, random_pc3
@@ -301,3 +301,121 @@ def test_unary_minus_every_dimension(dim):
 def test_point_evaluation_needs_one_coordinate_per_axis():
     with pytest.raises(TypeError, match="takes 3 coordinates, got 2"):
         hb.PCFun3D.constant(1)(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# properties of the grid kernels against the plain Fraction rules
+
+DENOMS = (2, 4, 8, 16, 32, 3, 5, 7, 12)
+
+
+@st.composite
+def grids(draw, max_cuts=4):
+    """Breakpoints 0 < ... < 1 with denominators from DENOMS."""
+    cuts = set()
+    for _ in range(draw(st.integers(0, max_cuts))):
+        d = draw(st.sampled_from(DENOMS))
+        cuts.add(F(draw(st.integers(1, d - 1)), d))
+    return (F(0), *sorted(cuts), F(1))
+
+
+@st.composite
+def pc_functions(draw, dim, max_cuts=4):
+    axes = [draw(grids(max_cuts)) for _ in range(dim)]
+
+    def values(shape):
+        if not shape:
+            return draw(rational)
+        return [values(shape[1:]) for _ in range(shape[0])]
+
+    return CLASSES[dim].build(*axes, values([len(a) - 1 for a in axes]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(grids(), min_size=1, max_size=3))
+def test_merge_breakpoints_is_the_sorted_union(lists):
+    assert hb.pcfun.merge_breakpoints(*lists) == \
+        tuple(sorted(set().union(*lists)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_on_grid_is_the_midpoint_rule(dim, data):
+    f = data.draw(pc_functions(dim))
+    grids_ = [hb.pcfun.merge_breakpoints(bps, data.draw(grids()))
+              for bps in _axes(f)]
+    index = [[hb.pcfun._cell_index(bps, (lo + hi) / 2)
+              for lo, hi in zip(g, g[1:])] for bps, g in zip(_axes(f), grids_)]
+    got = f.on_grid(*grids_)
+    for cell in itertools.product(*(range(len(g) - 1) for g in grids_)):
+        v, ref = got, f.values
+        for axis, i in enumerate(cell):
+            v, ref = v[i], ref[index[axis][i]]
+        assert v == ref
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_contract_is_the_cell_loop(dim, data):
+    f = data.draw(pc_functions(dim))
+    # zero weights are skipped; an all-zero axis does not occur in use
+    weights = [data.draw(st.none() | st.lists(
+        rational | st.just(F(0)), min_size=len(bps) - 1,
+        max_size=len(bps) - 1).filter(any)) for bps in _axes(f)]
+    kept = [d for d, w in enumerate(weights) if w is None]
+    ref = defaultdict(lambda: F(0))
+    for cell in itertools.product(*(range(len(b) - 1) for b in _axes(f))):
+        v = f.values
+        for i in cell:
+            v = v[i]
+        for d, i in enumerate(cell):
+            if weights[d] is not None:
+                v *= weights[d][i]
+        ref[tuple(cell[d] for d in kept)] += v
+    got = hb.pcfun._contract(f.values, weights)
+    for key, value in ref.items():
+        v = got
+        for i in key:
+            v = v[i]
+        assert v == value
+    assert f.integral() == sum((v * _volume(b) for b, (v,) in _cells(f)), F(0))
+
+
+DUALITY_PARAMS = [hb.BakerParams(2, F(1, 5), F(3, 10)),
+                  hb.BakerParams(2, F(1, 4), F(1, 4)),
+                  hb.BakerParams(3, F(1, 6), F(1, 6))]
+
+
+@pytest.mark.parametrize("params", DUALITY_PARAMS,
+                         ids=["2-1/5-3/10", "2-1/4-1/4", "3-1/6-1/6"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_pushforward_is_dual_to_the_box_pullback(params, data):
+    Fn = data.draw(pc_functions(3, max_cuts=2))
+    G = data.draw(pc_functions(3, max_cuts=2))
+    n = data.draw(st.integers(1, 2 if params.M == 2 else 1))
+    assert inner_product_3d(p_full_3d_n(params, Fn, n), G) == \
+        pair_with_pullback(params, Fn, G, n)
+
+
+def test_pushforward_duality_on_a_non_dyadic_grid():
+    Fn = hb.PCFun3D.build(["0", "1/3", "5/7", "1"], ["0", "2/5", "1"],
+                          ["0", "1/12", "1"],
+                          [[[1, "-2/3"], ["1/5", 0]], [[0, 3], ["-1/7", 1]],
+                           [["5/2", -1], [2, "1/3"]]])
+    G = hb.PCFun3D.build(["0", "1/5", "1"], ["0", "1/3", "7/12", "1"],
+                         ["0", "3/7", "1"],
+                         [[[1, 2], [-1, "1/2"], [0, 1]],
+                          [["2/3", 0], [1, -1], ["1/4", 3]]])
+    for params in DUALITY_PARAMS:
+        for n in range(1, 3 if params.M == 2 else 2):
+            assert inner_product_3d(p_full_3d_n(params, Fn, n), G) == \
+                pair_with_pullback(params, Fn, G, n)
+
+
+def test_restrict_ignores_a_redundant_non_dyadic_breakpoint():
+    f = hb.PCFun1D.build([0, F(1, 3), F(1, 2), 1], [1, 1, 2])
+    assert restrict_to_m_adic(f, 2, 2) == (1, 1, 2, 2)
+    assert hb.osc_norm_star(f, 2, 2) == 0
