@@ -48,8 +48,8 @@ import numpy as np
 
 from .baker import BakerParams
 from .observables import Observable3D
-from .pcfun import ZERO
-from .ruin import _to_int_vector, walk_step
+from .pcfun import ZERO, _to_int_vector
+from .ruin import walk_step
 from .transfer import (NotInSquareWaveSpan, ReducedOp, p0_haar_step,
                        square_wave_profile)
 

@@ -27,9 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .pcfun import (ONE, ZERO, PCFun1D, PCFun2D, PCFun3D, frac,
-                    inner_product, merge_breakpoints)
-from .ruin import _to_int_vector
+from .pcfun import (ONE, ZERO, PCFun1D, PCFun2D, PCFun3D, _to_int_vector,
+                    frac, inner_product, merge_breakpoints)
 
 HaarExpansion = dict            # (l, k) -> Fraction synthesis weight
 
@@ -74,15 +73,21 @@ def square_wave(l: int) -> PCFun1D:
     return PCFun1D.uniform((ONE, -ONE) * 2 ** (l - 1))
 
 
-def dyadic_level(f: PCFun1D) -> int:
-    """Smallest L with all breakpoints on the uniform 2^L grid."""
+def _dyadic_depth(bps, what: str) -> int:
+    """Smallest L with all of `bps` on the uniform 2^L grid; `what` names
+    the breakpoints in the error."""
     L = 0
-    for b in f.simplify().breakpoints:
+    for b in bps:
         d = b.denominator
         if d & (d - 1):
-            raise NonDyadicBreakpoints(f"breakpoint {b} is not dyadic")
+            raise NonDyadicBreakpoints(f"{what} {b} is not dyadic")
         L = max(L, d.bit_length() - 1)
     return L
+
+
+def dyadic_level(f: PCFun1D) -> int:
+    """Smallest L with all breakpoints on the uniform 2^L grid."""
+    return _dyadic_depth(f.simplify().breakpoints, "breakpoint")
 
 
 def _grid_levels(nums: np.ndarray) -> list[np.ndarray]:
@@ -106,7 +111,8 @@ def _grid_levels(nums: np.ndarray) -> list[np.ndarray]:
 def analyze_levels(f: PCFun1D) -> tuple[list[np.ndarray], Fraction]:
     """(levels, scale): the exact Haar expansion of a zero-mean dyadic PC
     function as integer level numerators and one rational scale."""
-    L = dyadic_level(f)
+    f = f.simplify()
+    L = _dyadic_depth(f.breakpoints, "breakpoint")
     n = 2 ** L
     nums, den = _to_int_vector(f.on_grid(tuple(Fraction(i, n)
                                                for i in range(n + 1))))
@@ -247,6 +253,7 @@ def m_adic_level(f: PCFun1D, M: int) -> int:
 
 def analyze_general_M(f: PCFun1D, M: int) -> LevelComponents:
     """Level components via conditional expectations on the M-adic tower."""
+    f = f.simplify()
     L = m_adic_level(f, M)
     n = M ** L
     grid = tuple(Fraction(i, n) for i in range(n + 1))
@@ -306,12 +313,7 @@ class TensorComponents:
 def tensor_analyze(F: PCFun3D) -> TensorComponents:
     """Exact tensor components of a zero-mean PC function, dyadic in x_c."""
     # lift x_c grid to a uniform dyadic grid
-    L = 0
-    for b in F.bps_c:
-        d = b.denominator
-        if d & (d - 1):
-            raise NonDyadicBreakpoints(f"x_c breakpoint {b} is not dyadic")
-        L = max(L, d.bit_length() - 1)
+    L = _dyadic_depth(F.bps_c, "x_c breakpoint")
     n = 2 ** L
     grid_c = tuple(Fraction(i, n) for i in range(n + 1))
     vals = F.on_grid(F.bps_u, grid_c, F.bps_s)

@@ -2,34 +2,45 @@
 
 Functions live on [0,1] (or [0,1]^2, [0,1]^3 as products of axis grids).
 Cells are half-open [b_i, b_{i+1}) with the last cell closed at 1; point
-evaluation at a breakpoint returns the right-hand cell's value.  All
-breakpoints and values are `fractions.Fraction`, so every operation here
-is exact.  Floats only enter through the Monte Carlo fast paths elsewhere.
+evaluation at a breakpoint returns the right-hand cell's value.  Every
+breakpoint and value a function holds or returns is a `fractions.Fraction`,
+so every operation here is exact.  Floats only enter through the Monte
+Carlo fast paths elsewhere.
 
 There is one product-grid core, `_ProductGrid`: `PCFun1D`, `PCFun2D` and
 `PCFun3D` only name their axes (`(breakpoints,)`, `(bps_x, bps_y)`,
 `(bps_u, bps_c, bps_s)`), and point evaluation, `on_grid`, `equals`,
 `simplify`, `+`, `-`, scalar `*`, `integral` and `l1_norm` are written once
-for d axes over values nested one tuple level per axis.  Every weighted
-cell sum is one axis contraction, `_contract`: the value tensor against
-one weight vector per axis (cell widths, first moments, box overlaps),
-with `None` for an axis that is kept.  It sums one axis at a time, so it
-takes about one Fraction product per cell.
+for d axes over values nested one tuple level per axis.
+
+The grid kernels run on an integer lattice, not on Fractions.
+`_to_int_vector` is the one conversion: a Fraction vector becomes Python-int
+numerators over the lcm of its denominators.  On it, `merge_breakpoints`
+sorts and dedupes integers and returns the given Fraction objects in that
+order; `on_grid` finds the cell of each refining cell by one two-pointer
+walk of both grids, and refuses a grid that misses a breakpoint.  Every
+weighted cell sum is one axis contraction, `_contract`: a value tensor as
+numerators over one denominator (`_lattice`) against one integer weight
+vector per axis (cell widths, first moments, box overlaps), with `None` for
+an axis that is kept.  It is an integer dot product per axis and makes one
+Fraction per result entry.
 
 `PAFun1D` is the one-dimensional piecewise-*affine* sibling used as an
 independent grid oracle for affine observables like x - 1/2; it shares the
-breakpoint conventions.
+breakpoint conventions and stays in Fraction arithmetic as a cross-check.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable, Sequence
+
+import numpy as np
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -73,50 +84,105 @@ def _cell_index(bps: Sequence[Fraction], x: Fraction) -> int:
     return bisect_right(bps, x) - 1
 
 
+def _to_int_vector(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """The lattice form of a Fraction vector: integer numerators as a
+    Python-int object array, over the lcm of the denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = math.lcm(*{d for _, d in ratios})
+    return np.array([n * (denom // d) for n, d in ratios], dtype=object), denom
+
+
 def merge_breakpoints(*lists: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sorted(set().union(*map(set, lists))))
+    """The sorted union of breakpoint lists, as the given Fraction objects
+    (the first one of equal values); the integers of their common
+    denominator are what gets sorted."""
+    first = tuple(lists[0])
+    if all(first == tuple(bps) for bps in lists[1:]):
+        return first
+    flat = [b for bps in lists for b in bps]
+    nums, _ = _to_int_vector(flat)
+    union = dict(zip(nums.tolist()[::-1], flat[::-1]))
+    return tuple(union[n] for n in sorted(union))
+
+
+def _refinement_index(bps: Sequence[Fraction], grid: Sequence[Fraction],
+                      name: str):
+    """For each cell of `grid`, the cell of `bps` that holds it: one
+    two-pointer walk of both grids on the integer lattice.  A grid that
+    misses a breakpoint of `bps` does not refine it and raises ValueError."""
+    if grid == bps:
+        return range(len(bps) - 1)
+    nums, _ = _to_int_vector((*bps, *grid))
+    nums = nums.tolist()
+    own, fine = nums[:len(bps)], nums[len(bps):]
+    index, i = [], 0
+    for lo, hi in zip(fine, fine[1:]):
+        while own[i + 1] <= lo:
+            i += 1
+        if hi > own[i + 1]:
+            raise ValueError(f"the {name} grid misses breakpoint {bps[i + 1]}"
+                             f" and does not refine the function's")
+        index.append(i)
+    return index
 
 
 # ---------------------------------------------------------------------------
 # the product-grid core: nested value tuples, one level per axis
 
-def _widths(bps: Sequence[Fraction]) -> list[Fraction]:
-    """Cell widths b1 - b0: the weights of an integral along an axis."""
-    return [b - a for a, b in zip(bps, bps[1:])]
+def _lattice(values) -> tuple[np.ndarray, int]:
+    """A nested value tensor as integer numerators (an object array of its
+    shape) over one denominator."""
+    cells = np.array(values, dtype=object)
+    nums, denom = _to_int_vector(cells.ravel().tolist())
+    return nums.reshape(cells.shape), denom
 
 
-def _moments(bps: Sequence[Fraction]) -> list[Fraction]:
-    """First moments (b1^2 - b0^2)/2: the integrals of x over the cells."""
-    return [(b * b - a * a) / 2 for a, b in zip(bps, bps[1:])]
+def _fractions(nums, denom: int):
+    """Nested tuples of Fraction(n, denom) for nested lists of integers n
+    (one Fraction for a single integer)."""
+    if isinstance(nums, list):
+        return tuple(_fractions(n, denom) for n in nums)
+    return Fraction(nums, denom)
 
 
-def _contract(values, weights: Sequence):
-    """Sum a nested value tensor against one weight vector per axis.
+def _widths(bps: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """Cell widths b1 - b0 on the lattice: the weights of an integral along
+    an axis."""
+    nums, denom = _to_int_vector(bps)
+    return nums[1:] - nums[:-1], denom
 
-    An axis whose weight is None is kept: the result is a Fraction when
-    every axis is summed, else a nested tuple over the kept axes.  Slices
-    of weight zero are skipped.
+
+def _moments(bps: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """First moments (b1^2 - b0^2)/2 on the lattice: the integrals of x over
+    the cells."""
+    nums, denom = _to_int_vector(bps)
+    squares = nums * nums
+    return squares[1:] - squares[:-1], 2 * denom * denom
+
+
+def _contract(lattice: tuple[np.ndarray, int], weights: Sequence):
+    """Sum a value tensor against one weight vector per axis, on the lattice.
+
+    `lattice` is the tensor as (integer numerators, denominator), each
+    weight an integer vector with its denominator, or None for an axis that
+    is kept.  Each summed axis is one integer dot product; the result is a
+    Fraction when every axis is summed, else nested tuples of Fractions over
+    the kept axes.
     """
-    w, *rest = weights
-    if w is None:
-        return tuple(_contract(v, rest) for v in values) if rest else values
-    rows, xs = zip(*[(v, x) for v, x in zip(values, w) if x])
-    return _weighted_sum([_contract(v, rest) for v in rows] if rest else rows,
-                         xs)
+    nums, denom = lattice
+    for axis in reversed(range(len(weights))):
+        if weights[axis] is not None:
+            w, w_denom = weights[axis]
+            nums = np.tensordot(nums, w, axes=(axis, 0))
+            denom *= w_denom
+    return _fractions(nums.tolist(), denom)
 
 
-def _weighted_sum(rows: Sequence, xs: Sequence):
-    """sum of x * row over the rows, entrywise when the rows are tuples."""
-    if isinstance(rows[0], tuple):
-        return tuple(_weighted_sum(col, xs) for col in zip(*rows))
-    return sum(map(mul, rows, xs), ZERO)
-
-
-def _map(fn, depth: int, *tensors):
-    """fn applied cell by cell to nested value tensors of the same shape."""
+def _map(fn, depth: int, values):
+    """fn applied cell by cell to a nested value tensor."""
     if depth == 1:
-        return tuple(map(fn, *tensors))
-    return tuple(_map(fn, depth - 1, *ts) for ts in zip(*tensors))
+        return tuple(map(fn, values))
+    return tuple(_map(fn, depth - 1, v) for v in values)
 
 
 def _gather(values, index: Sequence):
@@ -164,6 +230,15 @@ class _ProductGrid:
                    _nested_tuple(values, len(axes)))
 
     @classmethod
+    def _unchecked(cls, *fields):
+        """An instance built without `__post_init__`'s checks, for grids that
+        are valid by construction."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, fields):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
     def constant(cls, c):
         value = frac(c)
         for _ in cls._AXES:
@@ -179,24 +254,33 @@ class _ProductGrid:
             v = v[_cell_index(bps, frac(x))]
         return v
 
+    def _index(self, grids) -> list:
+        """Per axis, the cell of this function's grid under each grid cell."""
+        return [_refinement_index(bps, grid, name)
+                for name, bps, grid in zip(self._AXES, self.axes, grids)]
+
     def on_grid(self, *grids):
-        """Cell values on grids (one per axis) that refine this function's."""
-        return _gather(self.values, [
-            range(len(bps) - 1) if grid == bps else
-            [_cell_index(bps, (a + b) / 2) for a, b in zip(grid, grid[1:])]
-            for bps, grid in zip(self.axes, grids)])
+        """Cell values on grids (one per axis) that refine this function's;
+        a grid that misses one of its breakpoints raises ValueError."""
+        return _gather(self.values, self._index(grids))
+
+    def _lattice_on(self, grids) -> tuple[np.ndarray, int]:
+        """`on_grid` on the lattice: (numerators, denominator)."""
+        nums, denom = _lattice(self.values)
+        return nums[np.ix_(*self._index(grids))], denom
 
     def _common(self, other):
-        """The common refinement of both grids, and both value tensors on it."""
+        """The common refinement of both grids, and both value tensors on it
+        as lattices."""
         if type(other) is not type(self):
             raise DimensionMismatch(f"cannot combine {type(self).__name__} "
                                     f"with {type(other).__name__}")
         axes = tuple(map(merge_breakpoints, self.axes, other.axes))
-        return axes, self.on_grid(*axes), other.on_grid(*axes)
+        return axes, self._lattice_on(axes), other._lattice_on(axes)
 
     def equals(self, other) -> bool:
-        _, a, b = self._common(other)
-        return a == b
+        _, (a, a_denom), (b, b_denom) = self._common(other)
+        return bool((a * b_denom == b * a_denom).all())
 
     def simplify(self):
         """Drop grid lines across which all values agree (canonical form);
@@ -216,8 +300,11 @@ class _ProductGrid:
         return type(self)(*axes, vals)
 
     def _combine(self, op, other):
-        axes, a, b = self._common(other)
-        return type(self)(*axes, _map(op, len(axes), a, b))
+        """`op` (add or sub) cell by cell on the common refinement, over
+        the product of both denominators."""
+        axes, (a, a_denom), (b, b_denom) = self._common(other)
+        nums = op(a * b_denom, b * a_denom)
+        return type(self)(*axes, _fractions(nums.tolist(), a_denom * b_denom))
 
     def __add__(self, other):
         return self._combine(add, other)
@@ -226,8 +313,10 @@ class _ProductGrid:
         return self._combine(sub, other)
 
     def __mul__(self, scalar):
-        values = _map(partial(mul, frac(scalar)), len(self._AXES), self.values)
-        return type(self)(*self.axes, values)
+        s = frac(scalar)
+        nums, denom = _lattice(self.values)
+        return type(self)(*self.axes, _fractions((nums * s.numerator).tolist(),
+                                                 denom * s.denominator))
 
     __rmul__ = __mul__
 
@@ -235,11 +324,11 @@ class _ProductGrid:
         return self * -1
 
     def integral(self) -> Fraction:
-        return _contract(self.values, [_widths(b) for b in self.axes])
+        return _contract(_lattice(self.values), [_widths(b) for b in self.axes])
 
     def l1_norm(self) -> Fraction:
-        return _contract(_map(abs, len(self._AXES), self.values),
-                         [_widths(b) for b in self.axes])
+        nums, denom = _lattice(self.values)
+        return _contract((abs(nums), denom), [_widths(b) for b in self.axes])
 
 
 @dataclass(frozen=True)
@@ -263,7 +352,10 @@ class PCFun1D(_ProductGrid):
     def uniform(values: Iterable) -> "PCFun1D":
         vals = tuple(frac(v) for v in values)
         n = len(vals)
-        return PCFun1D(tuple(Fraction(i, n) for i in range(n + 1)), vals)
+        if not n:
+            raise ValueError("a uniform grid needs at least one value")
+        return PCFun1D._unchecked(tuple(Fraction(i, n) for i in range(n + 1)),
+                                  vals)
 
     def refine(self, extra: Iterable) -> "PCFun1D":
         """Same function on a finer grid; inner products are invariant."""
@@ -283,15 +375,16 @@ class PCFun1D(_ProductGrid):
             L += 1
         if m != n:
             return None
-        expected = tuple(Fraction(i, n) for i in range(n + 1))
-        return L if self.breakpoints == expected else None
+        uniform = all(b.numerator * n == i * b.denominator
+                      for i, b in enumerate(self.breakpoints))
+        return L if uniform else None
 
 
 def _pair(f: _ProductGrid, g: _ProductGrid) -> Fraction:
     """<f, g>: the product on the common refinement, contracted against the
-    cell widths."""
-    axes, a, b = f._common(g)
-    return _contract(_map(mul, len(axes), a, b), [_widths(x) for x in axes])
+    cell widths, all on the lattice."""
+    axes, (a, a_denom), (b, b_denom) = f._common(g)
+    return _contract((a * b, a_denom * b_denom), [_widths(x) for x in axes])
 
 
 def inner_product(f: PCFun1D, g: PCFun1D) -> Fraction:
@@ -335,7 +428,8 @@ def restrict_to_m_adic(f: PCFun1D, base: int, level: int) -> tuple[Fraction, ...
     """
     n = base ** level
     grid = tuple(Fraction(i, n) for i in range(n + 1))
-    for b in f.simplify().breakpoints:
+    f = f.simplify()
+    for b in f.breakpoints:
         if (b * n).denominator != 1:
             raise NotInKLevel(f"breakpoint {b} is not {base}-adic at level {level}")
     return f.on_grid(grid)
@@ -414,6 +508,7 @@ def pair_with_affine_3d(f: PCFun3D, c0, cu, cc, cs) -> Fraction:
     Each term is one contraction: c0 against the cell widths on every axis,
     and each coordinate against its first moments on its own axis.
     """
+    values = _lattice(f.values)
     widths = [_widths(b) for b in f.axes]
     total = ZERO
     for axis, coeff in enumerate(map(frac, (c0, cu, cc, cs)), start=-1):
@@ -421,7 +516,7 @@ def pair_with_affine_3d(f: PCFun3D, c0, cu, cc, cs) -> Fraction:
             weights = list(widths)
             if axis >= 0:
                 weights[axis] = _moments(f.axes[axis])
-            total += coeff * _contract(f.values, weights)
+            total += coeff * _contract(values, weights)
     return total
 
 

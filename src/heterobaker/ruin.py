@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pcfun import ZERO, PCFun1D, frac
+from .pcfun import ZERO, PCFun1D, _to_int_vector, frac
 
 EXACT_N_CUTOFF = 64
 HALF = Fraction(1, 2)
@@ -80,15 +80,6 @@ def trim_levels(a: np.ndarray) -> np.ndarray:
     """Drop trailing zero levels."""
     nz = np.flatnonzero(a)
     return a[:nz[-1] + 1] if nz.size else a[:0]
-
-
-def _to_int_vector(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
-    """(integer numerators as a Python-int object array, common denominator)."""
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return np.array([v.numerator * (denom // v.denominator) for v in values],
-                    dtype=object), denom
 
 
 def exact_walk_step(values: Sequence[Fraction], w: Fraction) -> tuple[Fraction, ...]:

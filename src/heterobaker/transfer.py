@@ -33,7 +33,7 @@ x_c-average and the tensor-component actions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -43,8 +43,9 @@ import numpy as np
 from .baker import BakerParams, Kind, all_symbols, branch_affine
 from .haar import _grid_levels
 from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D, _contract,
-                    _moments, _widths, frac, merge_breakpoints)
-from .ruin import _to_int_vector, exact_walk_step, trim_levels, walk_step
+                    _fractions, _lattice, _moments, _to_int_vector, _widths,
+                    frac, merge_breakpoints)
+from .ruin import exact_walk_step, trim_levels, walk_step
 
 HALF = Fraction(1, 2)
 
@@ -201,8 +202,8 @@ def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
             nums, denom = _to_int_vector(f.values)
             for _ in range(n):
                 nums = _p0_step_int(nums, op)
-            scale = Fraction(1, denom * (2 * op.w.denominator) ** n)
-            return PCFun1D.uniform(tuple(Fraction(x) * scale for x in nums))
+            denom *= (2 * op.w.denominator) ** n
+            return PCFun1D.uniform(tuple(Fraction(x, denom) for x in nums))
     for _ in range(n):
         f = p_alpha(op, f) + p_beta(op, f)
     return f
@@ -370,108 +371,106 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
 # ---------------------------------------------------------------------------
 # full 3D operator
 
-def _axis_positions(bps: Sequence[Fraction]) -> dict:
-    return {b: i for i, b in enumerate(bps)}
+def _push_axis(bps: Sequence[Fraction], maps: dict):
+    """One axis of a pushforward, on the integer lattice.
+
+    `maps` gives per branch key (m, c, lo, hi): the map x -> m x + c on the
+    breakpoints from lo to hi (both in `bps`).  With `bps` as numerators over
+    their denominator D, every image is an integer over D times the lcm of
+    the branches' m and c denominators.  Returns the output grid (the sorted
+    union of the images) and per key a pair: the slice of input cells it
+    maps, and the output position of each of their breakpoints.
+    """
+    nums, denom = _to_int_vector(bps)
+    nums = nums.tolist()
+    at = {n: i for i, n in enumerate(nums)}
+    scale = math.lcm(*(m.denominator * c.denominator
+                       for m, c, _, _ in maps.values()))
+    images = {}
+    for key, (m, c, lo, hi) in maps.items():
+        i0, i1 = (at[x.numerator * (denom // x.denominator)] for x in (lo, hi))
+        slope = m.numerator * (scale // m.denominator)
+        shift = c.numerator * (denom * scale // c.denominator)
+        images[key] = (i0, [slope * n + shift for n in nums[i0:i1 + 1]])
+    out = sorted(set().union(*(img for _, img in images.values())))
+    position = {n: i for i, n in enumerate(out)}
+    grid = tuple(Fraction(n, denom * scale) for n in out)
+    return grid, {key: (slice(i0, i0 + len(img) - 1),
+                        [position[n] for n in img])
+                  for key, (i0, img) in images.items()}
 
 
-def _strip_index(bps: Sequence[Fraction], edges: Sequence[Fraction]) -> list[int]:
-    """For each cell of `bps`, the index of the `edges` strip containing it."""
-    out = []
-    for lo, hi in zip(bps, bps[1:]):
-        mid = (lo + hi) / 2
-        i = bisect_left(edges, mid) - 1
-        out.append(max(i, 0))
-    return out
+def _spread(block: np.ndarray, positions: Sequence[list]) -> np.ndarray:
+    """A branch's input block on its output cells: input cell i of an axis
+    covers the output cells from positions[i] to positions[i + 1]."""
+    for axis, pos in enumerate(positions):
+        block = np.repeat(block, np.diff(pos), axis=axis)
+    return block
+
+
+def _box(positions: Sequence[list]) -> tuple:
+    """The output slice a branch writes: its image is one box."""
+    return tuple(slice(pos[0], pos[-1]) for pos in positions)
 
 
 @dataclass(frozen=True)
 class _BranchGrid:
     """The (x_u, x_c) grids of a pushforward: input breakpoints refined by
     the branch edges, output breakpoints (the branch images of the refined
-    ones) with their position maps, and the branch of every input cell."""
+    ones), and per branch key its affine maps and the `_push_axis` tables
+    of both axes (the input cells it maps, the output positions of their
+    breakpoints)."""
 
     bu: tuple
     bc: tuple
     gu: tuple
     gc: tuple
-    pu: dict
-    pc: dict
     affines: dict
-    syms: list      # syms[i][j]: branch key of input cell (i, j)
+    u: dict
+    c: dict
 
     @staticmethod
     def build(params: BakerParams, bps_u, bps_c) -> "_BranchGrid":
         M, a = params.M, params.a
-        u_edges = [k * a for k in range(M + 1)] + [ONE]
-        c_edges = [Fraction(k, M) for k in range(M + 1)]
-        bu = merge_breakpoints(bps_u, u_edges)
-        bc = merge_breakpoints(bps_c, c_edges)
+        bu = merge_breakpoints(bps_u, [k * a for k in range(M + 1)] + [ONE])
+        bc = merge_breakpoints(bps_c, [Fraction(k, M) for k in range(M + 1)])
         affines = {(s.kind, s.k): branch_affine(params, s)
                    for s in all_symbols(params)}
-        out_u, out_c = set(), set()
+        u_maps, c_maps = {}, {}
         for (kind, k), ((mu, cu), (mc, cc), _) in affines.items():
             if kind is Kind.ALPHA:
-                lo, hi = (k - 1) * a, k * a
-                out_u.update(mu * b + cu for b in bu if lo <= b <= hi)
-                out_c.update(mc * b + cc for b in bc)
+                u_maps[kind, k] = (mu, cu, (k - 1) * a, k * a)
+                c_maps[kind, k] = (mc, cc, ZERO, ONE)
             else:
-                out_u.update(mu * b + cu for b in bu if M * a <= b <= 1)
-                clo, chi = Fraction(k - 1, M), Fraction(k, M)
-                out_c.update(mc * b + cc for b in bc if clo <= b <= chi)
-        gu, gc = tuple(sorted(out_u)), tuple(sorted(out_c))
-        cstrip = _strip_index(bc, c_edges)
-        syms = [[(Kind.ALPHA, si + 1) if si < M else (Kind.BETA, cj + 1)
-                 for cj in cstrip] for si in _strip_index(bu, u_edges)]
-        return _BranchGrid(bu, bc, gu, gc, _axis_positions(gu),
-                           _axis_positions(gc), affines, syms)
-
-    def image(self, i: int, j: int):
-        """(branch key, output u range, output c range) of input cell (i, j)."""
-        sym = self.syms[i][j]
-        (mu, cu), (mc, cc), _ = self.affines[sym]
-        bu, bc, pu, pc = self.bu, self.bc, self.pu, self.pc
-        return (sym,
-                range(pu[mu * bu[i] + cu], pu[mu * bu[i + 1] + cu]),
-                range(pc[mc * bc[j] + cc], pc[mc * bc[j + 1] + cc]))
+                u_maps[kind, k] = (mu, cu, M * a, ONE)
+                c_maps[kind, k] = (mc, cc, Fraction(k - 1, M), Fraction(k, M))
+        gu, u = _push_axis(bu, u_maps)
+        gc, c = _push_axis(bc, c_maps)
+        return _BranchGrid(bu, bc, gu, gc, affines, u, c)
 
 
 def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
     """Exact pushforward u -> u o f^{-1} on a product grid.
 
     Requires measure preservation (a + b = 1/M), where the 2M branch images
-    tile the cube and the operator is plain composition with the inverse.
+    tile the cube and the operator is plain composition with the inverse:
+    each branch copies its block of input cells onto its image box.
     """
     if not params.is_measure_preserving:
         raise ValueError("p_full_3d requires a + b = 1/M")
     g = _BranchGrid.build(params, F.bps_u, F.bps_c)
     bs = F.bps_s
-    vals = F.on_grid(g.bu, g.bc, bs)
-    gs = tuple(sorted({ms * b + cs for _, _, (ms, cs) in g.affines.values()
-                       for b in bs}))
-    ps = _axis_positions(gs)
-
-    ns = len(gs) - 1
-    out = [[[ZERO] * ns for _ in range(len(g.gc) - 1)]
-           for _ in range(len(g.gu) - 1)]
-    for i in range(len(g.bu) - 1):
-        for j in range(len(g.bc) - 1):
-            sym, urange, crange = g.image(i, j)
-            ms, cs = g.affines[sym][2]
-            row = vals[i][j]
-            for k, (s0, s1) in enumerate(zip(bs, bs[1:])):
-                v = row[k]
-                if not v:
-                    continue
-                ks0 = ps[ms * s0 + cs]
-                ks1 = ps[ms * s1 + cs]
-                for ii in urange:
-                    plane = out[ii]
-                    for jj in crange:
-                        cell = plane[jj]
-                        for kk in range(ks0, ks1):
-                            cell[kk] = v
+    gs, s = _push_axis(bs, {key: (ms, cs, ZERO, ONE) for key, (_, _, (ms, cs))
+                            in g.affines.items()})
+    cells = np.array(F.values, dtype=object)[
+        np.ix_(*F._index((g.bu, g.bc, bs)))]
+    out = np.full((len(g.gu) - 1, len(g.gc) - 1, len(gs) - 1), ZERO,
+                  dtype=object)
+    for key in g.affines:
+        (iu, pu), (ic, pc), (_, ps) = g.u[key], g.c[key], s[key]
+        out[_box((pu, pc, ps))] = _spread(cells[iu, ic], (pu, pc, ps))
     return PCFun3D(g.gu, g.gc, gs,
-                   tuple(tuple(tuple(r) for r in p) for p in out))
+                   tuple(tuple(map(tuple, p)) for p in out.tolist()))
 
 
 def p_full_3d_n(params: BakerParams, F: PCFun3D, n: int) -> PCFun3D:
@@ -492,24 +491,16 @@ def p_full_2d(params: BakerParams, h: PCFun2D,
     cocycle used by `fiber_average_decay_check`.
     """
     g = _BranchGrid.build(params, h.bps_x, h.bps_y)
-    vals = h.on_grid(g.bu, g.bc)
+    cells, denom = h._lattice_on((g.bu, g.bc))
     w_alpha, w_beta = region_weight if region_weight else (ONE, ONE)
-    weight = {sym: (w_alpha if sym[0] is Kind.ALPHA else w_beta) / (mu * mc)
-              for sym, ((mu, _), (mc, _), _) in g.affines.items()}
-
-    out = [[ZERO] * (len(g.gc) - 1) for _ in range(len(g.gu) - 1)]
-    for i in range(len(g.bu) - 1):
-        for j in range(len(g.bc) - 1):
-            v = vals[i][j]
-            if not v:
-                continue
-            sym, urange, crange = g.image(i, j)
-            add = v * weight[sym]
-            for ii in urange:
-                row = out[ii]
-                for jj in crange:
-                    row[jj] += add
-    return PCFun2D(g.gu, g.gc, tuple(tuple(r) for r in out))
+    weights, w_denom = _to_int_vector([
+        (w_alpha if kind is Kind.ALPHA else w_beta) / (mu * mc)
+        for (kind, _), ((mu, _), (mc, _), _) in g.affines.items()])
+    out = np.zeros((len(g.gu) - 1, len(g.gc) - 1), dtype=object)
+    for key, weight in zip(g.affines, weights):
+        (iu, pu), (ic, pc) = g.u[key], g.c[key]
+        out[_box((pu, pc))] += _spread(cells[iu, ic] * weight, (pu, pc))
+    return PCFun2D(g.gu, g.gc, _fractions(out.tolist(), denom * w_denom))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +510,7 @@ def pi0(F: PCFun3D) -> PCFun3D:
     """Projection onto the x_c-average component: average over x_c per
     (x_u, x_s) cell, re-tensored with the constant function.  The result is
     constant in x_c and carries the trivial x_c grid."""
-    avg = _contract(F.values, (None, _widths(F.bps_c), None))
+    avg = _contract(_lattice(F.values), (None, _widths(F.bps_c), None))
     return PCFun3D(F.bps_u, (ZERO, ONE), F.bps_s, tuple((row,) for row in avg))
 
 
@@ -655,14 +646,15 @@ def tensor_components_add(x, y):
 # fiber-average decay
 
 def xs_fiber_averages_zero(u: PCFun3D) -> bool:
-    averages = _contract(u.values, (None, None, _widths(u.bps_s)))
+    averages = _contract(_lattice(u.values), (None, None, _widths(u.bps_s)))
     return PCFun2D(u.bps_u, u.bps_c, averages).is_zero()
 
 
 def xs_first_moment(u: PCFun3D) -> PCFun2D:
     """m1(x_u, x_c) = integral of u * x_s over the stable fiber."""
     return PCFun2D(u.bps_u, u.bps_c,
-                   _contract(u.values, (None, None, _moments(u.bps_s))))
+                   _contract(_lattice(u.values),
+                             (None, None, _moments(u.bps_s))))
 
 
 def fiber_average_decay_check(params: BakerParams, u: PCFun3D,

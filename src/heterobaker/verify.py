@@ -12,8 +12,9 @@ import numpy as np
 
 from .baker import BakerParams, Kind, all_symbols, branch_affine
 from .haar import tensor_analyze, tensor_synthesize
-from .pcfun import (ZERO, PCFun1D, PCFun3D, _contract, _widths,
-                    inner_product_3d, project_zero_mean)
+from .pcfun import (ZERO, PCFun1D, PCFun3D, _contract, _lattice,
+                    _to_int_vector, _widths, inner_product_3d,
+                    project_zero_mean)
 from .transfer import (ReducedOp, component_split_apply, p0_apply, p_full_3d,
                        p_full_3d_n, p_hat_alpha, p_hat_beta, pi0,
                        tensor_components_add)
@@ -79,7 +80,8 @@ def check_formula_compositions(params: BakerParams, F: PCFun3D,
 
 def project_xc(F: PCFun3D) -> PCFun1D:
     """Average over (x_u, x_s): the reduction projection."""
-    vals = _contract(F.values, (_widths(F.bps_u), None, _widths(F.bps_s)))
+    vals = _contract(_lattice(F.values),
+                     (_widths(F.bps_u), None, _widths(F.bps_s)))
     return PCFun1D(F.bps_c, vals).simplify()
 
 
@@ -100,11 +102,12 @@ def _split_interval(lo: Fraction, hi: Fraction, cuts) -> list:
     return list(zip(pts, pts[1:]))
 
 
-def _box_integral(G: PCFun3D, box) -> Fraction:
-    overlaps = [[max(min(hi, g1) - max(lo, g0), ZERO)
-                 for g0, g1 in zip(bps, bps[1:])]
+def _box_integral(G: PCFun3D, values, box) -> Fraction:
+    """Integral of G over a box; `values` is G's value lattice."""
+    overlaps = [_to_int_vector([max(min(hi, g1) - max(lo, g0), ZERO)
+                                for g0, g1 in zip(bps, bps[1:])])
                 for (lo, hi), bps in zip(box, G.axes)]
-    return _contract(G.values, overlaps)
+    return _contract(values, overlaps)
 
 
 def pair_with_pullback(params: BakerParams, F: PCFun3D, G: PCFun3D,
@@ -145,7 +148,8 @@ def pair_with_pullback(params: BakerParams, F: PCFun3D, G: PCFun3D,
                                      (mc * c0 + cc, mc * c1 + cc),
                                      (ms * bs[0] + cs, ms * bs[1] + cs)), v))
         boxes = nxt
-    return sum((v * _box_integral(G, box) for box, v in boxes), ZERO)
+    values = _lattice(G.values)
+    return sum((v * _box_integral(G, values, box) for box, v in boxes), ZERO)
 
 
 def check_duality(params: BakerParams, F: PCFun3D, G: PCFun3D,

@@ -374,7 +374,9 @@ def test_contract_is_the_cell_loop(dim, data):
             if weights[d] is not None:
                 v *= weights[d][i]
         ref[tuple(cell[d] for d in kept)] += v
-    got = hb.pcfun._contract(f.values, weights)
+    got = hb.pcfun._contract(
+        hb.pcfun._lattice(f.values),
+        [w and hb.pcfun._to_int_vector(w) for w in weights])
     for key, value in ref.items():
         v = got
         for i in key:
@@ -419,3 +421,15 @@ def test_restrict_ignores_a_redundant_non_dyadic_breakpoint():
     f = hb.PCFun1D.build([0, F(1, 3), F(1, 2), 1], [1, 1, 2])
     assert restrict_to_m_adic(f, 2, 2) == (1, 1, 2, 2)
     assert hb.osc_norm_star(f, 2, 2) == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_on_grid_refuses_a_grid_that_does_not_refine(dim):
+    f = CLASSES[dim].build(*[[0, F(1, 3), 1]] * dim,
+                           np.arange(2 ** dim).reshape([2] * dim).tolist())
+    grids_ = [(F(0), F(1, 3), F(1))] * dim
+    grids_[-1] = (F(0), F(1, 2), F(1))
+    name = CLASSES[dim]._AXES[-1]
+    with pytest.raises(ValueError, match=f"the {name} grid misses "
+                                         "breakpoint 1/3"):
+        f.on_grid(*grids_)
