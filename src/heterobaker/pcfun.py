@@ -137,12 +137,13 @@ def _lattice(values) -> tuple[np.ndarray, int]:
     return nums.reshape(cells.shape), denom
 
 
-def _fractions(nums, denom: int):
-    """Nested tuples of Fraction(n, denom) for nested lists of integers n
-    (one Fraction for a single integer)."""
-    if isinstance(nums, list):
-        return tuple(_fractions(n, denom) for n in nums)
-    return Fraction(nums, denom)
+def _fractions(nums: np.ndarray, denom: int):
+    """An integer tensor over `denom` as nested tuples of Fractions (one
+    Fraction for a 0-d tensor); equal numerators share one Fraction."""
+    made = {n: Fraction(n, denom) for n in set(nums.ravel().tolist())}
+    if nums.ndim == 0:
+        return made[nums.item()]
+    return _map(made.__getitem__, nums.ndim, nums.tolist())
 
 
 def _widths(bps: Sequence[Fraction]) -> tuple[np.ndarray, int]:
@@ -175,7 +176,7 @@ def _contract(lattice: tuple[np.ndarray, int], weights: Sequence):
             w, w_denom = weights[axis]
             nums = np.tensordot(nums, w, axes=(axis, 0))
             denom *= w_denom
-    return _fractions(nums.tolist(), denom)
+    return _fractions(nums, denom)
 
 
 def _map(fn, depth: int, values):
@@ -304,7 +305,7 @@ class _ProductGrid:
         the product of both denominators."""
         axes, (a, a_denom), (b, b_denom) = self._common(other)
         nums = op(a * b_denom, b * a_denom)
-        return type(self)(*axes, _fractions(nums.tolist(), a_denom * b_denom))
+        return type(self)(*axes, _fractions(nums, a_denom * b_denom))
 
     def __add__(self, other):
         return self._combine(add, other)
@@ -315,7 +316,7 @@ class _ProductGrid:
     def __mul__(self, scalar):
         s = frac(scalar)
         nums, denom = _lattice(self.values)
-        return type(self)(*self.axes, _fractions((nums * s.numerator).tolist(),
+        return type(self)(*self.axes, _fractions(nums * s.numerator,
                                                  denom * s.denominator))
 
     __rmul__ = __mul__

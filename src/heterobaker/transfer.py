@@ -28,7 +28,11 @@ parameter this reduces to the familiar w = 1/2 formulas.
 
 The full 3D operator is an exact pushforward on product grids (the branch
 maps are diagonal affine), together with its projection split against the
-x_c-average and the tensor-component actions.
+x_c-average and the tensor-component actions.  The pushforward runs on
+the integer lattice of `pcfun`: each axis's breakpoints are numerators
+over one denominator, so a branch map is an integer affine map, the output
+grid is one integer sort, and each branch writes its block of input cells
+onto its image box.
 """
 
 from __future__ import annotations
@@ -500,7 +504,7 @@ def p_full_2d(params: BakerParams, h: PCFun2D,
     for key, weight in zip(g.affines, weights):
         (iu, pu), (ic, pc) = g.u[key], g.c[key]
         out[_box((pu, pc))] += _spread(cells[iu, ic] * weight, (pu, pc))
-    return PCFun2D(g.gu, g.gc, _fractions(out.tolist(), denom * w_denom))
+    return PCFun2D(g.gu, g.gc, _fractions(out, denom * w_denom))
 
 
 # ---------------------------------------------------------------------------
