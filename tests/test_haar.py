@@ -95,6 +95,14 @@ def test_general_m_components():
         hb.analyze_general_M(f, 2)
 
 
+def test_analysis_ignores_a_redundant_breakpoint():
+    # 1/3 and 1/5 split cells without changing a value
+    f = hb.PCFun1D.build([0, F(1, 5), F(1, 2), F(2, 3), 1], [1, 1, -1, -1])
+    assert dyadic_level(f) == 1
+    assert hb.analyze(f) == {(1, 0): 1}
+    assert hb.analyze_general_M(f, 2).component(1).equals(hb.wavelet(1, 0))
+
+
 def test_general_m_matches_dyadic():
     rng = np.random.Generator(np.random.Philox(key=1))
     vals = [F(int(v), 16) for v in rng.integers(-16, 17, size=8)]

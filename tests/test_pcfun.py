@@ -417,6 +417,13 @@ def test_pushforward_duality_on_a_non_dyadic_grid():
                 pair_with_pullback(params, Fn, G, n)
 
 
+def test_uniform_grid_needs_a_value():
+    with pytest.raises(ValueError, match="at least one value"):
+        hb.PCFun1D.uniform([])
+    assert hb.PCFun1D.uniform([F(1, 3)] * 6).is_uniform_level(6) == 1
+    assert hb.PCFun1D.build([0, F(1, 3), 1], [1, 2]).is_uniform_level(2) is None
+
+
 def test_restrict_ignores_a_redundant_non_dyadic_breakpoint():
     f = hb.PCFun1D.build([0, F(1, 3), F(1, 2), 1], [1, 1, 2])
     assert restrict_to_m_adic(f, 2, 2) == (1, 1, 2, 2)
