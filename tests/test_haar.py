@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heterobaker as hb
-from heterobaker.haar import (InvalidHaarIndex, NonZeroMean, dyadic_level,
-                              level_sup_norms, monotone_sign_report,
-                              pair_expansions)
+from heterobaker.haar import (InvalidHaarIndex, NonZeroMean, TensorComponents,
+                              dyadic_level, level_sup_norms,
+                              monotone_sign_report, pair_expansions)
 from heterobaker.pcfun import NotMAdic
 
 
@@ -39,6 +39,24 @@ def test_analyze_examples():
     assert {l for l, _ in exp} == set(range(1, L + 1))
     with pytest.raises(NonZeroMean):
         hb.analyze(hb.PCFun1D.constant(1))
+
+
+# (0, 0) is not the constant: a synthesis takes wavelets only; a valid key
+# beside each bad one keeps the grid well defined
+@pytest.mark.parametrize("key", [(0, 0), (0, 1), (1, 1), (1, -1), (2, 2),
+                                 (3, 4), (-1, 0)])
+def test_synthesis_refuses_keys_outside_the_haar_system(key):
+    with pytest.raises(InvalidHaarIndex):
+        hb.synthesize({(1, 0): F(1), key: F(1, 2)})
+    waves = {(1, 0): hb.PCFun2D.constant(1), key: hb.PCFun2D.constant(2)}
+    with pytest.raises(InvalidHaarIndex):
+        hb.tensor_synthesize(TensorComponents(hb.PCFun2D.constant(0), waves))
+    if key == (0, 0):
+        with pytest.raises(InvalidHaarIndex):
+            hb.synthesize({key: F(1)})
+        with pytest.raises(InvalidHaarIndex):
+            hb.tensor_synthesize(TensorComponents(
+                hb.PCFun2D.constant(0), {key: hb.PCFun2D.constant(1)}))
 
 
 def test_coefficient_examples():
@@ -179,3 +197,80 @@ def test_expansion_json_round_trip():
     from heterobaker.haar import expansion_from_json, expansion_to_json
     exp = hb.analyze(hb.from_affine(1, F(-1, 2), 3))
     assert expansion_from_json(expansion_to_json(exp)) == exp
+
+
+# ---------------------------------------------------------------------------
+# reference: Fraction mean pyramids on the uniform grid
+
+def _ref_means(vals, M):
+    """means[l][i]: the mean of `vals` (one per cell of the uniform M^L
+    grid) over the i-th of the M^l level-l cells."""
+    means = [list(vals)]
+    while len(means[-1]) > 1:
+        prev = means[-1]
+        means.append([sum(prev[i:i + M], F(0)) / M
+                      for i in range(0, len(prev), M)])
+    return means[::-1]
+
+
+cell_values = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+
+
+@st.composite
+def m_adic_functions(draw):
+    M = draw(st.sampled_from([2, 3, 5]))
+    n = M ** draw(st.integers(1, 3 if M < 5 else 2))
+    vals = draw(st.lists(cell_values, min_size=n, max_size=n))
+    return M, hb.project_zero_mean(hb.PCFun1D.uniform(vals))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_adic_functions())
+def test_general_m_matches_a_mean_pyramid(case):
+    # level-l component: the level-l cell mean minus its parent cell's mean
+    M, f = case
+    means = _ref_means(f.values, M)
+    comps = hb.analyze_general_M(f, M)
+    assert len(comps.components) <= len(means) - 1
+    for l in range(1, len(means)):
+        expect = [means[l][i] - means[l - 1][i // M] for i in range(M ** l)]
+        assert comps.component(l).equals(hb.PCFun1D.uniform(expect))
+
+
+@st.composite
+def xc_dyadic_functions(draw):
+    n = 2 ** draw(st.integers(0, 3))
+    bps_u = draw(st.sampled_from([["0", "1"], ["0", "1/3", "1"]]))
+    bps_s = draw(st.sampled_from([["0", "1"], ["0", "2/5", "1"]]))
+    row = st.lists(cell_values, min_size=len(bps_s) - 1,
+                   max_size=len(bps_s) - 1)
+    plane = st.lists(row, min_size=n, max_size=n)
+    vals = draw(st.lists(plane, min_size=len(bps_u) - 1,
+                         max_size=len(bps_u) - 1))
+    return hb.PCFun3D.build(bps_u, [F(j, n) for j in range(n + 1)], bps_s,
+                            vals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(xc_dyadic_functions())
+def test_tensor_analyze_matches_a_mean_pyramid(Fv):
+    # per (x_u, x_s) cell: the x_c average, and half the difference of the
+    # means over the two halves of each wavelet's support
+    n = len(Fv.bps_c) - 1
+    nu, ns = len(Fv.bps_u) - 1, len(Fv.bps_s) - 1
+    means = [[_ref_means([Fv.values[i][j][s] for j in range(n)], 2)
+              for s in range(ns)] for i in range(nu)]
+    comp = hb.tensor_analyze(Fv)
+    assert comp.component00.equals(hb.PCFun2D(
+        Fv.bps_u, Fv.bps_s,
+        tuple(tuple(means[i][s][0][0] for s in range(ns)) for i in range(nu))))
+    expect = {}
+    for l in range(1, n.bit_length()):
+        for k in range(2 ** (l - 1)):
+            u = hb.PCFun2D(Fv.bps_u, Fv.bps_s, tuple(
+                tuple((means[i][s][l][2 * k] - means[i][s][l][2 * k + 1]) / 2
+                      for s in range(ns)) for i in range(nu)))
+            if not u.is_zero():
+                expect[l, k] = u
+    assert comp.waves.keys() == expect.keys()
+    assert all(comp.waves[key].equals(u) for key, u in expect.items())

@@ -79,6 +79,15 @@ def test_fast_path_matches_generic():
     op = hb.ReducedOp(2, F(2, 7))
     f = random_pc1(rng, 3)
     assert hb.p0_apply(op, f, 4).equals(hb.p0_apply(op, f.refine([F(1, 3)]), 4))
+    # and for M = 3: a uniform 3-adic input against the same function on a
+    # grid refined at 1/2
+    for w in (F(1, 2), F(2, 5)):
+        op3 = hb.ReducedOp(3, w)
+        g = hb.project_zero_mean(hb.PCFun1D.uniform(
+            [F(int(v), 9) for v in rng.integers(-9, 10, size=9)]))
+        for n in (1, 3):
+            assert hb.p0_apply(op3, g, n).equals(
+                hb.p0_apply(op3, g.refine([F(1, 2)]), n))
 
 
 def test_haar_matches_grid():
