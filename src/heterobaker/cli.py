@@ -179,6 +179,8 @@ def cmd_corr(args) -> int:
             f"measure: corr needs a + b = 1/M = 1/{params.M}, "
             f"got {params.a + params.b}")
     ns = _n_values(args)
+    if args.truncation_level is not None:
+        _at_least(args.truncation_level, 0, "--truncation-level")
     rows = []
     if args.method in ("squarewave", "haar"):
         op = ReducedOp.from_params(params)
@@ -217,7 +219,11 @@ def cmd_slope(args) -> int:
                          f"got {args.window!r}") from None
     ns, vs = [], []
     with open(args.infile) as fh:
-        for row in csv.DictReader(r for r in fh if not r.startswith("#")):
+        reader = csv.DictReader(r for r in fh if not r.startswith("#"))
+        if not {"n", "value"} <= set(reader.fieldnames or ()):
+            raise ValueError(f"--in: {args.infile} needs the columns n and "
+                             f"value, got {reader.fieldnames}")
+        for row in reader:
             ns.append(int(row["n"]))
             vs.append(abs(float(row["value"])))
     from .correlation import CorrelationRecord

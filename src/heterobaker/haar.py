@@ -6,29 +6,36 @@ c_{l,k}, i.e. the represented function is sum c_{l,k} * chi_{l,k}.  Since
 2^{l-1} * <f, chi_{l,k}>.  This keeps the reduced operator's coefficient
 dynamics rational-sparse.
 
-There is one analysis.  `analyze_levels` returns the level state of the
-exact M = 2 routes: a list `levels` whose entry l holds the 2^(l-1) integer
+Every analysis runs on one integer M-adic tower: one depth rule
+(`_adic_depth`: a breakpoint lies on the uniform M^L grid when its
+denominator divides M^L) and one sums pyramid (`_level_sums`: the integer
+cell values of that grid, along axis 0, summed over the M^l cells of each
+level l).  `analyze_levels` reads from it the level state of the exact
+M = 2 routes: a list `levels` whose entry l holds the 2^(l-1) integer
 numerators of level l (Python ints in an object array; entry 0 holds the
-total), beside one Fraction scale.  It comes from a sums pyramid over the
-integer cell values of the uniform 2^L grid, which the oracle report of
-`transfer` also runs on its stepped grids.  `analyze` is its dict form.
+total), beside one Fraction scale; `analyze` is its dict form, and the
+oracle report of `transfer` runs it on its stepped grids.  `tensor_analyze`
+takes the same levels along the x_c axis of a 3D lattice, and `synthesize`
+and `tensor_synthesize` share the inverse pyramid.
 
-For M > 2 there is no convenient wavelet basis; level components are stored
-as piecewise-constant functions obtained from conditional expectations on
-the M-adic partition tower (K_l, with H_l the complement of K_{l-1}).
+For M > 2 there is no convenient wavelet basis; `analyze_general_M` stores
+level components as piecewise-constant functions obtained from conditional
+expectations on the M-adic tower (K_l, with H_l the complement of K_{l-1}).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .pcfun import (ONE, ZERO, PCFun1D, PCFun2D, PCFun3D, _to_int_vector,
-                    frac, inner_product, merge_breakpoints)
+from .pcfun import (ONE, ZERO, NotMAdic, PCFun1D, PCFun2D, PCFun3D,
+                    _fractions, _to_int_vector, _uniform_grid, frac,
+                    inner_product, merge_breakpoints)
 
 HaarExpansion = dict            # (l, k) -> Fraction synthesis weight
 
@@ -37,8 +44,7 @@ class NonZeroMean(ValueError):
     pass
 
 
-class NonDyadicBreakpoints(ValueError):
-    pass
+NonDyadicBreakpoints = NotMAdic     # the M = 2 refusal of `_adic_depth`
 
 
 class InvalidHaarIndex(ValueError):
@@ -73,49 +79,77 @@ def square_wave(l: int) -> PCFun1D:
     return PCFun1D.uniform((ONE, -ONE) * 2 ** (l - 1))
 
 
-def _dyadic_depth(bps, what: str) -> int:
-    """Smallest L with all of `bps` on the uniform 2^L grid; `what` names
-    the breakpoints in the error."""
-    L = 0
+def _adic_depth(bps, M: int, what: str) -> int:
+    """Smallest L with all of `bps` on the uniform M^L grid: a breakpoint
+    lies on it when its denominator divides M^L.  `what` names the
+    breakpoints in the refusal."""
+    L, top = 0, 1                   # top = M^L
     for b in bps:
         d = b.denominator
-        if d & (d - 1):
-            raise NonDyadicBreakpoints(f"{what} {b} is not dyadic")
-        L = max(L, d.bit_length() - 1)
+        # d divides a power of M iff it divides M^bit_length(d), since no
+        # prime's exponent in d passes log2(d)
+        if top % d and pow(M, d.bit_length(), d):
+            raise NotMAdic(f"{what} {b} is not {M}-adic")
+        while top % d:
+            top *= M
+            L += 1
     return L
 
 
 def dyadic_level(f: PCFun1D) -> int:
     """Smallest L with all breakpoints on the uniform 2^L grid."""
-    return _dyadic_depth(f.simplify().breakpoints, "breakpoint")
+    return _adic_depth(f.simplify().breakpoints, 2, "breakpoint")
 
 
-def _grid_levels(nums: np.ndarray) -> list[np.ndarray]:
-    """Sums pyramid of the integer cell values of a uniform 2^L grid.
+def _level_sums(cells: np.ndarray, M: int) -> list[np.ndarray]:
+    """The sums pyramid along axis 0 of the integer cell values of a uniform
+    M^L grid: sums[l] holds the sums over the M^l cells of level l."""
+    sums = [cells]
+    while len(sums[-1]) > 1:
+        top = sums[-1]
+        total = top[0::M]
+        for j in range(1, M):
+            total = total + top[j::M]
+        sums.append(total)
+    return sums[::-1]
+
+
+def _grid_levels(cells: np.ndarray) -> list[np.ndarray]:
+    """Haar levels along axis 0 of the integer cells of a uniform 2^L grid.
 
     levels[l][k] = (S_left - S_right) * 2^(l-1), with S the sums over the
     two halves of chi_{l,k}'s support, is its synthesis weight at scale
-    1/(den * 2^L) for cell values nums/den; levels[0] = [total].
+    1/(den * 2^L) for cell values cells/den; levels[0] = [total].
     """
-    L = nums.size.bit_length() - 1
-    levels: list = [None] * (L + 1)
-    cur = nums
-    for l in range(L, 0, -1):
-        left, right = cur[0::2], cur[1::2]
-        levels[l] = (left - right) << (l - 1)
-        cur = left + right
-    levels[0] = cur
-    return levels
+    sums = _level_sums(cells, 2)
+    return [sums[0]] + [(s[0::2] - s[1::2]) << (l - 1)
+                        for l, s in enumerate(sums[1:], start=1)]
+
+
+def _haar_cells(constant, weights: Mapping, shape=()) -> np.ndarray:
+    """Cell values of constant + sum weights[l, k] chi_{l,k} on the uniform
+    2^L grid (L the deepest level) along axis 0, for integer weights (or
+    integer arrays of `shape`): the inverse of the sums pyramid."""
+    for l, k in weights:
+        check_index(l, k)
+    L = max((l for l, _ in weights), default=0)
+    levels = [np.zeros((2 ** max(l - 1, 0), *shape), dtype=object)
+              for l in range(L + 1)]
+    levels[0][0] = constant
+    for (l, k), c in weights.items():
+        levels[l][k] = c
+    cells = levels[0]
+    for c in levels[1:]:
+        cells = np.stack((cells + c, cells - c), axis=1).reshape(-1, *shape)
+    return cells
 
 
 def analyze_levels(f: PCFun1D) -> tuple[list[np.ndarray], Fraction]:
     """(levels, scale): the exact Haar expansion of a zero-mean dyadic PC
     function as integer level numerators and one rational scale."""
     f = f.simplify()
-    L = _dyadic_depth(f.breakpoints, "breakpoint")
-    n = 2 ** L
-    nums, den = _to_int_vector(f.on_grid(tuple(Fraction(i, n)
-                                               for i in range(n + 1))))
+    L = _adic_depth(f.breakpoints, 2, "breakpoint")
+    nums, den = f._lattice_on((_uniform_grid(2 ** L),))
     levels = _grid_levels(nums)
     scale = Fraction(1, den << L)
     if levels[0][0]:
@@ -135,19 +169,9 @@ def analyze(f: PCFun1D) -> HaarExpansion:
 
 
 def synthesize(expansion: Mapping) -> PCFun1D:
-    if not expansion:
-        return PCFun1D.zero()
-    L = max(l for l, _ in expansion)
-    n = 2 ** L
-    vals = [ZERO] * n
-    for (l, k), c in expansion.items():
-        check_index(l, k)
-        span = n // 2 ** l          # cells per half-support
-        base = 2 * k * span
-        for i in range(span):
-            vals[base + i] += c
-            vals[base + span + i] -= c
-    return PCFun1D.uniform(vals)
+    nums, den = _to_int_vector(list(expansion.values()))
+    return PCFun1D.uniform(_fractions(
+        _haar_cells(0, dict(zip(expansion, nums))), den))
 
 
 def coefficient(f: PCFun1D, l: int, k: int) -> Fraction:
@@ -236,43 +260,23 @@ class LevelComponents:
         return out
 
 
-def m_adic_level(f: PCFun1D, M: int) -> int:
-    from .pcfun import NotMAdic
-    L = 0
-    for b in f.simplify().breakpoints:
-        d = b.denominator
-        level = 0
-        while d > 1:
-            if d % M:
-                raise NotMAdic(f"breakpoint {b} is not {M}-adic")
-            d //= M
-            level += 1
-        L = max(L, level)
-    return L
-
-
 def analyze_general_M(f: PCFun1D, M: int) -> LevelComponents:
-    """Level components via conditional expectations on the M-adic tower."""
+    """Level components via conditional expectations on the M-adic tower.
+
+    With S_l the level-l sums of the cell values nums/den on the M^L grid,
+    the level-l cell means are S_l/(den M^(L-l)), so the level-l component
+    is M S_l[i] - S_{l-1}[i // M] over den M^(L-l+1)."""
     f = f.simplify()
-    L = m_adic_level(f, M)
-    n = M ** L
-    grid = tuple(Fraction(i, n) for i in range(n + 1))
-    vals = list(f.on_grid(grid))
-    means = [vals]
-    while len(means[-1]) > 1:
-        prev = means[-1]
-        means.append([sum(prev[M * i:M * (i + 1)], ZERO) / M
-                      for i in range(len(prev) // M)])
-    if means[-1][0] != 0:
-        raise NonZeroMean(f"mean is {means[-1][0]}, expected 0")
-    comps = []
-    for l in range(1, L + 1):
-        fine = means[L - l]          # level-l means
-        coarse = means[L - l + 1]    # level-(l-1) means
-        m = M ** l
-        comp_vals = [fine[i] - coarse[i // M] for i in range(m)]
-        comps.append(PCFun1D.uniform(comp_vals).simplify())
-    return LevelComponents(M, tuple(comps))
+    L = _adic_depth(f.breakpoints, M, "breakpoint")
+    nums, den = f._lattice_on((_uniform_grid(M ** L),))
+    sums = _level_sums(nums, M)
+    if sums[0][0]:
+        raise NonZeroMean(f"mean is {Fraction(sums[0][0], den * M ** L)}, "
+                          "expected 0")
+    return LevelComponents(M, tuple(
+        PCFun1D.uniform(_fractions(M * sums[l] - np.repeat(sums[l - 1], M),
+                                   den * M ** (L - l + 1))).simplify()
+        for l in range(1, L + 1)))
 
 
 def is_xi_increasing(f: PCFun1D, M: int, level: int) -> bool:
@@ -311,70 +315,30 @@ class TensorComponents:
 
 
 def tensor_analyze(F: PCFun3D) -> TensorComponents:
-    """Exact tensor components of a zero-mean PC function, dyadic in x_c."""
-    # lift x_c grid to a uniform dyadic grid
-    L = _dyadic_depth(F.bps_c, "x_c breakpoint")
-    n = 2 ** L
-    grid_c = tuple(Fraction(i, n) for i in range(n + 1))
-    vals = F.on_grid(F.bps_u, grid_c, F.bps_s)
-
-    nu, ns = len(F.bps_u) - 1, len(F.bps_s) - 1
-
-    def plane(level_means, idx):
-        return tuple(tuple(level_means[i][idx][k] for k in range(ns))
-                     for i in range(nu))
-
-    # mean pyramid along x_c per (x_u, x_s) cell
-    pyramid = [[[ [vals[i][j][k] for k in range(ns)] for j in range(n)]
-                for i in range(nu)]]
-    m = n
-    while m > 1:
-        prev = pyramid[-1]
-        nxt = [[[ (prev[i][2 * j][k] + prev[i][2 * j + 1][k]) / 2
-                  for k in range(ns)] for j in range(m // 2)]
-               for i in range(nu)]
-        pyramid.append(nxt)
-        m //= 2
-    comp00 = PCFun2D(F.bps_u, F.bps_s, plane(pyramid[-1], 0))
-    waves = {}
-    for l in range(1, L + 1):
-        level_means = pyramid[L - l]
-        for k in range(2 ** (l - 1)):
-            cvals = tuple(tuple((level_means[i][2 * k][s] -
-                                 level_means[i][2 * k + 1][s]) / 2
-                                for s in range(ns)) for i in range(nu))
-            comp = PCFun2D(F.bps_u, F.bps_s, cvals)
-            if not comp.is_zero():
-                waves[(l, k)] = comp
-    return TensorComponents(comp00, waves)
+    """Exact tensor components of a PC function dyadic in x_c: the Haar
+    levels of its lattice along the x_c axis, at scale 1/(den 2^L)."""
+    L = _adic_depth(F.bps_c, 2, "x_c breakpoint")
+    nums, den = F._lattice_on((F.bps_u, _uniform_grid(2 ** L), F.bps_s))
+    levels = _grid_levels(np.moveaxis(nums, 1, 0))
+    scale = den << L
+    plane = lambda cells: PCFun2D(F.bps_u, F.bps_s,  # noqa: E731
+                                  _fractions(cells, scale))
+    return TensorComponents(plane(levels[0][0]), {
+        (l, k): plane(cells) for l in range(1, L + 1)
+        for k, cells in enumerate(levels[l]) if cells.any()})
 
 
 def tensor_synthesize(comp: TensorComponents) -> PCFun3D:
-    L = comp.max_level()
-    n = 2 ** L
-    grid_c = tuple(Fraction(i, n) for i in range(n + 1))
-    parts = [(comp.component00, [ONE] * n)]
-    for (l, k), u in comp.waves.items():
-        w = wavelet(l, k)
-        parts.append((u, list(w.on_grid(grid_c))))
-    bu = merge_breakpoints(*[u.bps_x for u, _ in parts])
-    bs = merge_breakpoints(*[u.bps_y for u, _ in parts])
-    grids = [u.on_grid(bu, bs) for u, _ in parts]
-    nu, ns = len(bu) - 1, len(bs) - 1
-    vals = []
-    for i in range(nu):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(ns):
-                total = ZERO
-                for g, (_, wv) in zip(grids, parts):
-                    if wv[j]:
-                        total += g[i][k] * wv[j]
-                row.append(total)
-            plane.append(tuple(row))
-        vals.append(tuple(plane))
-    return PCFun3D(bu, grid_c, bs, tuple(vals))
+    parts = [comp.component00, *comp.waves.values()]
+    bu = merge_breakpoints(*(u.bps_x for u in parts))
+    bs = merge_breakpoints(*(u.bps_y for u in parts))
+    lattices = [u._lattice_on((bu, bs)) for u in parts]
+    den = math.lcm(*(d for _, d in lattices))
+    constant, *waves = (nums * (den // d) for nums, d in lattices)
+    cells = _haar_cells(constant, dict(zip(comp.waves, waves)),
+                        (len(bu) - 1, len(bs) - 1))
+    return PCFun3D(bu, _uniform_grid(len(cells)), bs,
+                   _fractions(np.moveaxis(cells, 0, 1), den))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,11 @@ def _to_int_vector(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
     return np.array([n * (denom // d) for n, d in ratios], dtype=object), denom
 
 
+def _uniform_grid(n: int) -> tuple[Fraction, ...]:
+    """The breakpoints i/n of the uniform grid with n cells."""
+    return tuple(Fraction(i, n) for i in range(n + 1))
+
+
 def merge_breakpoints(*lists: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """The sorted union of breakpoint lists, as the given Fraction objects
     (the first one of equal values); the integers of their common
@@ -355,8 +360,7 @@ class PCFun1D(_ProductGrid):
         n = len(vals)
         if not n:
             raise ValueError("a uniform grid needs at least one value")
-        return PCFun1D._unchecked(tuple(Fraction(i, n) for i in range(n + 1)),
-                                  vals)
+        return PCFun1D._unchecked(_uniform_grid(n), vals)
 
     def refine(self, extra: Iterable) -> "PCFun1D":
         """Same function on a finer grid; inner products are invariant."""
@@ -413,13 +417,12 @@ def axpy(scalar, f: PCFun1D, g: PCFun1D) -> PCFun1D:
 
 def from_affine(slope, intercept, level: int, base: int = 2) -> PCFun1D:
     """Cell averages of slope*x + intercept on the uniform base**level grid."""
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     m, c = frac(slope), frac(intercept)
-    n = base ** level
-    vals = []
-    for i in range(n):
-        lo, hi = Fraction(i, n), Fraction(i + 1, n)
-        vals.append(m * (lo + hi) / 2 + c)
-    return PCFun1D.uniform(vals)
+    grid = _uniform_grid(base ** level)
+    return PCFun1D.uniform(m * (lo + hi) / 2 + c
+                           for lo, hi in zip(grid, grid[1:]))
 
 
 def restrict_to_m_adic(f: PCFun1D, base: int, level: int) -> tuple[Fraction, ...]:
@@ -428,12 +431,11 @@ def restrict_to_m_adic(f: PCFun1D, base: int, level: int) -> tuple[Fraction, ...
     Requires f to be constant on every cell of that partition.
     """
     n = base ** level
-    grid = tuple(Fraction(i, n) for i in range(n + 1))
     f = f.simplify()
     for b in f.breakpoints:
         if (b * n).denominator != 1:
             raise NotInKLevel(f"breakpoint {b} is not {base}-adic at level {level}")
-    return f.on_grid(grid)
+    return f.on_grid(_uniform_grid(n))
 
 
 def osc_norm_star(f: PCFun1D, M: int, level: int) -> Fraction:

@@ -13,13 +13,14 @@ center coordinate are implemented and cross-checked:
   the coefficient vector evolves by the absorbed-random-walk recursion,
   `ruin.walk_step` with (up, down) = (w, 1-w).
 
-Every exact M = 2 state holds Python ints in object arrays with one
-rational scale kept beside them: for w = wp/wq a grid step or a Haar step
-divides the scale by 2 wq and a square-wave step by wq.  The Haar state is
-the level list of `haar.analyze_levels` (levels[l] holds the 2^(l-1)
-numerators of level l), and `p0_haar_step` is the one Haar step.  The
-oracle report runs the grid step, the Haar step and `walk_step` side by
-side and compares the grid's analysis with the stepped levels.
+Every exact state holds Python ints in object arrays with one rational
+scale kept beside them: for w = wp/wq a grid step on a uniform M-adic grid
+(any M) divides the scale by M wq, a Haar step (M = 2) by 2 wq and a
+square-wave step by wq.  The Haar state is the level list of
+`haar.analyze_levels` (levels[l] holds the 2^(l-1) numerators of level l),
+and `p0_haar_step` is the one Haar step.  The oracle report runs the grid
+step, the Haar step and `walk_step` side by side and compares the grid's
+analysis with the stepped levels.
 
 The general weight w = M*a is derived from averaging the full 3D operator
 over (x_u, x_s): the alpha branches carry total mass w = 1 - M*b and the
@@ -193,34 +194,35 @@ def p0_apply_pa(op: ReducedOp, f: PAFun1D, n: int = 1) -> PAFun1D:
 def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
     """Exact P0^n f on piecewise-constant functions.
 
-    Uniform dyadic grids with M = 2 take the integer kernel `_p0_step_int`
-    (numerators over a common denominator); anything else runs the generic
-    rational path.
+    Uniform M-adic grids of level >= 1 take the integer kernel
+    `_p0_step_int` (numerators over a common denominator); anything else
+    runs the generic rational path.
     """
     _check_steps(n)
     if n == 0:
         return f
-    if op.M == 2:
-        L = f.is_uniform_level(2)
-        if L is not None and L >= 1:
-            nums, denom = _to_int_vector(f.values)
-            for _ in range(n):
-                nums = _p0_step_int(nums, op)
-            denom *= (2 * op.w.denominator) ** n
-            return PCFun1D.uniform(tuple(Fraction(x, denom) for x in nums))
+    L = f.is_uniform_level(op.M)
+    if L is not None and L >= 1:
+        nums, denom = _to_int_vector(f.values)
+        for _ in range(n):
+            nums = _p0_step_int(nums, op)
+        denom *= (op.M * op.w.denominator) ** n
+        return PCFun1D.uniform(_fractions(nums, denom))
     for _ in range(n):
         f = p_alpha(op, f) + p_beta(op, f)
     return f
 
 
 def _p0_step_int(nums: np.ndarray, op: ReducedOp) -> np.ndarray:
-    """One uniform-grid step at scale factor 1/(2*wq):
-    out[j] = 2*wp*u(2x) + (wq-wp)*(u(x/2) + u((x+1)/2))."""
-    quarter = nums.size // 2
-    wp, wq = op.w.numerator, op.w.denominator
-    # a beta value covers four output cells: multiply before repeating
-    beta = (wq - wp) * (nums[:quarter] + nums[quarter:])
-    return np.tile(2 * wp * nums, 2) + np.repeat(beta, 4)
+    """One step on the N = M^L cells of a uniform grid (L >= 1), at scale
+    factor 1/(M wq): out = M wp u(Mx mod 1) + (wq - wp) sum_j u((x+j)/M).
+
+    Output cell o of the M N cells reads input cell o mod N under the alpha
+    branches, and o // M^2 + j N/M under beta branch j."""
+    M, wp, wq = op.M, op.w.numerator, op.w.denominator
+    # a beta value covers M^2 output cells: multiply before repeating
+    beta = (wq - wp) * nums.reshape(M, -1).sum(axis=0)
+    return np.tile(M * wp * nums, M) + np.repeat(beta, M * M)
 
 
 # ---------------------------------------------------------------------------

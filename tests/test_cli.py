@@ -192,6 +192,9 @@ def test_orbit_point_needs_three_coordinates(capsys):
     (["slope", "--in", "{csv}", "--window", "a:b"], "--window"),
     (["ruin", "--delta", "0"], "--delta"),
     (["ruin", "--n", "-3"], "--n"),
+    # died in from_affine with a TypeError
+    (["corr", "--method", "haar", "--phi", "xc-1/2", "--psi", "xc-1/2",
+      "--truncation-level", "-3", "--n-max", "4"], "--truncation-level"),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
     pc1 = tmp_path / "chi.json"
@@ -203,3 +206,15 @@ def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag}")
+
+
+def test_slope_names_the_columns_it_needs(tmp_path, capsys):
+    # a CSV without n/value columns died with KeyError: 'n'
+    csv = tmp_path / "other.csv"
+    csv.write_text("a,b\n1,2\n")
+    code = main(["slope", "--in", str(csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --in")
+    assert "n and value" in captured.err

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heterobaker as hb
-from heterobaker.haar import (InvalidHaarIndex, NonZeroMean, TensorComponents,
+from heterobaker.haar import (InvalidHaarIndex, NonDyadicBreakpoints,
+                              NonZeroMean, TensorComponents, _adic_depth,
                               dyadic_level, level_sup_norms,
                               monotone_sign_report, pair_expansions)
 from heterobaker.pcfun import NotMAdic
@@ -111,6 +112,25 @@ def test_general_m_components():
     assert len(comps.components) == 1
     with pytest.raises(NotMAdic):
         hb.analyze_general_M(f, 2)
+
+
+def test_depth_rule_for_composite_m():
+    # a breakpoint lies on the M^L grid when its denominator divides M^L,
+    # not only when it is a power of M: 1/2 = 2/4 and 1/4 = 9/36
+    f = hb.project_zero_mean(hb.PCFun1D.uniform([1, 1, -1, -1]))
+    comps = hb.analyze_general_M(f, 4)
+    assert len(comps.components) == 1 and comps.component(1).equals(f)
+    g = hb.PCFun1D.build([0, F(1, 4), 1], [3, -1])
+    comps = hb.analyze_general_M(g, 6)
+    assert len(comps.components) == 2 and comps.reconstruct().equals(g)
+    # M = 2 and prime M keep their depths
+    assert _adic_depth([F(3, 8), F(1, 2)], 2, "b") == 3
+    assert _adic_depth([F(2, 9), F(1, 3)], 3, "b") == 2
+    assert _adic_depth([F(1, 9), F(1, 2)], 6, "b") == 2
+    with pytest.raises(NotMAdic, match="1/3 is not 4-adic"):
+        _adic_depth([F(1, 2), F(1, 3)], 4, "breakpoint")
+    with pytest.raises(NonDyadicBreakpoints):
+        dyadic_level(hb.PCFun1D.build([0, F(1, 3), 1], [1, 2]))
 
 
 def test_analysis_ignores_a_redundant_breakpoint():
