@@ -101,17 +101,17 @@ def dyadic_level(f: PCFun1D) -> int:
     return _adic_depth(f.simplify().breakpoints, 2, "breakpoint")
 
 
-def _level_sums(cells: np.ndarray, M: int) -> list[np.ndarray]:
+def _level_sums(cells: np.ndarray, M: int):
     """The sums pyramid along axis 0 of the integer cell values of a uniform
-    M^L grid: sums[l] holds the sums over the M^l cells of level l."""
-    sums = [cells]
-    while len(sums[-1]) > 1:
-        top = sums[-1]
-        total = top[0::M]
+    M^L grid: the sums over the M^l cells of level l, for l = L down to 0.
+    It is a generator, so a caller can drop each level once it is used."""
+    yield cells
+    while len(cells) > 1:
+        total = cells[0::M]
         for j in range(1, M):
-            total = total + top[j::M]
-        sums.append(total)
-    return sums[::-1]
+            total = total + cells[j::M]
+        cells = total
+        yield cells
 
 
 def _grid_levels(cells: np.ndarray) -> list[np.ndarray]:
@@ -121,9 +121,11 @@ def _grid_levels(cells: np.ndarray) -> list[np.ndarray]:
     two halves of chi_{l,k}'s support, is its synthesis weight at scale
     1/(den * 2^L) for cell values cells/den; levels[0] = [total].
     """
-    sums = _level_sums(cells, 2)
-    return [sums[0]] + [(s[0::2] - s[1::2]) << (l - 1)
-                        for l, s in enumerate(sums[1:], start=1)]
+    L = len(cells).bit_length() - 1
+    levels: list = [None] * (L + 1)
+    for l, sums in zip(range(L, -1, -1), _level_sums(cells, 2)):
+        levels[l] = (sums[0::2] - sums[1::2]) << (l - 1) if l else sums
+    return levels
 
 
 def _haar_cells(constant, weights: Mapping, shape=()) -> np.ndarray:
@@ -269,7 +271,7 @@ def analyze_general_M(f: PCFun1D, M: int) -> LevelComponents:
     f = f.simplify()
     L = _adic_depth(f.breakpoints, M, "breakpoint")
     nums, den = f._lattice_on((_uniform_grid(M ** L),))
-    sums = _level_sums(nums, M)
+    sums = list(_level_sums(nums, M))[::-1]       # sums[l]: level l
     if sums[0][0]:
         raise NonZeroMean(f"mean is {Fraction(sums[0][0], den * M ** L)}, "
                           "expected 0")
