@@ -224,8 +224,13 @@ def cmd_slope(args) -> int:
             raise ValueError(f"--in: {args.infile} needs the columns n and "
                              f"value, got {reader.fieldnames}")
         for row in reader:
-            ns.append(int(row["n"]))
-            vs.append(abs(float(row["value"])))
+            try:
+                ns.append(int(row["n"]))
+                vs.append(abs(float(row["value"])))
+            except (TypeError, ValueError):     # TypeError: a short row
+                raise ValueError(f"--in: {args.infile} has a row with n = "
+                                 f"{row['n']!r} and value = "
+                                 f"{row['value']!r}") from None
     from .correlation import CorrelationRecord
     series = [CorrelationRecord(n, v, "csv", 0.0) for n, v in zip(ns, vs)]
     if args.model == "power":

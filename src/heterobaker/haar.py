@@ -322,9 +322,8 @@ def tensor_analyze(F: PCFun3D) -> TensorComponents:
     L = _adic_depth(F.bps_c, 2, "x_c breakpoint")
     nums, den = F._lattice_on((F.bps_u, _uniform_grid(2 ** L), F.bps_s))
     levels = _grid_levels(np.moveaxis(nums, 1, 0))
-    scale = den << L
     plane = lambda cells: PCFun2D(F.bps_u, F.bps_s,  # noqa: E731
-                                  _fractions(cells, scale))
+                                  _fractions(cells, den << L))
     return TensorComponents(plane(levels[0][0]), {
         (l, k): plane(cells) for l in range(1, L + 1)
         for k, cells in enumerate(levels[l]) if cells.any()})

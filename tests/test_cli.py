@@ -208,13 +208,19 @@ def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
     assert captured.err.startswith(f"error: {flag}")
 
 
-def test_slope_names_the_columns_it_needs(tmp_path, capsys):
-    # a CSV without n/value columns died with KeyError: 'n'
+@pytest.mark.parametrize("text,cause", [
+    # died with KeyError: 'n'
+    ("a,b\n1,2\n", "the columns n and value"),
+    ("n,value\n1,x\n", "value = 'x'"),
+    # a short row died with a TypeError from float(None)
+    ("n,value\n1,0.5\n2\n", "value = None"),
+])
+def test_slope_names_the_input_it_cannot_read(tmp_path, capsys, text, cause):
     csv = tmp_path / "other.csv"
-    csv.write_text("a,b\n1,2\n")
+    csv.write_text(text)
     code = main(["slope", "--in", str(csv)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: --in")
-    assert "n and value" in captured.err
+    assert cause in captured.err
