@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -263,6 +265,14 @@ def branch_affine(params: BakerParams, sym: Symbol):
     return ((1 / (1 - M * a), -(M * a) / (1 - M * a)),
             (Fraction(M), Fraction(1 - sym.k)),
             (b, 1 + b * (sym.k - M - 1)))
+
+
+@lru_cache(maxsize=64)
+def branch_affines(params: BakerParams) -> MappingProxyType:
+    """{(kind, k): branch_affine(params, symbol)} for every branch, built
+    once per parameter set; read-only, since every caller shares it."""
+    return MappingProxyType({(s.kind, s.k): branch_affine(params, s)
+                             for s in all_symbols(params)})
 
 
 def _box_volume(box: Box) -> Fraction:

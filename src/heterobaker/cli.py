@@ -42,6 +42,18 @@ def _at_least(value: int, low: int, flag: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """The type of every --seed: an integer in [0, 2^64), the range of the
+    Philox key word the seed becomes."""
+    try:
+        if 0 <= int(text) < 2 ** 64:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected an integer in [0, 2^64), got {text!r}")
+
+
 def _params_from(args) -> BakerParams:
     return BakerParams(args.M, _frac(args.a, "--a"), _frac(args.b, "--b"))
 
@@ -372,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=64)
     p.add_argument("--n-list", help="explicit comma-separated n values")
     p.add_argument("--samples", type=int, default=10 ** 6)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_corr)
@@ -385,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_slope)
 
     p = sub.add_parser("verify-identities", help="exact operator identities")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("verify-all", help="full quick verification sweep")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_verify_all)
 

@@ -340,7 +340,10 @@ def _simulate_batch(params: BakerParams, batch: list[tuple[int, int]],
     beta = np.empty(u.shape, dtype=bool)
     bounds, lo = [], 0
     for sidx, size in batch:
-        rng = np.random.Generator(np.random.Philox(key=(seed, sidx)))
+        # an explicit uint64 key: numpy reads the tuple (seed, sidx) as
+        # float64 once seed >= 2^63, which rounds the seed
+        key = np.array([seed, sidx], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         for r in range(0, size, rows):
             k = min(rows, size - r)
             # np.where(u < Ma, min(floor(u / a), M - 1), M) without int64

@@ -7,7 +7,7 @@ c_{l,k}, i.e. the represented function is sum c_{l,k} * chi_{l,k}.  Since
 dynamics rational-sparse.
 
 Every analysis runs on one integer M-adic tower: one depth rule
-(`_adic_depth`: a breakpoint lies on the uniform M^L grid when its
+(`pcfun._adic_depth`: a breakpoint lies on the uniform M^L grid when its
 denominator divides M^L) and one sums pyramid (`_level_sums`: the integer
 cell values of that grid, along axis 0, summed over the M^l cells of each
 level l).  `analyze_levels` reads from it the level state of the exact
@@ -34,8 +34,8 @@ from typing import Mapping
 import numpy as np
 
 from .pcfun import (ONE, ZERO, NotMAdic, PCFun1D, PCFun2D, PCFun3D,
-                    _fractions, _to_int_vector, _uniform_grid, frac,
-                    inner_product, merge_breakpoints)
+                    _adic_depth, _fractions, _to_int_vector, _uniform_grid,
+                    frac, inner_product, merge_breakpoints)
 
 HaarExpansion = dict            # (l, k) -> Fraction synthesis weight
 
@@ -77,23 +77,6 @@ def square_wave(l: int) -> PCFun1D:
         return PCFun1D.constant(1)
     # one shared Fraction per sign, not one per cell (2^20 of them at l = 20)
     return PCFun1D.uniform((ONE, -ONE) * 2 ** (l - 1))
-
-
-def _adic_depth(bps, M: int, what: str) -> int:
-    """Smallest L with all of `bps` on the uniform M^L grid: a breakpoint
-    lies on it when its denominator divides M^L.  `what` names the
-    breakpoints in the refusal."""
-    L, top = 0, 1                   # top = M^L
-    for b in bps:
-        d = b.denominator
-        # d divides a power of M iff it divides M^bit_length(d), since no
-        # prime's exponent in d passes log2(d)
-        if top % d and pow(M, d.bit_length(), d):
-            raise NotMAdic(f"{what} {b} is not {M}-adic")
-        while top % d:
-            top *= M
-            L += 1
-    return L
 
 
 def dyadic_level(f: PCFun1D) -> int:

@@ -26,8 +26,14 @@ an axis that is kept.  It is an integer dot product per axis and makes one
 Fraction per result entry.
 
 `PAFun1D` is the one-dimensional piecewise-*affine* sibling used as an
-independent grid oracle for affine observables like x - 1/2; it shares the
-breakpoint conventions and stays in Fraction arithmetic as a cross-check.
+independent grid oracle for affine observables like x - 1/2.  It runs on
+the same lattice (`inner_product_pa` is three integer dot products on the
+merged grid), and what keeps it independent is that it shares no step with
+the piecewise-constant or the walk routes: its operator step
+(`transfer.p0_apply_pa`) is written from the branch formulas alone.
+
+`_adic_depth` is the one M-adic grid rule: the level analyses of `haar` and
+`restrict_to_m_adic` both read it.
 """
 
 from __future__ import annotations
@@ -90,6 +96,23 @@ def _to_int_vector(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
     ratios = [v.as_integer_ratio() for v in values]
     denom = math.lcm(*{d for _, d in ratios})
     return np.array([n * (denom // d) for n, d in ratios], dtype=object), denom
+
+
+def _adic_depth(bps, M: int, what: str) -> int:
+    """Smallest L with all of `bps` on the uniform M^L grid: a breakpoint
+    lies on it when its denominator divides M^L.  `what` names the
+    breakpoints in the refusal."""
+    L, top = 0, 1                   # top = M^L
+    for b in bps:
+        d = b.denominator
+        # d divides a power of M iff it divides M^bit_length(d), since no
+        # prime's exponent in d passes log2(d)
+        if top % d and pow(M, d.bit_length(), d):
+            raise NotMAdic(f"{what} {b} is not {M}-adic")
+        while top % d:
+            top *= M
+            L += 1
+    return L
 
 
 def _uniform_grid(n: int) -> tuple[Fraction, ...]:
@@ -425,32 +448,44 @@ def from_affine(slope, intercept, level: int, base: int = 2) -> PCFun1D:
                            for lo, hi in zip(grid, grid[1:]))
 
 
+def _level_widths(f: PCFun1D, base: int, level: int):
+    """f without redundant breakpoints, and the width of each of its cells
+    in cells of the uniform base**level grid; NotInKLevel when f is not
+    constant on every cell of that grid."""
+    f = f.simplify()
+    try:
+        depth = _adic_depth(f.breakpoints, base, "breakpoint")
+    except NotMAdic as exc:
+        raise NotInKLevel(f"{exc} at level {level}") from None
+    if depth > level:
+        raise NotInKLevel(f"a breakpoint needs {base}-adic level {depth}, "
+                          f"not {level}")
+    return f, np.diff([b.numerator * base ** level // b.denominator
+                       for b in f.breakpoints])
+
+
 def restrict_to_m_adic(f: PCFun1D, base: int, level: int) -> tuple[Fraction, ...]:
     """Values of f on the uniform base**level grid, or raise NotInKLevel.
 
     Requires f to be constant on every cell of that partition.
     """
-    n = base ** level
-    f = f.simplify()
-    for b in f.breakpoints:
-        if (b * n).denominator != 1:
-            raise NotInKLevel(f"breakpoint {b} is not {base}-adic at level {level}")
-    return f.on_grid(_uniform_grid(n))
+    f, widths = _level_widths(f, base, level)
+    return tuple(np.repeat(np.array(f.values, dtype=object), widths))
 
 
 def osc_norm_star(f: PCFun1D, M: int, level: int) -> Fraction:
     """Max over level-(level-1) cells of the oscillation (sup - inf) of f.
 
-    f must be measurable w.r.t. the uniform M**level partition.
+    f must be measurable w.r.t. the uniform M**level partition.  The value
+    numerators, repeated over the level cells, form one row of M per
+    level-(level-1) cell.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    vals = restrict_to_m_adic(f, M, level)
-    best = ZERO
-    for i in range(M ** (level - 1)):
-        block = vals[i * M:(i + 1) * M]
-        best = max(best, max(block) - min(block))
-    return best
+    f, widths = _level_widths(f, M, level)
+    nums, denom = _to_int_vector(f.values)
+    blocks = np.repeat(nums, widths).reshape(-1, M)
+    return Fraction(max(blocks.max(axis=1) - blocks.min(axis=1)), denom)
 
 
 # ---------------------------------------------------------------------------
@@ -557,19 +592,33 @@ class PAFun1D:
         return m * frac(x) + c
 
 
+def _pa_lattice(f: PAFun1D) -> tuple[np.ndarray, np.ndarray, int]:
+    """The slopes and the intercepts of f as integer numerators over one
+    denominator."""
+    nums, denom = _to_int_vector(f.slopes + f.intercepts)
+    return nums[:len(f.slopes)], nums[len(f.slopes):], denom
+
+
 def inner_product_pa(f: PAFun1D, g: PAFun1D) -> Fraction:
-    """Exact integral of f*g (a piecewise quadratic) over [0,1]."""
+    """Exact integral of f*g (a piecewise quadratic) over [0,1].
+
+    On each cell of the merged grid, with b its ends over E, the product
+    a2 x^2 + a1 x + a0 integrates to a2 (b1^3 - b0^3)/3E^3 +
+    a1 (b1^2 - b0^2)/2E^2 + a0 (b1 - b0)/E: three integer dot products over
+    one denominator.
+    """
     bps = merge_breakpoints(f.breakpoints, g.breakpoints)
-    total = ZERO
-    for lo, hi in zip(bps, bps[1:]):
-        mid = (lo + hi) / 2
-        mf, cf = f.piece_at(mid)
-        mg, cg = g.piece_at(mid)
-        a2, a1, a0 = mf * mg, mf * cg + mg * cf, cf * cg
-        total += (a2 * (hi ** 3 - lo ** 3) / 3
-                  + a1 * (hi ** 2 - lo ** 2) / 2
-                  + a0 * (hi - lo))
-    return total
+    sf, cf, f_denom = _pa_lattice(f)
+    sg, cg, g_denom = _pa_lattice(g)
+    i = _refinement_index(f.breakpoints, bps, "merged")
+    j = _refinement_index(g.breakpoints, bps, "merged")
+    sf, cf, sg, cg = sf[i], cf[i], sg[j], cg[j]
+    b, e = _to_int_vector(bps)
+    squares, cubes = b * b, b * b * b
+    total = (2 * np.dot(sf * sg, cubes[1:] - cubes[:-1])
+             + 3 * e * np.dot(sf * cg + cf * sg, squares[1:] - squares[:-1])
+             + 6 * e * e * np.dot(cf * cg, b[1:] - b[:-1]))
+    return Fraction(total, 6 * e ** 3 * f_denom * g_denom)
 
 
 def pa_mean(f: PAFun1D) -> Fraction:

@@ -45,11 +45,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .baker import BakerParams, Kind, all_symbols, branch_affine
+from .baker import BakerParams, Kind, branch_affines
 from .haar import _grid_levels
 from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D, _contract,
-                    _fractions, _lattice, _moments, _to_int_vector, _widths,
-                    frac, merge_breakpoints)
+                    _fractions, _lattice, _moments, _pa_lattice,
+                    _to_int_vector, _widths, frac, merge_breakpoints)
 from .ruin import exact_walk_step, trim_levels, walk_step
 
 HALF = Fraction(1, 2)
@@ -129,66 +129,61 @@ def p_beta(op: ReducedOp, f: PCFun1D) -> PCFun1D:
     return PCFun1D(bps, tuple(vals))
 
 
-def p_alpha_pa(op: ReducedOp, f: PAFun1D) -> PAFun1D:
-    M, w = op.M, op.w
-    bps: list[Fraction] = [ZERO]
-    slopes: list[Fraction] = []
-    icpts: list[Fraction] = []
-    for k in range(M):
-        for b0, m, c in zip(f.breakpoints[1:], f.slopes, f.intercepts):
-            bps.append((b0 + k) / M)
-            slopes.append(w * m * M)
-            icpts.append(w * (c - m * k))
-    return PAFun1D(tuple(bps), tuple(slopes), tuple(icpts))
-
-
-def p_beta_pa(op: ReducedOp, f: PAFun1D) -> PAFun1D:
-    M, w = op.M, op.w
-    pieces = set()
-    for j in range(M):
-        lo, hi = Fraction(j, M), Fraction(j + 1, M)
-        for b in f.breakpoints:
-            if lo <= b <= hi:
-                pieces.add(M * b - j)
-    bps = tuple(sorted(pieces | {ZERO, ONE}))
-    coeff = (1 - w) / M
-    slopes, icpts = [], []
-    for a0, a1 in zip(bps, bps[1:]):
-        mid = (a0 + a1) / 2
-        m_tot = ZERO
-        c_tot = ZERO
-        for j in range(M):
-            m, c = f.piece_at((mid + j) / M)
-            m_tot += coeff * m / M
-            c_tot += coeff * (c + m * Fraction(j, M))
-        slopes.append(m_tot)
-        icpts.append(c_tot)
-    return PAFun1D(bps, tuple(slopes), tuple(icpts))
-
-
-def _pa_add(f: PAFun1D, g: PAFun1D) -> PAFun1D:
-    bps = merge_breakpoints(f.breakpoints, g.breakpoints)
-    slopes, icpts = [], []
-    for a0, a1 in zip(bps, bps[1:]):
-        mid = (a0 + a1) / 2
-        mf, cf = f.piece_at(mid)
-        mg, cg = g.piece_at(mid)
-        slopes.append(mf + mg)
-        icpts.append(cf + cg)
-    return PAFun1D(bps, tuple(slopes), tuple(icpts))
-
-
 def _check_steps(n: int) -> None:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
 
 
 def p0_apply_pa(op: ReducedOp, f: PAFun1D, n: int = 1) -> PAFun1D:
-    """Exact reduced operator on piecewise-affine functions (grid oracle)."""
+    """Exact reduced operator on piecewise-affine functions (grid oracle).
+
+    Each step is `_pa_step` on the lattice of f: breakpoints as integers
+    over one denominator, slopes and intercepts as integers over another.
+    """
     _check_steps(n)
+    if n == 0:
+        return f
+    x, x_denom = _to_int_vector(f.breakpoints)
+    slopes, icpts, denom = _pa_lattice(f)
     for _ in range(n):
-        f = _pa_add(p_alpha_pa(op, f), p_beta_pa(op, f))
-    return f
+        x, slopes, icpts = _pa_step(x, x_denom, slopes, icpts, op)
+        x_denom *= op.M
+        denom *= op.w.denominator * op.M ** 2
+    return PAFun1D(_fractions(x, x_denom), _fractions(slopes, denom),
+                   _fractions(icpts, denom))
+
+
+def _pa_step(x: np.ndarray, d: int, slopes: np.ndarray, icpts: np.ndarray,
+             op: ReducedOp):
+    """One step of P0 u = w u(Mx - k) + ((1-w)/M) sum_j u((x+j)/M) on a
+    piecewise-affine u, straight from the branch formulas.
+
+    u has breakpoints x/d and pieces (s x + c)/den.  The output breakpoints,
+    over M d, are the alpha images x + k d and the beta images
+    M (M x - j d) for j d <= M x <= (j+1) d; each output cell reads its
+    source piece under each branch by an integer lookup of its left end in
+    x.  The output pieces are over den wq M^2, for w = wp/wq:
+    slope wp M^3 s_a + (wq - wp) sum_j s_j and intercept
+    wp M^2 (c_a - k s_a) + (wq - wp) sum_j (M c_j + j s_j).
+    """
+    M, wp, wq = op.M, op.w.numerator, op.w.denominator
+    xs = x.tolist()
+    grid = {b + k * d for b in xs for k in range(M)}
+    for j in range(M):
+        grid.update(M * (M * b - j * d) for b in xs
+                    if j * d <= M * b <= (j + 1) * d)
+    y = np.array(sorted(grid), dtype=object)
+    lo = y[:-1]
+    k = lo // d                     # the alpha strip of each output cell
+    i = np.searchsorted(x, lo - k * d, side="right") - 1
+    s_out = wp * M ** 3 * slopes[i]
+    c_out = wp * M ** 2 * (icpts[i] - k * slopes[i])
+    source = M * M * x              # beta branch j reads (lo + j M d)/(M^2 d)
+    for j in range(M):
+        i = np.searchsorted(source, lo + j * M * d, side="right") - 1
+        s_out = s_out + (wq - wp) * slopes[i]
+        c_out = c_out + (wq - wp) * (M * icpts[i] + j * slopes[i])
+    return y, s_out, c_out
 
 
 def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
@@ -440,8 +435,7 @@ class _BranchGrid:
         M, a = params.M, params.a
         bu = merge_breakpoints(bps_u, [k * a for k in range(M + 1)] + [ONE])
         bc = merge_breakpoints(bps_c, [Fraction(k, M) for k in range(M + 1)])
-        affines = {(s.kind, s.k): branch_affine(params, s)
-                   for s in all_symbols(params)}
+        affines = branch_affines(params)
         u_maps, c_maps = {}, {}
         for (kind, k), ((mu, cu), (mc, cc), _) in affines.items():
             if kind is Kind.ALPHA:

@@ -6,15 +6,15 @@ rational arithmetic; a check either holds exactly or fails.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .baker import BakerParams, Kind, all_symbols, branch_affine
+from .baker import BakerParams, Symbol, branch_affines, domain_box
 from .haar import tensor_analyze, tensor_synthesize
-from .pcfun import (ZERO, PCFun1D, PCFun3D, _contract, _lattice,
-                    _to_int_vector, _widths, inner_product_3d,
-                    project_zero_mean)
+from .pcfun import (PCFun1D, PCFun3D, _contract, _lattice, _to_int_vector,
+                    _widths, inner_product_3d, project_zero_mean)
 from .transfer import (ReducedOp, component_split_apply, p0_apply, p_full_3d,
                        p_full_3d_n, p_hat_alpha, p_hat_beta, pi0,
                        tensor_components_add)
@@ -97,59 +97,79 @@ def check_reduction(params: BakerParams, f: PCFun1D, n: int) -> bool:
     return full.equals(p0_apply(op, f, n))
 
 
-def _split_interval(lo: Fraction, hi: Fraction, cuts) -> list:
-    pts = [lo] + [c for c in cuts if lo < c < hi] + [hi]
-    return list(zip(pts, pts[1:]))
+def _num(x: Fraction, denom: int) -> int:
+    """The numerator of x over `denom`, a multiple of its denominator."""
+    return x.numerator * (denom // x.denominator)
 
 
-def _box_integral(G: PCFun3D, values, box) -> Fraction:
-    """Integral of G over a box; `values` is G's value lattice."""
-    overlaps = [_to_int_vector([max(min(hi, g1) - max(lo, g0), ZERO)
-                                for g0, g1 in zip(bps, bps[1:])])
-                for (lo, hi), bps in zip(box, G.axes)]
-    return _contract(values, overlaps)
+def _push_boxes(ends: list, values: np.ndarray, branches: list):
+    """One forward step of boxes on the integer lattice.
+
+    `ends` holds per axis the boxes' lower and upper ends as integers over
+    one denominator, `branches` per branch its domain box and affine maps.
+    Every box is clipped to every domain at once, (boxes x branches) per
+    axis, and the clipped ends are mapped by their branch (the maps are
+    diagonal); the clips that are non-empty on every axis are the new boxes.
+    """
+    domains, maps = zip(*branches)
+    pushed, keep = [], True
+    for axis, (lo, hi, denom) in enumerate(ends):
+        bounds = [x for dom in domains for x in dom[axis]]
+        slopes, shifts = zip(*(m[axis] for m in maps))
+        # over e the domain bounds are integers, over e * scale the images
+        e = math.lcm(denom, *(x.denominator for x in bounds))
+        scale = math.lcm(*(x.denominator for x in slopes + shifts))
+        bounds = np.array([_num(x, e) for x in bounds],
+                          dtype=object).reshape(-1, 2)
+        lo = np.maximum(lo[:, None] * (e // denom), bounds[:, 0])
+        hi = np.minimum(hi[:, None] * (e // denom), bounds[:, 1])
+        keep = keep & (lo < hi)
+        slope = np.array([_num(m, scale) for m in slopes], dtype=object)
+        shift = np.array([_num(c, e * scale) for c in shifts], dtype=object)
+        pushed.append((slope * lo + shift, slope * hi + shift, e * scale))
+    return ([(lo[keep], hi[keep], denom) for lo, hi, denom in pushed],
+            np.broadcast_to(values[:, None], keep.shape)[keep])
 
 
 def pair_with_pullback(params: BakerParams, F: PCFun3D, G: PCFun3D,
                        n: int) -> Fraction:
     """Exact <F, G o f^n>: boxes carrying F-values are pushed forward n times
-    (splitting at region boundaries; branch maps are diagonal so boxes stay
-    boxes) and finally integrated against G.  Independent of p_full_3d."""
-    M, a = params.M, params.a
-    u_cuts = [k * a for k in range(1, M + 1)]
-    c_cuts = [Fraction(k, M) for k in range(1, M)]
-    affines = {(s.kind, s.k): branch_affine(params, s)
-               for s in all_symbols(params)}
+    (split at the branch domains; branch maps are diagonal so boxes stay
+    boxes) and finally integrated against G.
 
-    boxes = []
-    for i, (u0, u1) in enumerate(zip(F.bps_u, F.bps_u[1:])):
-        for j, (c0, c1) in enumerate(zip(F.bps_c, F.bps_c[1:])):
-            for k, (s0, s1) in enumerate(zip(F.bps_s, F.bps_s[1:])):
-                v = F.values[i][j][k]
-                if v:
-                    boxes.append((((u0, u1), (c0, c1), (s0, s1)), v))
-
+    It runs on the integer lattice of `pcfun` and shares no step with
+    `p_full_3d`: the boxes are F's cells, not a product grid, each step
+    clips them against the branch domains and maps their ends
+    (`_push_boxes`), and the integral is one contraction of G's values
+    against the per-axis (boxes x cells) overlap matrices.
+    """
+    branches = [(domain_box(params, Symbol(kind, k)), maps)
+                for (kind, k), maps in branch_affines(params).items()]
+    cells, values_denom = _lattice(F.values)
+    where = np.nonzero(cells)
+    values = cells[where]
+    ends = []
+    for idx, bps in zip(where, F.axes):
+        nums, denom = _to_int_vector(bps)
+        ends.append((nums[idx], nums[idx + 1], denom))
     for _ in range(n):
-        nxt = []
-        for (bu, bc, bs), v in boxes:
-            for u0, u1 in _split_interval(*bu, u_cuts):
-                mid_u = (u0 + u1) / 2
-                if mid_u < M * a:
-                    kk = int(mid_u / a) + 1
-                    (mu, cu), (mc, cc), (ms, cs) = affines[(Kind.ALPHA, kk)]
-                    nxt.append((((mu * u0 + cu, mu * u1 + cu),
-                                 (mc * bc[0] + cc, mc * bc[1] + cc),
-                                 (ms * bs[0] + cs, ms * bs[1] + cs)), v))
-                else:
-                    for c0, c1 in _split_interval(*bc, c_cuts):
-                        kk = min(int((c0 + c1) / 2 * M) + 1, M)
-                        (mu, cu), (mc, cc), (ms, cs) = affines[(Kind.BETA, kk)]
-                        nxt.append((((mu * u0 + cu, mu * u1 + cu),
-                                     (mc * c0 + cc, mc * c1 + cc),
-                                     (ms * bs[0] + cs, ms * bs[1] + cs)), v))
-        boxes = nxt
-    values = _lattice(G.values)
-    return sum((v * _box_integral(G, values, box) for box, v in boxes), ZERO)
+        ends, values = _push_boxes(ends, values, branches)
+
+    g_cells, denom = _lattice(G.values)
+    denom *= values_denom
+    overlaps = []
+    for (lo, hi, box_denom), bps in zip(ends, G.axes):
+        nums, g_denom = _to_int_vector(bps)
+        e = math.lcm(box_denom, g_denom)
+        lo, hi = lo[:, None] * (e // box_denom), hi[:, None] * (e // box_denom)
+        nums = nums * (e // g_denom)
+        width = np.minimum(hi, nums[1:]) - np.maximum(lo, nums[:-1])
+        overlaps.append(np.maximum(width, 0))
+        denom *= e
+    ou, oc, os_ = overlaps
+    per_box = np.tensordot(ou, g_cells, axes=(1, 0))     # boxes x c x s
+    per_box = (per_box * oc[:, :, None]).sum(axis=1)     # boxes x s
+    return Fraction(np.dot(values, (per_box * os_).sum(axis=1)), denom)
 
 
 def check_duality(params: BakerParams, F: PCFun3D, G: PCFun3D,

@@ -208,6 +208,38 @@ def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
     assert captured.err.startswith(f"error: {flag}")
 
 
+MC = ("corr", "--phi", "xc-1/2", "--psi", "xc-1/2", "--method", "mc",
+      "--n-list", "1", "--samples", "10000")
+
+
+@pytest.mark.parametrize("argv", [
+    # numpy refused these with "key must be positive and less than 2**128"
+    ("verify-all", "--seed", "-1"),
+    ("verify-identities", "--seed", "-1"),
+    # died with an OverflowError traceback
+    (*MC, "--seed", str(2 ** 64)),
+    # ran through an invalid int -> uint64 cast
+    (*MC, "--seed", "-1"),
+])
+def test_seed_out_of_range_names_the_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "argument --seed: expected an integer in [0, 2^64)" in \
+        capsys.readouterr().err
+
+
+def test_high_seeds_key_their_own_streams(capsys):
+    # numpy read the key (seed, shard) as float64 from 2^63 on: 2^63 + 1
+    # ran the stream of 2^63, and 2^64 - 1 overflowed the cast
+    rows = set()
+    for seed in (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1):
+        code, out = run(capsys, *MC, "--seed", str(seed))
+        assert code == 0
+        rows.add(out.splitlines()[1])
+    assert len(rows) == 3
+
+
 @pytest.mark.parametrize("text,cause", [
     # died with KeyError: 'n'
     ("a,b\n1,2\n", "the columns n and value"),

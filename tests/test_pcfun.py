@@ -419,6 +419,80 @@ def test_pushforward_duality_on_a_non_dyadic_grid():
                 pair_with_pullback(params, Fn, G, n)
 
 
+    # M = 3 two steps deep, on a smaller non-dyadic input
+    small = hb.PCFun3D.build(["0", "2/7", "1"], ["0", "3/5", "1"],
+                             ["0", "1/3", "1"],
+                             [[[1, "-1/2"], ["2/3", 0]],
+                              [["1/5", 2], [-1, "3/4"]]])
+    params = DUALITY_PARAMS[2]
+    assert inner_product_3d(p_full_3d_n(params, small, 2), G) == \
+        pair_with_pullback(params, small, G, 2)
+
+
+# ---------------------------------------------------------------------------
+# the piecewise-affine oracle against the pointwise branch formulas
+
+@st.composite
+def pa_functions(draw):
+    """Piecewise-affine functions on `grids`; a cell may repeat the piece of
+    its left neighbour, which leaves a redundant breakpoint."""
+    bps = draw(grids())
+    pieces = []
+    for _ in bps[1:]:
+        if pieces and draw(st.booleans()):
+            pieces.append(pieces[-1])
+        else:
+            pieces.append((draw(rational), draw(rational)))
+    slopes, icpts = zip(*pieces)
+    return hb.PAFun1D(bps, slopes, icpts)
+
+
+OPS = st.builds(hb.ReducedOp, st.sampled_from([2, 3]),
+                st.sampled_from([F(1, 2), F(2, 5), F(3, 5), F(1, 3)]))
+
+
+def _p0_at(op, u, x):
+    """w u(Mx mod 1) + ((1-w)/M) sum_j u((x+j)/M) at a point x < 1 (the last
+    cell is closed at 1, where Mx mod 1 wraps to 0)."""
+    M, w = op.M, op.w
+    return (w * u(M * x - math.floor(M * x))
+            + (1 - w) / M * sum((u((x + j) / M) for j in range(M)), F(0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=pa_functions(), op=OPS)
+def test_pa_step_is_the_branch_formula(u, op):
+    once = hb.p0_apply_pa(op, u)
+    for f, g in ((u, once), (once, hb.p0_apply_pa(op, u, 2))):
+        bps = g.breakpoints
+        # a left end and a midpoint fix each cell's affine piece
+        for x in (*bps[:-1], *((lo + hi) / 2 for lo, hi in zip(bps, bps[1:]))):
+            assert g(x) == _p0_at(op, f, x)
+
+
+def _pa_pair_cell_loop(f, g):
+    """The Fraction rule: per merged cell, the pieces at its midpoint and
+    the integral of their product, a quadratic."""
+    bps = hb.pcfun.merge_breakpoints(f.breakpoints, g.breakpoints)
+    total = F(0)
+    for lo, hi in zip(bps, bps[1:]):
+        mid = (lo + hi) / 2
+        mf, cf = f.piece_at(mid)
+        mg, cg = g.piece_at(mid)
+        total += (mf * mg * (hi ** 3 - lo ** 3) / 3
+                  + (mf * cg + mg * cf) * (hi ** 2 - lo ** 2) / 2
+                  + cf * cg * (hi - lo))
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=pa_functions(), g=pa_functions(), op=OPS)
+def test_pa_pairing_matches_the_cell_loop(f, g, op):
+    assert inner_product_pa(f, g) == _pa_pair_cell_loop(f, g)
+    f2 = hb.p0_apply_pa(op, f, 2)
+    assert inner_product_pa(f2, g) == _pa_pair_cell_loop(f2, g)
+
+
 def test_uniform_grid_needs_a_value():
     with pytest.raises(ValueError, match="at least one value"):
         hb.PCFun1D.uniform([])
