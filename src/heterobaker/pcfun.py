@@ -21,7 +21,7 @@ order; `on_grid` finds the cell of each refining cell by one two-pointer
 walk of both grids, and refuses a grid that misses a breakpoint.  Every
 weighted cell sum is one axis contraction, `_contract`: a value tensor as
 numerators over one denominator (`_lattice`) against one integer weight
-vector per axis (cell widths, first moments, box overlaps), with `None` for
+vector per axis (cell widths or first moments), with `None` for
 an axis that is kept.  It is an integer dot product per axis and makes one
 Fraction per result entry.
 
