@@ -205,6 +205,58 @@ def test_mc_stream_is_pinned(workers):
     assert chi["statistic"] == 527.3569890097751
 
 
+# Monte Carlo outputs (repr of value, error) of observables that read x_u,
+# x_s or both, recorded while every pass still ran all three coordinates:
+# (params, phi, psi, n_list, samples, seed) -> {n: (value, error)}.  The
+# last three cases end on a partial shard; "cancel" reads x_u although its
+# affine form has no x_u term, and "xc-xu" reads x_u in psi only, from an
+# n_list without 0.
+MC_FULL_PATH = {
+    "xu-xc": (((2, F(1, 4), F(1, 4)), "xu-1/2", "xc-1/2", [0, 1, 64, 512],
+               2 ** 14, 11), {
+        0: ("-0.00037321857307419935", "0.000691049269718458"),
+        1: ("0.01629035461565366", "0.000629284684346276"),
+        64: ("0.0002841437889323494", "0.0006431687796731982"),
+        512: ("-0.0007147621274415731", "0.0007531788040736911")}),
+    "xs-xs": (((3, F(1, 6), F(1, 6)), "xs-1/2", "xs-1/2", [0, 1, 7, 50],
+               10 ** 5 + 37, 5), {
+        0: ("0.0831788966436845", "0.0001992171482510835"),
+        1: ("0.027655099408836762", "0.00026348284800552257"),
+        7: ("-0.0003020316373036197", "0.0002153286199305663"),
+        50: ("-7.23509552492123e-05", "0.0002786011333104296")}),
+    "cancel": (((2, F(1, 5), F(3, 10)), "(xu+xc)-xu", "xc-1/2", [1, 5, 40],
+                3 * 10 ** 4 + 11, 23), {
+        1: ("0.04019289743740154", "0.00119064450046577"),
+        5: ("0.01676959542908682", "0.0008626848846061948"),
+        40: ("-0.0006844122459758496", "0.0011910019533699929")}),
+    "xc-xu": (((3, F(1, 6), F(1, 6)), "xc-1/2", "xu-1/2", [3, 20],
+               5 * 10 ** 4 + 3, 17), {
+        3: ("0.0002850709871280502", "0.0003357830477202158"),
+        20: ("-0.0001123231590510582", "0.00032838645601494413")}),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("key", sorted(MC_FULL_PATH))
+def test_mc_full_path_is_pinned(key, workers):
+    (p, phi, psi, ns, samples, seed), pinned = MC_FULL_PATH[key]
+    out = hb.mc_correlation_series(hb.BakerParams(*p), parse_observable(phi),
+                                   parse_observable(psi), ns, samples,
+                                   seed=seed, workers=workers)
+    assert {n: (repr(out[n].value), repr(out[n].error)) for n in ns} == pinned
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("p,n,samples,seed,statistic", [
+    ((2, F(1, 4), F(1, 4)), 50, 10 ** 5, 3, 525.75232),
+    ((2, F(1, 5), F(1, 5)), 50, 10 ** 5, 3, 30270.01344),
+    ((3, F(1, 5), F(2, 15)), 9, 3 * 10 ** 4 + 7, 8, 438.0689505781984)])
+def test_chisq_statistic_is_pinned(p, n, samples, seed, statistic, workers):
+    chi = hb.measure_invariance_chisq(hb.BakerParams(*p), n=n, samples=samples,
+                                      seed=seed, workers=workers)
+    assert chi["statistic"] == statistic
+
+
 @pytest.mark.parametrize("samples,n_max,kept,workers", [
     (2 ** 14, 512, 10, 2), (10 ** 5 + 37, 512, 4, 3), (10 ** 6, 1, 2, 1),
     (10 ** 6, 50_000, 1, 2), (10 ** 4, 0, 1, 64)])
