@@ -16,6 +16,7 @@ with the geometry.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,14 @@ from .pcfun import ONE, ZERO, frac
 
 class BoundaryPoint(ValueError):
     """Raised by the inverse map on image-cell boundaries (a null set)."""
+
+
+def check_seed(seed) -> int:
+    """`seed` as an int, refused unless it is an integer in [0, 2^64), the
+    range of the Philox key word it becomes."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
 
 
 class CenterType(enum.Enum):
@@ -211,7 +220,8 @@ def itinerary_stats(params: BakerParams, p=None, n: int = 10 ** 6,
         raise ValueError("n must be positive")
     M, a = params.M, float(params.a)
     if p is None:
-        rng = np.random.Generator(np.random.Philox(key=0 if seed is None else seed))
+        key = 0 if seed is None else check_seed(seed)
+        rng = np.random.Generator(np.random.Philox(key=key))
         hits = 0
         remaining = n
         while remaining:

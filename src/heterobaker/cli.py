@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .baker import BakerParams, orbit, tiling_report
+from .baker import BakerParams, check_seed, orbit, tiling_report
 from .correlation import (TruncationBudgetExceeded, decay_slope_fit,
                           exact_reduced_correlation, exp_rate_fit,
                           mc_correlation_series)
@@ -46,21 +46,23 @@ def _seed(text: str) -> int:
     """The type of every --seed: an integer in [0, 2^64), the range of the
     Philox key word the seed becomes."""
     try:
-        if 0 <= int(text) < 2 ** 64:
-            return int(text)
+        return check_seed(int(text))
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected an integer in [0, 2^64), got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [0, 2^64), got {text!r}") from None
 
 
 def _params_from(args) -> BakerParams:
     return BakerParams(args.M, _frac(args.a, "--a"), _frac(args.b, "--b"))
 
 
+# arguments that do not change the numbers a run writes
+_UNHASHED = frozenset(("func", "out", "workers"))
+
+
 def _config_hash(args) -> str:
     blob = json.dumps({k: str(v) for k, v in sorted(vars(args).items())
-                       if k != "func"}, sort_keys=True)
+                       if k not in _UNHASHED}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 

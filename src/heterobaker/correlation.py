@@ -25,7 +25,11 @@ coordinate itself is reconstructed backward through the contracting
 inverse branches, and the remaining coordinates run forward.  This
 sidesteps the mantissa exhaustion that makes naive float orbits of
 dyadic-slope maps collapse, and it uses common random numbers across n
-(one orbit per sample, all time slices read from it).
+(one orbit per sample, all time slices read from it).  The passes compute
+only the coordinates the observables read (`Observable3D.reads`): the
+backward pass runs only for an observable of x_u, and the forward x_s
+update only for one of x_s or for the chi-square test's end state.  The
+draws are the same either way, so the estimates are too.
 
 Samples come in fixed-size shards, each drawn from its own Philox stream
 keyed by (seed, shard index).  A worker thread simulates a batch of whole
@@ -46,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baker import BakerParams
+from .baker import BakerParams, check_seed
 from .observables import Observable3D
 from .pcfun import ZERO, _to_int_vector
 from .ruin import walk_step
@@ -317,16 +321,21 @@ def _batch_plan(shards: list[tuple[int, int]], n_max: int, kept: int,
 
 def _simulate_batch(params: BakerParams, batch: list[tuple[int, int]],
                     seed: int, n_list: Sequence[int], phi: Observable3D,
-                    psi: Observable3D):
+                    psi: Observable3D, end_state: bool = False):
     """Consecutive shards of the same stream in one vectorised pass.
 
     Shard `sidx` draws from Philox(key=(seed, sidx)) in a fixed order: its
     (size, n_max) itinerary uniforms in row blocks, then x_u at time n_max,
     x_c and x_s.  Every step of the backward x_u pass and of the forward
     pass runs once over the whole batch on a contiguous row of the
-    step-major int8 itinerary.  Returns the per-shard sums
-    [(size, sum phi, sum psi at time 0, {n: sum phi*psi_n})] and the batch's
-    end state (x_u, x_c, x_s) at time n_max = max(n_list).
+    step-major int8 itinerary.  The passes compute a coordinate only where
+    it is needed: the backward pass runs only when phi or psi reads x_u,
+    the forward x_s update only when one reads x_s or `end_state` is set,
+    and an unread coordinate is passed to the observables as drawn.
+    Returns the per-shard sums
+    [(size, sum phi, sum psi at time 0, {n: sum phi*psi_n})] and, with
+    `end_state`, the batch's state (x_u, x_c, x_s) at time
+    n_max = max(n_list).
     """
     M = params.M
     a, b = float(params.a), float(params.b)
@@ -365,17 +374,21 @@ def _simulate_batch(params: BakerParams, batch: list[tuple[int, int]],
         return [float(v[lo:hi].sum()) for lo, hi in bounds]
 
     want = set(n_list)
+    reads = phi.reads | psi.reads
     xu_at = {}
     cur = xu_end
-    for i in range(n_max - 1, -1, -1):
-        if i + 1 in want:
-            xu_at[i + 1] = cur
-        w = itin[i]
-        cur = np.where(w < M, a * (cur + w), (1.0 - Ma) * cur + Ma)
+    # down to time 0 whenever x_u is read: psi at time 0 enters the centering
+    if "xu" in reads:
+        for i in range(n_max - 1, -1, -1):
+            if i + 1 in want and "xu" in psi.reads:
+                xu_at[i + 1] = cur
+            w = itin[i]
+            cur = np.where(w < M, a * (cur + w), (1.0 - Ma) * cur + Ma)
 
     phi0 = np.asarray(phi(cur, xc, xs), dtype=float)
     psi0 = np.asarray(psi(cur, xc, xs), dtype=float)
     per_n = {0: shard_sums(phi0 * psi0)} if 0 in want else {}
+    step_xs = end_state or "xs" in reads
     for i in range(n_max):
         w = itin[i]
         # k = min(floor(M xc), M - 1) held as a float, so M xc - k and
@@ -386,14 +399,16 @@ def _simulate_batch(params: BakerParams, batch: list[tuple[int, int]],
         np.minimum(k, M - 1, out=k)
         alpha = w < M
         xc = np.where(alpha, xc / M + w / M, y - k)
-        xs = np.where(alpha, (1.0 - Mb) * xs, b * xs + 1.0 + b * (k - M))
+        if step_xs:
+            xs = np.where(alpha, (1.0 - Mb) * xs, b * xs + 1.0 + b * (k - M))
         if i + 1 in want:
-            psin = np.asarray(psi(xu_at.pop(i + 1), xc, xs), dtype=float)
+            psin = np.asarray(psi(xu_at.pop(i + 1, xu_end), xc, xs),
+                              dtype=float)
             per_n[i + 1] = shard_sums(phi0 * psin)
     sphi, spsi0 = shard_sums(phi0), shard_sums(psi0)
     sums = [(size, sphi[j], spsi0[j], {n: v[j] for n, v in per_n.items()})
             for j, (_, size) in enumerate(batch)]
-    return sums, (xu_end, xc, xs)
+    return sums, (xu_end, xc, xs) if end_state else None
 
 
 def _run_batches(fn, batches: list, workers: int) -> list:
@@ -420,6 +435,7 @@ def mc_correlation_series(params: BakerParams, phi: Observable3D,
         raise NotMeasurePreserving("Monte Carlo pairing assumes a + b = 1/M")
     if samples < 10 ** 4:
         raise ValueError("use at least 10^4 samples")
+    seed = check_seed(seed)
     n_list = sorted(set(int(n) for n in n_list))
     n_max = max(n_list)
     batches = _batch_plan(_shard_plan(samples), n_max, len(n_list), workers)
@@ -464,11 +480,14 @@ def measure_invariance_chisq(params: BakerParams, n: int = 50,
     measure, up to the usual statistical caveats; the threshold is far in
     the tail so measure-preserving parameters essentially never fail.
     """
-    ident = Observable3D("one", lambda xu, xc, xs: np.ones_like(xc))
+    seed = check_seed(seed)
+    ident = Observable3D("one", lambda xu, xc, xs: np.ones_like(xc),
+                         reads=frozenset())
 
     def run(batch):
         cell = 0
-        for x in _simulate_batch(params, batch, seed, [n], ident, ident)[1]:
+        for x in _simulate_batch(params, batch, seed, [n], ident, ident,
+                                 end_state=True)[1]:
             cell = cell * boxes + np.minimum((x * boxes).astype(np.int64),
                                              boxes - 1)
         return np.bincount(cell, minlength=boxes ** 3)

@@ -24,6 +24,10 @@ class ParseError(ValueError):
     pass
 
 
+COORDINATES = frozenset(("xu", "xc", "xs"))
+_XC = frozenset(("xc",))
+
+
 @dataclass(frozen=True)
 class Observable3D:
     """A bounded observable on [0,1]^3 with optional exact structure.
@@ -32,6 +36,12 @@ class Observable3D:
     the observable is an affine function of x_c alone; `xc_pc` holds an
     exact piecewise-constant representative when it is a PC function of
     x_c alone.  Hoelder data, when known, feeds decay bounds.
+
+    `reads` names the coordinates ("xu", "xc", "xs") whose values `fn`
+    looks at; the default is all three.  Monte Carlo computes only the
+    coordinates that phi or psi reads and passes an array of the right
+    shape holding other values for the rest, so a declaration that leaves
+    out a coordinate `fn` does look at gives wrong numbers, without error.
     """
 
     name: str
@@ -40,6 +50,14 @@ class Observable3D:
     xc_pc: PCFun1D | None = None
     theta: float | None = None
     holder_norm: float | None = None
+    reads: frozenset = COORDINATES
+
+    def __post_init__(self):
+        reads = frozenset(self.reads)
+        if not reads <= COORDINATES:
+            raise ValueError(f"{self.name}: reads must name coordinates among "
+                             f"xu, xc, xs, got {sorted(reads - COORDINATES)}")
+        object.__setattr__(self, "reads", reads)
 
     def __call__(self, xu, xc, xs):
         return self.fn(xu, xc, xs)
@@ -50,7 +68,7 @@ def affine_center() -> Observable3D:
     return Observable3D("affine-center",
                         lambda xu, xc, xs: xc - 0.5,
                         xc_affine=(Fraction(1), Fraction(-1, 2)),
-                        theta=1.0, holder_norm=1.5)
+                        theta=1.0, holder_norm=1.5, reads=_XC)
 
 
 def staircase4() -> Observable3D:
@@ -62,7 +80,7 @@ def staircase4() -> Observable3D:
         table = np.array([-0.75, -0.25, 0.25, 0.75])
         return table[idx]
 
-    return Observable3D("staircase-4", fn, xc_pc=pc)
+    return Observable3D("staircase-4", fn, xc_pc=pc, reads=_XC)
 
 
 def pc_center(pc: PCFun1D, name: str = "pc-observable") -> Observable3D:
@@ -75,7 +93,7 @@ def pc_center(pc: PCFun1D, name: str = "pc-observable") -> Observable3D:
                       0, table.size - 1)
         return table[idx]
 
-    return Observable3D(name, fn, xc_pc=pc)
+    return Observable3D(name, fn, xc_pc=pc, reads=_XC)
 
 
 PRESETS = {"affine-center": affine_center, "staircase-4": staircase4}
@@ -190,6 +208,14 @@ def _eval_node(node, xu, xc, xs):
     return np.maximum(a, b)
 
 
+def _variables(node) -> frozenset:
+    """The coordinates the tree mentions, whatever cancels in its value."""
+    if node[0] == "var":
+        return frozenset((node[1],))
+    return frozenset().union(*(_variables(child) for child in node[1:]
+                               if isinstance(child, tuple)))
+
+
 def _affine_form(node):
     """(c0, cu, cc, cs) if the node is affine in the coordinates, else None."""
     op = node[0]
@@ -247,4 +273,5 @@ def parse_observable(text: str) -> Observable3D:
         lip = float(np.sqrt(float(cu) ** 2 + float(cc) ** 2 + float(cs) ** 2))
         holder = max(abs(c) for c in corners) + lip
     return Observable3D(text, fn, xc_affine=xc_affine,
-                        theta=theta, holder_norm=holder)
+                        theta=theta, holder_norm=holder,
+                        reads=_variables(tree))

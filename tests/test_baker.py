@@ -128,3 +128,11 @@ def test_itinerary_stats():
     skew = hb.BakerParams(2, F(3, 20), F(7, 20))
     frac = hb.itinerary_stats(skew, n=10 ** 6, seed=123)
     assert abs(frac - 0.3) < 0.002
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_itinerary_stats_refuses_a_bad_seed(seed):
+    # numpy said "key must be positive and less than 2**128"
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        hb.itinerary_stats(NEUTRAL, n=10, seed=seed)
+    assert hb.itinerary_stats(NEUTRAL, n=10, seed=2 ** 64 - 1) >= 0

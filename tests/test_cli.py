@@ -240,6 +240,15 @@ def test_high_seeds_key_their_own_streams(capsys):
     assert len(rows) == 3
 
 
+def test_mc_csv_does_not_depend_on_workers_or_out(tmp_path):
+    # the footer hashed --workers and --out, so identical rows got two hashes
+    paths = [tmp_path / f"mc{w}.csv" for w in (1, 2)]
+    for w, path in zip((1, 2), paths):
+        assert main([*MC, "--n-list", "1,5", "--samples", "20000", "--seed",
+                     "7", "--workers", str(w), "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 @pytest.mark.parametrize("text,cause", [
     # died with KeyError: 'n'
     ("a,b\n1,2\n", "the columns n and value"),

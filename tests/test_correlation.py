@@ -306,6 +306,61 @@ def test_double_levels_match_fractions(prof, c_tail, L):
     assert l2 == sum((x * x for x in ref), F(0))
 
 
+@pytest.mark.parametrize("text,reads", [
+    ("xc-1/2", {"xc"}), ("xu*xc", {"xu", "xc"}), ("min(xs,1/2)", {"xs"}),
+    # the affine form has no x_u term, but the float value rounds through x_u
+    ("(xu+xc)-xu", {"xu", "xc"}), ("3/4", set()),
+    ("affine-center", {"xc"}), ("staircase-4", {"xc"})])
+def test_grammar_reads_the_variables_it_mentions(text, reads):
+    assert parse_observable(text).reads == reads
+
+
+def test_reads_defaults_to_every_coordinate_and_names_bad_ones():
+    obs = hb.Observable3D("own", lambda xu, xc, xs: xu * xs)
+    assert obs.reads == {"xu", "xc", "xs"}
+    assert pc_center(hb.square_wave(2)).reads == {"xc"}
+    assert hb.Observable3D("c", obs.fn, reads=["xc"]).reads == {"xc"}
+    with pytest.raises(ValueError, match="xz"):
+        hb.Observable3D("bad", obs.fn, reads={"xc", "xz"})
+
+
+XC_ONLY = [PHI, hb.staircase4(), pc_center(hb.square_wave(3), "sw3"),
+           parse_observable("min(xc,1/3)*xc")]
+
+
+@pytest.mark.parametrize("p,samples,ns", [
+    ((2, F(1, 4), F(1, 4)), 10 ** 4 + 5, [0, 1, 9, 30]),
+    ((2, F(1, 5), F(3, 10)), 10 ** 4, [2, 17]),
+    ((3, F(1, 6), F(1, 6)), 2 * 10 ** 4 + 1, [0, 4, 25]),
+    ((3, F(1, 5), F(2, 15)), 10 ** 4, [1, 3, 12])])
+def test_xc_only_passes_match_the_full_path(p, samples, ns):
+    # the same fn declared as reading every coordinate runs all three
+    # coordinates through both passes
+    import dataclasses
+    params = hb.BakerParams(*p)
+    for phi, psi in zip(XC_ONLY, XC_ONLY[1:] + XC_ONLY[:1]):
+        assert phi.reads == psi.reads == {"xc"}
+        full = [dataclasses.replace(obs, reads={"xu", "xc", "xs"})
+                for obs in (phi, psi)]
+        fast = hb.mc_correlation_series(params, phi, psi, ns, samples,
+                                        seed=4, workers=2)
+        slow = hb.mc_correlation_series(params, *full, ns, samples, seed=4,
+                                        workers=2)
+        for n in ns:
+            assert repr(fast[n].value) == repr(slow[n].value), (phi.name, n)
+            assert repr(fast[n].error) == repr(slow[n].error), (phi.name, n)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.0, "3"])
+def test_mc_entry_points_refuse_a_bad_seed(seed):
+    # numpy's messages (an OverflowError "out of bounds for uint64", "Python
+    # int too large to convert to C long") did not name the seed
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        hb.mc_correlation_series(NEUTRAL, PHI, PHI, [1], 10 ** 4, seed=seed)
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        hb.measure_invariance_chisq(NEUTRAL, n=2, samples=10 ** 4, seed=seed)
+
+
 def test_chisq_harness():
     ok = hb.measure_invariance_chisq(NEUTRAL, n=50, samples=10 ** 5, seed=3)
     assert ok["passed"]
