@@ -1,11 +1,13 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import heterobaker as hb
 from heterobaker.cli import main
-from heterobaker.pcfun import pcfun1d_to_json
+from heterobaker.pcfun import pcfun1d_to_json, pcfun3d_to_json
 
 
 def run(capsys, *argv):
@@ -265,3 +267,44 @@ def test_slope_names_the_input_it_cannot_read(tmp_path, capsys, text, cause):
     assert captured.out == ""
     assert captured.err.startswith("error: --in")
     assert cause in captured.err
+
+
+# sha256 of the bytes each run writes, recorded while every kernel still
+# rebuilt its integer numerators from the Fraction values on each call
+PINNED_FILES = {
+    ("verify-all", "--seed", "7"):
+        "5c38ce50ff23b4faf8927b5621f0c69c86986299407581f838a3c80165125fc4",
+    ("apply-op", "--op", "p0", "--a", "1/5", "--n", "6", "--in", "f1"):
+        "ab8e4fccb77138c930979496723f1cbbc655da4ef296d8c94cb6db3a82292b25",
+    ("apply-op", "--op", "p0", "--M", "3", "--a", "1/6", "--n", "3",
+     "--in", "g1"):
+        "9e91f0b488c0f3a843bf590095ed38cd6d6d771113360c82e4f84b2c6be1369f",
+    ("apply-op", "--op", "pfull3d", "--a", "1/5", "--b", "3/10", "--n", "3",
+     "--in", "f3"):
+        "cc297f1b9aec1acffaf856c8322829a2b338741e4324aece0a9d670ee2240b70",
+    ("apply-op", "--op", "pfull3d", "--M", "3", "--a", "1/6", "--b", "1/6",
+     "--n", "2", "--in", "f3"):
+        "18eb349b59a4c0061737abccb03e66fdbfd687e919465ffd0165400d3d0eea11",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_FILES, ids=lambda a: " ".join(a[:3]))
+def test_written_bytes_are_pinned(tmp_path, argv):
+    inputs = {
+        "f1": pcfun1d_to_json(hb.PCFun1D.uniform(
+            [F(k, 24) for k in (5, -3, 7, 1, -11, 2, 0, -1)])),
+        "g1": pcfun1d_to_json(hb.PCFun1D.build(
+            [0, F(1, 3), F(1, 2), F(5, 6), 1], [F(1, 4), F(-2, 3), 1, 0])),
+        "f3": pcfun3d_to_json(hb.PCFun3D.build(
+            *[[0, F(1, 3), F(1, 2), 1]] * 3,
+            np.arange(-13, 14).reshape(3, 3, 3).tolist())),
+    }
+    key, argv = argv, list(argv)
+    if "--in" in argv:
+        i = argv.index("--in") + 1
+        path = tmp_path / argv[i]
+        path.write_text(inputs[argv[i]])
+        argv[i] = str(path)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FILES[key]
