@@ -111,17 +111,27 @@ def _squarewave_profile(obs: Observable3D):
     raise NotInSquareWaveSpan(f"{obs.name} is not an exact x_c observable")
 
 
-def _materialize(prof, c_tail, L: int):
-    out = list(prof[:L]) + [ZERO] * max(0, L - len(prof))
+def _materialize(prof, c_tail, L: int) -> tuple[np.ndarray, int]:
+    """The first L level coefficients as integer numerators over one
+    denominator: the profile, then past it the geometric tail c 2^-l, which
+    is c's numerator times 2^(L-l) over c's denominator times 2^L."""
+    p = min(len(prof), L)
+    nums, denom = _to_int_vector(prof[:p])
+    out = np.zeros(L, dtype=object)
     if c_tail:
-        for l in range(len(prof) + 1, L + 1):
-            out[l - 1] = c_tail * HALF ** l
-    return out
+        tail_denom = c_tail.denominator << L
+        common = math.lcm(denom, tail_denom)
+        nums *= common // denom
+        scale = c_tail.numerator * (common // tail_denom)
+        out[p:] = [scale << (L - l) for l in range(p + 1, L + 1)]
+        denom = common
+    out[:p] = nums
+    return out, denom
 
 
 def _double_levels(prof, c_tail, L: int) -> tuple[np.ndarray, Fraction]:
-    """float(_materialize(prof, c_tail, L)) and the exact sum of its squares,
-    without building the tail Fractions.
+    """The levels of `_materialize(prof, c_tail, L)` as floats, and the exact
+    sum of their squares.
 
     A tail entry c 2^-l is the correctly rounded num / (den << l), the same
     float as that of the Fraction; once one underflows to (signed) zero the
@@ -171,21 +181,22 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
         # a free walk and can only pair against geometric coefficients; its
         # contribution is the closed form below and the series is exact
         L = n_max + 2 + pc_depth
-        state, den_a = _to_int_vector(_materialize(prof_phi, c_phi, L))
-        b, den_b = _to_int_vector(_materialize(prof_psi, c_psi, L + n_max + 1))
+        state, den_a = _materialize(prof_phi, c_phi, L)
+        b, den_b = _materialize(prof_psi, c_psi, L + n_max + 1)
         scale = Fraction(1, den_a * den_b)
         wp, wq = op.w.numerator, op.w.denominator
         r = HALF
         kappa = op.w * r + (1 - op.w) / r
-        tail_scale = c_phi * c_psi * r ** (2 * (L + 1)) / (1 - r * r)
+        tail = c_phi * c_psi * r ** (2 * (L + 1)) / (1 - r * r)  # at n = 0
         out = []
         for n in range(n_max + 1):
-            val = int(state @ b[:state.size]) * scale + tail_scale * kappa ** n
+            val = int(state @ b[:state.size]) * scale + tail
             out.append(CorrelationRecord(n, float(val), "exact-squarewave",
                                          0.0, val))
             if n < n_max:
                 state = walk_step(state, wp, wq - wp)
                 scale /= wq
+                tail *= kappa
         return out
     if numeric != "double":
         raise ValueError("numeric must be 'rational' or 'double'")
@@ -319,6 +330,12 @@ def _batch_plan(shards: list[tuple[int, int]], n_max: int, kept: int,
     return out
 
 
+def _evaluate(obs: Observable3D, xu, xc, xs) -> np.ndarray:
+    """obs at each sample, as floats; an observable that reads no coordinate
+    returns one value, which every sample gets."""
+    return np.broadcast_to(np.asarray(obs(xu, xc, xs), dtype=float), xc.shape)
+
+
 def _simulate_batch(params: BakerParams, batch: list[tuple[int, int]],
                     seed: int, n_list: Sequence[int], phi: Observable3D,
                     psi: Observable3D, end_state: bool = False):
@@ -385,8 +402,8 @@ def _simulate_batch(params: BakerParams, batch: list[tuple[int, int]],
             w = itin[i]
             cur = np.where(w < M, a * (cur + w), (1.0 - Ma) * cur + Ma)
 
-    phi0 = np.asarray(phi(cur, xc, xs), dtype=float)
-    psi0 = np.asarray(psi(cur, xc, xs), dtype=float)
+    phi0 = _evaluate(phi, cur, xc, xs)
+    psi0 = _evaluate(psi, cur, xc, xs)
     per_n = {0: shard_sums(phi0 * psi0)} if 0 in want else {}
     step_xs = end_state or "xs" in reads
     for i in range(n_max):
@@ -402,8 +419,7 @@ def _simulate_batch(params: BakerParams, batch: list[tuple[int, int]],
         if step_xs:
             xs = np.where(alpha, (1.0 - Mb) * xs, b * xs + 1.0 + b * (k - M))
         if i + 1 in want:
-            psin = np.asarray(psi(xu_at.pop(i + 1, xu_end), xc, xs),
-                              dtype=float)
+            psin = _evaluate(psi, xu_at.pop(i + 1, xu_end), xc, xs)
             per_n[i + 1] = shard_sums(phi0 * psin)
     sphi, spsi0 = shard_sums(phi0), shard_sums(psi0)
     sums = [(size, sphi[j], spsi0[j], {n: v[j] for n, v in per_n.items()})

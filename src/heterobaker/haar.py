@@ -35,7 +35,7 @@ import numpy as np
 
 from .pcfun import (ONE, ZERO, NotMAdic, PCFun1D, PCFun2D, PCFun3D,
                     _adic_depth, _fractions, _to_int_vector, _uniform_grid,
-                    frac, inner_product, merge_breakpoints)
+                    _uniform_lattice, _union, frac, inner_product)
 
 HaarExpansion = dict            # (l, k) -> Fraction synthesis weight
 
@@ -134,7 +134,7 @@ def analyze_levels(f: PCFun1D) -> tuple[list[np.ndarray], Fraction]:
     function as integer level numerators and one rational scale."""
     f = f.simplify()
     L = _adic_depth(f.breakpoints, 2, "breakpoint")
-    nums, den = f._lattice_on((_uniform_grid(2 ** L),))
+    nums, den = f._lattice_on((_uniform_lattice(2 ** L),))
     levels = _grid_levels(nums)
     scale = Fraction(1, den << L)
     if levels[0][0]:
@@ -253,7 +253,7 @@ def analyze_general_M(f: PCFun1D, M: int) -> LevelComponents:
     is M S_l[i] - S_{l-1}[i // M] over den M^(L-l+1)."""
     f = f.simplify()
     L = _adic_depth(f.breakpoints, M, "breakpoint")
-    nums, den = f._lattice_on((_uniform_grid(M ** L),))
+    nums, den = f._lattice_on((_uniform_lattice(M ** L),))
     sums = list(_level_sums(nums, M))[::-1]       # sums[l]: level l
     if sums[0][0]:
         raise NonZeroMean(f"mean is {Fraction(sums[0][0], den * M ** L)}, "
@@ -303,10 +303,11 @@ def tensor_analyze(F: PCFun3D) -> TensorComponents:
     """Exact tensor components of a PC function dyadic in x_c: the Haar
     levels of its lattice along the x_c axis, at scale 1/(den 2^L)."""
     L = _adic_depth(F.bps_c, 2, "x_c breakpoint")
-    nums, den = F._lattice_on((F.bps_u, _uniform_grid(2 ** L), F.bps_s))
+    lu, _, ls = F.axis_lattices
+    nums, den = F._lattice_on((lu, _uniform_lattice(2 ** L), ls))
     levels = _grid_levels(np.moveaxis(nums, 1, 0))
-    plane = lambda cells: PCFun2D(F.bps_u, F.bps_s,  # noqa: E731
-                                  _fractions(cells, den << L))
+    plane = lambda cells: PCFun2D._from_lattice(  # noqa: E731
+        (F.bps_u, F.bps_s), cells, den << L, (lu, ls))
     return TensorComponents(plane(levels[0][0]), {
         (l, k): plane(cells) for l in range(1, L + 1)
         for k, cells in enumerate(levels[l]) if cells.any()})
@@ -314,15 +315,17 @@ def tensor_analyze(F: PCFun3D) -> TensorComponents:
 
 def tensor_synthesize(comp: TensorComponents) -> PCFun3D:
     parts = [comp.component00, *comp.waves.values()]
-    bu = merge_breakpoints(*(u.bps_x for u in parts))
-    bs = merge_breakpoints(*(u.bps_y for u in parts))
-    lattices = [u._lattice_on((bu, bs)) for u in parts]
+    bu, lu = _union([(u.bps_x, u.axis_lattices[0]) for u in parts])
+    bs, ls = _union([(u.bps_y, u.axis_lattices[1]) for u in parts])
+    lattices = [u._lattice_on((lu, ls)) for u in parts]
     den = math.lcm(*(d for _, d in lattices))
     constant, *waves = (nums * (den // d) for nums, d in lattices)
     cells = _haar_cells(constant, dict(zip(comp.waves, waves)),
                         (len(bu) - 1, len(bs) - 1))
-    return PCFun3D(bu, _uniform_grid(len(cells)), bs,
-                   _fractions(np.moveaxis(cells, 0, 1), den))
+    n = len(cells)
+    return PCFun3D._from_lattice((bu, _uniform_grid(n), bs),
+                                 np.moveaxis(cells, 0, 1), den,
+                                 (lu, _uniform_lattice(n), ls))
 
 
 # ---------------------------------------------------------------------------

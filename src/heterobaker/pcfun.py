@@ -15,15 +15,21 @@ for d axes over values nested one tuple level per axis.
 
 The grid kernels run on an integer lattice, not on Fractions.
 `_to_int_vector` is the one conversion: a Fraction vector becomes Python-int
-numerators over the lcm of its denominators.  On it, `merge_breakpoints`
-sorts and dedupes integers and returns the given Fraction objects in that
-order; `on_grid` finds the cell of each refining cell by one two-pointer
-walk of both grids, and refuses a grid that misses a breakpoint.  Every
-weighted cell sum is one axis contraction, `_contract`: a value tensor as
-numerators over one denominator (`_lattice`) against one integer weight
-vector per axis (cell widths or first moments), with `None` for
-an axis that is kept.  It is an integer dot product per axis and makes one
-Fraction per result entry.
+numerators over the lcm of its denominators.  Each function holds its
+lattice: `lattice` is its value tensor that way (`_lattice(values)`) and
+`axis_lattices` its breakpoints, both read-only arrays made on first use, or
+handed over by the kernel that built the function (`_from_lattice`, which
+brings them to lowest terms, so they equal what the conversion would give,
+and skips the checks a public constructor runs: kernel outputs are valid by
+construction).  On the lattice, `_union` sorts and dedupes integers and
+returns the given Fraction objects in that order; `_refinement_index` finds
+the cell of each refining cell by one two-pointer walk of both grids, and
+refuses a grid that misses a breakpoint.  Every weighted cell sum is one
+axis contraction, `_contract_lattice`: a value lattice against one integer
+weight vector per axis (cell widths or first moments), with `None` for an
+axis that is kept.  It is an integer dot product per axis.  Fractions are
+built only for what a function or a caller holds: the values and the new
+breakpoints of a kernel's output, and returned scalars.
 
 `PAFun1D` is the one-dimensional piecewise-*affine* sibling used as an
 independent grid oracle for affine observables like x - 1/2.  It runs on
@@ -43,6 +49,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -120,36 +127,69 @@ def _uniform_grid(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(i, n) for i in range(n + 1))
 
 
+def _readonly(nums: np.ndarray) -> np.ndarray:
+    """`nums`, flagged read-only: a cached lattice must not be written."""
+    nums.flags.writeable = False
+    return nums
+
+
+def _reduced(nums: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
+    """nums/denom in lowest terms, divided by gcd(denom, *nums): then
+    `denom` is the lcm of the reduced denominators, as `_to_int_vector`
+    gives it."""
+    g = math.gcd(denom, *nums.ravel().tolist())
+    return (nums // g, denom // g) if g > 1 else (nums, denom)
+
+
+def _uniform_lattice(n: int) -> tuple[np.ndarray, int]:
+    """The lattice of `_uniform_grid(n)`: 0, 1, ..., n over n."""
+    return _readonly(np.arange(n + 1).astype(object)), n
+
+
+def _same(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int]) -> bool:
+    """Whether two lattices hold the same breakpoints."""
+    return a is b or (a[1] == b[1] and np.array_equal(a[0], b[0]))
+
+
+def _union(axes: Sequence[tuple]) -> tuple[tuple[Fraction, ...], tuple]:
+    """The sorted union of breakpoint lists, each given as (Fractions, its
+    lattice): as the given Fraction objects, and on the lattice of the lcm
+    of the lists' denominators (the integers that get sorted)."""
+    denom = math.lcm(*(d for _, (_, d) in axes))
+    union = {}
+    for bps, (nums, d) in axes:
+        union.update(zip((nums * (denom // d)).tolist(), bps))
+    nums = sorted(union)
+    return (tuple(map(union.__getitem__, nums)),
+            (_readonly(np.array(nums, dtype=object)), denom))
+
+
 def merge_breakpoints(*lists: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The sorted union of breakpoint lists, as the given Fraction objects
-    (the first one of equal values); the integers of their common
-    denominator are what gets sorted."""
+    """The sorted union of breakpoint lists, as the given Fraction objects."""
     first = tuple(lists[0])
     if all(first == tuple(bps) for bps in lists[1:]):
         return first
-    flat = [b for bps in lists for b in bps]
-    nums, _ = _to_int_vector(flat)
-    union = dict(zip(nums.tolist()[::-1], flat[::-1]))
-    return tuple(union[n] for n in sorted(union))
+    return _union([(bps, _to_int_vector(bps)) for bps in lists])[0]
 
 
-def _refinement_index(bps: Sequence[Fraction], grid: Sequence[Fraction],
-                      name: str):
-    """For each cell of `grid`, the cell of `bps` that holds it: one
-    two-pointer walk of both grids on the integer lattice.  A grid that
-    misses a breakpoint of `bps` does not refine it and raises ValueError."""
-    if grid == bps:
-        return range(len(bps) - 1)
-    nums, _ = _to_int_vector((*bps, *grid))
-    nums = nums.tolist()
-    own, fine = nums[:len(bps)], nums[len(bps):]
+def _refinement_index(own: tuple[np.ndarray, int],
+                      grid: tuple[np.ndarray, int], name: str):
+    """For each cell of `grid`, the cell of `own` that holds it, both given
+    as lattices: one two-pointer walk of both grids.  A grid that misses a
+    breakpoint of `own` does not refine it and raises ValueError."""
+    if _same(own, grid):
+        return range(len(own[0]) - 1)
+    denom = math.lcm(own[1], grid[1])
+    own_nums = (own[0] * (denom // own[1])).tolist()
+    fine = (grid[0] * (denom // grid[1])).tolist()
     index, i = [], 0
     for lo, hi in zip(fine, fine[1:]):
-        while own[i + 1] <= lo:
+        while own_nums[i + 1] <= lo:
             i += 1
-        if hi > own[i + 1]:
-            raise ValueError(f"the {name} grid misses breakpoint {bps[i + 1]}"
-                             f" and does not refine the function's")
+        if hi > own_nums[i + 1]:
+            raise ValueError(f"the {name} grid misses breakpoint "
+                             f"{Fraction(own_nums[i + 1], denom)} and does "
+                             f"not refine the function's")
         index.append(i)
     return index
 
@@ -174,29 +214,28 @@ def _fractions(nums: np.ndarray, denom: int):
     return _map(made.__getitem__, nums.ndim, nums.tolist())
 
 
-def _widths(bps: Sequence[Fraction]) -> tuple[np.ndarray, int]:
-    """Cell widths b1 - b0 on the lattice: the weights of an integral along
-    an axis."""
-    nums, denom = _to_int_vector(bps)
+def _widths(lattice: tuple[np.ndarray, int]) -> tuple[np.ndarray, int]:
+    """Cell widths b1 - b0 of a grid given as a lattice: the weights of an
+    integral along an axis."""
+    nums, denom = lattice
     return nums[1:] - nums[:-1], denom
 
 
-def _moments(bps: Sequence[Fraction]) -> tuple[np.ndarray, int]:
-    """First moments (b1^2 - b0^2)/2 on the lattice: the integrals of x over
-    the cells."""
-    nums, denom = _to_int_vector(bps)
+def _moments(lattice: tuple[np.ndarray, int]) -> tuple[np.ndarray, int]:
+    """First moments (b1^2 - b0^2)/2 of the cells of a grid given as a
+    lattice: the integrals of x over the cells."""
+    nums, denom = lattice
     squares = nums * nums
     return squares[1:] - squares[:-1], 2 * denom * denom
 
 
-def _contract(lattice: tuple[np.ndarray, int], weights: Sequence):
+def _contract_lattice(lattice: tuple[np.ndarray, int], weights: Sequence):
     """Sum a value tensor against one weight vector per axis, on the lattice.
 
     `lattice` is the tensor as (integer numerators, denominator), each
     weight an integer vector with its denominator, or None for an axis that
-    is kept.  Each summed axis is one integer dot product; the result is a
-    Fraction when every axis is summed, else nested tuples of Fractions over
-    the kept axes.
+    is kept.  Each summed axis is one integer dot product; the result is
+    (numerators over the kept axes, denominator).
     """
     nums, denom = lattice
     for axis in reversed(range(len(weights))):
@@ -204,7 +243,13 @@ def _contract(lattice: tuple[np.ndarray, int], weights: Sequence):
             w, w_denom = weights[axis]
             nums = np.tensordot(nums, w, axes=(axis, 0))
             denom *= w_denom
-    return _fractions(nums, denom)
+    return nums, denom
+
+
+def _contract(lattice: tuple[np.ndarray, int], weights: Sequence):
+    """`_contract_lattice` as Fractions: one when every axis is summed,
+    else nested tuples over the kept axes."""
+    return _fractions(*_contract_lattice(lattice, weights))
 
 
 def _map(fn, depth: int, values):
@@ -234,11 +279,21 @@ def _nested_tuple(values, depth: int):
     return tuple(_nested_tuple(v, depth - 1) for v in values)
 
 
+def _unchecked(cls, *fields):
+    """An instance of the dataclass `cls` built without `__post_init__`'s
+    checks, for grids that are valid by construction."""
+    self = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(self, name, value)
+    return self
+
+
 class _ProductGrid:
     """A piecewise-constant function on the product of its axis grids.
 
     Subclasses are frozen dataclasses whose fields are the axis grids, named
     in `_AXES`, followed by `values`, nested one tuple level per axis.
+    Beside them an instance caches its lattice (`lattice`, `axis_lattices`).
     """
 
     _AXES: tuple[str, ...] = ()
@@ -253,18 +308,36 @@ class _ProductGrid:
     def axes(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(getattr(self, name) for name in self._AXES)
 
+    @cached_property
+    def lattice(self) -> tuple[np.ndarray, int]:
+        """The values as integer numerators (a read-only object array of the
+        value shape) over one denominator, `_lattice(values)`."""
+        nums, denom = _lattice(self.values)
+        return _readonly(nums), denom
+
+    @cached_property
+    def axis_lattices(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """Per axis, its breakpoints as integer numerators (read-only) over
+        the lcm of their denominators."""
+        return tuple((_readonly(nums), denom)
+                     for nums, denom in map(_to_int_vector, self.axes))
+
     @classmethod
     def _build(cls, axes, values):
         return cls(*(tuple(frac(b) for b in bps) for bps in axes),
                    _nested_tuple(values, len(axes)))
 
     @classmethod
-    def _unchecked(cls, *fields):
-        """An instance built without `__post_init__`'s checks, for grids that
-        are valid by construction."""
-        self = object.__new__(cls)
-        for name, value in zip(cls.__dataclass_fields__, fields):
-            object.__setattr__(self, name, value)
+    def _from_lattice(cls, axes, nums: np.ndarray, denom: int,
+                      axis_lattices=None):
+        """A kernel's output: values nums/denom on the product of `axes`,
+        unchecked, with the lattice (in lowest terms) cached, and the axis
+        lattices too when the kernel has them."""
+        nums, denom = _reduced(nums, denom)
+        self = _unchecked(cls, *axes, _fractions(nums, denom))
+        self.__dict__["lattice"] = _readonly(nums), denom
+        if axis_lattices is not None:
+            self.__dict__["axis_lattices"] = tuple(axis_lattices)
         return self
 
     @classmethod
@@ -283,57 +356,65 @@ class _ProductGrid:
             v = v[_cell_index(bps, frac(x))]
         return v
 
-    def _index(self, grids) -> list:
-        """Per axis, the cell of this function's grid under each grid cell."""
-        return [_refinement_index(bps, grid, name)
-                for name, bps, grid in zip(self._AXES, self.axes, grids)]
+    def _index(self, lattices) -> list:
+        """Per axis, the cell of this function's grid under each cell of a
+        grid given as a lattice."""
+        return [_refinement_index(own, grid, name) for name, own, grid
+                in zip(self._AXES, self.axis_lattices, lattices)]
 
     def on_grid(self, *grids):
         """Cell values on grids (one per axis) that refine this function's;
         a grid that misses one of its breakpoints raises ValueError."""
-        return _gather(self.values, self._index(grids))
+        return _gather(self.values, self._index(map(_to_int_vector, grids)))
 
-    def _lattice_on(self, grids) -> tuple[np.ndarray, int]:
-        """`on_grid` on the lattice: (numerators, denominator)."""
-        nums, denom = _lattice(self.values)
-        return nums[np.ix_(*self._index(grids))], denom
+    def _lattice_on(self, lattices) -> tuple[np.ndarray, int]:
+        """`on_grid` on the lattice, for grids given as lattices:
+        (numerators, denominator)."""
+        nums, denom = self.lattice
+        index = self._index(lattices)
+        if all(isinstance(i, range) for i in index):
+            return nums, denom
+        return nums[np.ix_(*index)], denom
 
     def _common(self, other):
-        """The common refinement of both grids, and both value tensors on it
-        as lattices."""
+        """The common refinement of both grids (its axes and their
+        lattices), and both value tensors on it as lattices."""
         if type(other) is not type(self):
             raise DimensionMismatch(f"cannot combine {type(self).__name__} "
                                     f"with {type(other).__name__}")
-        axes = tuple(map(merge_breakpoints, self.axes, other.axes))
-        return axes, self._lattice_on(axes), other._lattice_on(axes)
+        axes, lattices = zip(*(
+            (a, la) if _same(la, lb) else _union([(a, la), (b, lb)])
+            for a, la, b, lb in zip(self.axes, self.axis_lattices,
+                                    other.axes, other.axis_lattices)))
+        return (axes, lattices, self._lattice_on(lattices),
+                other._lattice_on(lattices))
 
     def equals(self, other) -> bool:
-        _, (a, a_denom), (b, b_denom) = self._common(other)
+        _, _, (a, a_denom), (b, b_denom) = self._common(other)
         return bool((a * b_denom == b * a_denom).all())
 
     def simplify(self):
         """Drop grid lines across which all values agree (canonical form);
         iterated pushforwards otherwise accumulate redundant breakpoints."""
-        axes, vals = self.axes, self.values
-        for d, bps in enumerate(axes):
-            index = [range(len(b) - 1) for b in axes]
-            # the slices along axis d, each one cell thick
-            cells = vals if d == 0 else [
-                _gather(vals, [*index[:d], [i], *index[d + 1:]])
-                for i in index[d]]
-            index[d] = [0] + [i for i in index[d][1:]
-                              if cells[i] != cells[i - 1]]
-            vals = _gather(vals, index)
-            axes = (*axes[:d], (*(bps[i] for i in index[d]), bps[-1]),
-                    *axes[d + 1:])
-        return type(self)(*axes, vals)
+        nums, denom = self.lattice
+        axes, lattices = list(self.axes), list(self.axis_lattices)
+        for d in range(nums.ndim):
+            cells = np.moveaxis(nums, d, 0)
+            keep = [0] + [i for i in range(1, len(cells))
+                          if not np.array_equal(cells[i], cells[i - 1])]
+            nums = nums.take(keep, axis=d)
+            ends = [*keep, len(cells)]
+            axes[d] = tuple(map(axes[d].__getitem__, ends))
+            grid, grid_denom = _reduced(lattices[d][0][ends], lattices[d][1])
+            lattices[d] = _readonly(grid), grid_denom
+        return self._from_lattice(axes, nums, denom, lattices)
 
     def _combine(self, op, other):
         """`op` (add or sub) cell by cell on the common refinement, over
         the product of both denominators."""
-        axes, (a, a_denom), (b, b_denom) = self._common(other)
-        nums = op(a * b_denom, b * a_denom)
-        return type(self)(*axes, _fractions(nums, a_denom * b_denom))
+        axes, lattices, (a, a_denom), (b, b_denom) = self._common(other)
+        return self._from_lattice(axes, op(a * b_denom, b * a_denom),
+                                  a_denom * b_denom, lattices)
 
     def __add__(self, other):
         return self._combine(add, other)
@@ -343,9 +424,9 @@ class _ProductGrid:
 
     def __mul__(self, scalar):
         s = frac(scalar)
-        nums, denom = _lattice(self.values)
-        return type(self)(*self.axes, _fractions(nums * s.numerator,
-                                                 denom * s.denominator))
+        nums, denom = self.lattice
+        return self._from_lattice(self.axes, nums * s.numerator,
+                                  denom * s.denominator, self.axis_lattices)
 
     __rmul__ = __mul__
 
@@ -353,11 +434,12 @@ class _ProductGrid:
         return self * -1
 
     def integral(self) -> Fraction:
-        return _contract(_lattice(self.values), [_widths(b) for b in self.axes])
+        return _contract(self.lattice, list(map(_widths, self.axis_lattices)))
 
     def l1_norm(self) -> Fraction:
-        nums, denom = _lattice(self.values)
-        return _contract((abs(nums), denom), [_widths(b) for b in self.axes])
+        nums, denom = self.lattice
+        return _contract((abs(nums), denom),
+                         list(map(_widths, self.axis_lattices)))
 
 
 @dataclass(frozen=True)
@@ -383,7 +465,7 @@ class PCFun1D(_ProductGrid):
         n = len(vals)
         if not n:
             raise ValueError("a uniform grid needs at least one value")
-        return PCFun1D._unchecked(_uniform_grid(n), vals)
+        return _unchecked(PCFun1D, _uniform_grid(n), vals)
 
     def refine(self, extra: Iterable) -> "PCFun1D":
         """Same function on a finer grid; inner products are invariant."""
@@ -411,8 +493,8 @@ class PCFun1D(_ProductGrid):
 def _pair(f: _ProductGrid, g: _ProductGrid) -> Fraction:
     """<f, g>: the product on the common refinement, contracted against the
     cell widths, all on the lattice."""
-    axes, (a, a_denom), (b, b_denom) = f._common(g)
-    return _contract((a * b, a_denom * b_denom), [_widths(x) for x in axes])
+    _, lattices, (a, a_denom), (b, b_denom) = f._common(g)
+    return _contract((a * b, a_denom * b_denom), list(map(_widths, lattices)))
 
 
 def inner_product(f: PCFun1D, g: PCFun1D) -> Fraction:
@@ -546,15 +628,14 @@ def pair_with_affine_3d(f: PCFun3D, c0, cu, cc, cs) -> Fraction:
     Each term is one contraction: c0 against the cell widths on every axis,
     and each coordinate against its first moments on its own axis.
     """
-    values = _lattice(f.values)
-    widths = [_widths(b) for b in f.axes]
+    widths = list(map(_widths, f.axis_lattices))
     total = ZERO
     for axis, coeff in enumerate(map(frac, (c0, cu, cc, cs)), start=-1):
         if coeff:
             weights = list(widths)
             if axis >= 0:
-                weights[axis] = _moments(f.axes[axis])
-            total += coeff * _contract(values, weights)
+                weights[axis] = _moments(f.axis_lattices[axis])
+            total += coeff * _contract(f.lattice, weights)
     return total
 
 
@@ -607,13 +688,13 @@ def inner_product_pa(f: PAFun1D, g: PAFun1D) -> Fraction:
     a1 (b1^2 - b0^2)/2E^2 + a0 (b1 - b0)/E: three integer dot products over
     one denominator.
     """
-    bps = merge_breakpoints(f.breakpoints, g.breakpoints)
+    lf, lg = _to_int_vector(f.breakpoints), _to_int_vector(g.breakpoints)
+    _, (b, e) = _union([(f.breakpoints, lf), (g.breakpoints, lg)])
     sf, cf, f_denom = _pa_lattice(f)
     sg, cg, g_denom = _pa_lattice(g)
-    i = _refinement_index(f.breakpoints, bps, "merged")
-    j = _refinement_index(g.breakpoints, bps, "merged")
+    i = _refinement_index(lf, (b, e), "merged")
+    j = _refinement_index(lg, (b, e), "merged")
     sf, cf, sg, cg = sf[i], cf[i], sg[j], cg[j]
-    b, e = _to_int_vector(bps)
     squares, cubes = b * b, b * b * b
     total = (2 * np.dot(sf * sg, cubes[1:] - cubes[:-1])
              + 3 * e * np.dot(sf * cg + cf * sg, squares[1:] - squares[:-1])

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pcfun import ZERO, PCFun1D, _to_int_vector, frac
+from .pcfun import ZERO, PCFun1D, _fractions, _to_int_vector, frac
 
 EXACT_N_CUTOFF = 64
 HALF = Fraction(1, 2)
@@ -99,10 +99,14 @@ def step(state: RuinState) -> RuinState:
 
 
 def evolve_from(q0: RuinState, n: int) -> RuinState:
-    state = q0
+    """n steps of `step`: `walk_step` on the integer numerators of q0, at
+    scale 1/2 per step, and one Fraction per level at the end."""
+    if n == 0:
+        return q0
+    nums, denom = _to_int_vector(q0.q)
     for _ in range(n):
-        state = step(state)
-    return state
+        nums = trim_levels(walk_step(nums, 1, 1))
+    return RuinState(q0.n + n, _fractions(nums, denom << n))
 
 
 def transition_prob_exact(l: int, lp: int, n: int) -> Fraction:

@@ -48,8 +48,9 @@ import numpy as np
 from .baker import BakerParams, Kind, branch_affines
 from .haar import _grid_levels
 from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D, _contract,
-                    _fractions, _lattice, _moments, _pa_lattice,
-                    _to_int_vector, _widths, frac, merge_breakpoints)
+                    _contract_lattice, _fractions, _moments, _pa_lattice,
+                    _readonly, _reduced, _to_int_vector, _uniform_grid,
+                    _uniform_lattice, _unchecked, _union, _widths, frac)
 from .ruin import exact_walk_step, trim_levels, walk_step
 
 HALF = Fraction(1, 2)
@@ -149,8 +150,9 @@ def p0_apply_pa(op: ReducedOp, f: PAFun1D, n: int = 1) -> PAFun1D:
         x, slopes, icpts = _pa_step(x, x_denom, slopes, icpts, op)
         x_denom *= op.M
         denom *= op.w.denominator * op.M ** 2
-    return PAFun1D(_fractions(x, x_denom), _fractions(slopes, denom),
-                   _fractions(icpts, denom))
+    # the breakpoints are sorted integers from 0 to x_denom: no check
+    return _unchecked(PAFun1D, _fractions(x, x_denom),
+                      _fractions(slopes, denom), _fractions(icpts, denom))
 
 
 def _pa_step(x: np.ndarray, d: int, slopes: np.ndarray, icpts: np.ndarray,
@@ -198,11 +200,13 @@ def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
         return f
     L = f.is_uniform_level(op.M)
     if L is not None and L >= 1:
-        nums, denom = _to_int_vector(f.values)
+        nums, denom = f.lattice
         for _ in range(n):
             nums = _p0_step_int(nums, op)
         denom *= (op.M * op.w.denominator) ** n
-        return PCFun1D.uniform(_fractions(nums, denom))
+        cells = len(nums)
+        return PCFun1D._from_lattice((_uniform_grid(cells),), nums, denom,
+                                     (_uniform_lattice(cells),))
     for _ in range(n):
         f = p_alpha(op, f) + p_beta(op, f)
     return f
@@ -341,7 +345,7 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
     if L0 == 0:
         raise ValueError("input must be a nonconstant dyadic function")
 
-    nums, _ = _to_int_vector(f.values)
+    nums, _ = f.lattice
     levels = _grid_levels(nums)
     sw = None  # square-wave levels, sw[i] is level i+1
     if all((arr == arr[0]).all() for arr in levels[1:]):
@@ -372,17 +376,18 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
 # ---------------------------------------------------------------------------
 # full 3D operator
 
-def _push_axis(bps: Sequence[Fraction], maps: dict):
+def _push_axis(lattice: tuple[np.ndarray, int], maps: dict):
     """One axis of a pushforward, on the integer lattice.
 
     `maps` gives per branch key (m, c, lo, hi): the map x -> m x + c on the
-    breakpoints from lo to hi (both in `bps`).  With `bps` as numerators over
-    their denominator D, every image is an integer over D times the lcm of
-    the branches' m and c denominators.  Returns the output grid (the sorted
-    union of the images) and per key a pair: the slice of input cells it
-    maps, and the output position of each of their breakpoints.
+    breakpoints from lo to hi (both on the grid).  With the grid given as
+    its lattice, numerators over D, every image is an integer over D times
+    the lcm of the branches' m and c denominators.  Returns the output grid
+    (the sorted union of the images) as (Fractions, lattice), and per key a
+    pair: the slice of input cells it maps, and the output position of each
+    of their breakpoints.
     """
-    nums, denom = _to_int_vector(bps)
+    nums, denom = lattice
     nums = nums.tolist()
     at = {n: i for i, n in enumerate(nums)}
     scale = math.lcm(*(m.denominator * c.denominator
@@ -395,10 +400,10 @@ def _push_axis(bps: Sequence[Fraction], maps: dict):
         images[key] = (i0, [slope * n + shift for n in nums[i0:i1 + 1]])
     out = sorted(set().union(*(img for _, img in images.values())))
     position = {n: i for i, n in enumerate(out)}
-    grid = tuple(Fraction(n, denom * scale) for n in out)
-    return grid, {key: (slice(i0, i0 + len(img) - 1),
-                        [position[n] for n in img])
-                  for key, (i0, img) in images.items()}
+    grid, grid_denom = _reduced(np.array(out, dtype=object), denom * scale)
+    return ((_fractions(grid, grid_denom), (_readonly(grid), grid_denom)),
+            {key: (slice(i0, i0 + len(img) - 1), [position[n] for n in img])
+             for key, (i0, img) in images.items()})
 
 
 def _spread(block: np.ndarray, positions: Sequence[list]) -> np.ndarray:
@@ -414,27 +419,36 @@ def _box(positions: Sequence[list]) -> tuple:
     return tuple(slice(pos[0], pos[-1]) for pos in positions)
 
 
+def _branch_edges(params: BakerParams) -> list:
+    """The x_u and x_c breakpoints of the branch domains, each as
+    (Fractions, lattice)."""
+    M, a = params.M, params.a
+    edges = ([k * a for k in range(M + 1)] + [ONE],
+             [Fraction(k, M) for k in range(M + 1)])
+    return [(bps, _to_int_vector(bps)) for bps in edges]
+
+
 @dataclass(frozen=True)
 class _BranchGrid:
-    """The (x_u, x_c) grids of a pushforward: input breakpoints refined by
-    the branch edges, output breakpoints (the branch images of the refined
-    ones), and per branch key its affine maps and the `_push_axis` tables
-    of both axes (the input cells it maps, the output positions of their
-    breakpoints)."""
+    """The (x_u, x_c) grids of a pushforward: the input grids refined by the
+    branch edges (as lattices), the output grids (the branch images of the
+    refined ones, each as (Fractions, lattice)), and per branch key its
+    affine maps and the `_push_axis` tables of both axes (the input cells
+    it maps, the output positions of their breakpoints)."""
 
-    bu: tuple
-    bc: tuple
-    gu: tuple
-    gc: tuple
+    refined: tuple
+    out: tuple
     affines: dict
     u: dict
     c: dict
 
     @staticmethod
-    def build(params: BakerParams, bps_u, bps_c) -> "_BranchGrid":
+    def build(params: BakerParams, f) -> "_BranchGrid":
+        """The grids for a function f whose first two axes are (x_u, x_c)."""
         M, a = params.M, params.a
-        bu = merge_breakpoints(bps_u, [k * a for k in range(M + 1)] + [ONE])
-        bc = merge_breakpoints(bps_c, [Fraction(k, M) for k in range(M + 1)])
+        refined = tuple(_union([(bps, lattice), edges])[1] for bps, lattice,
+                        edges in zip(f.axes, f.axis_lattices,
+                                     _branch_edges(params)))
         affines = branch_affines(params)
         u_maps, c_maps = {}, {}
         for (kind, k), ((mu, cu), (mc, cc), _) in affines.items():
@@ -444,9 +458,9 @@ class _BranchGrid:
             else:
                 u_maps[kind, k] = (mu, cu, M * a, ONE)
                 c_maps[kind, k] = (mc, cc, Fraction(k - 1, M), Fraction(k, M))
-        gu, u = _push_axis(bu, u_maps)
-        gc, c = _push_axis(bc, c_maps)
-        return _BranchGrid(bu, bc, gu, gc, affines, u, c)
+        gu, u = _push_axis(refined[0], u_maps)
+        gc, c = _push_axis(refined[1], c_maps)
+        return _BranchGrid(refined, (gu, gc), affines, u, c)
 
 
 def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
@@ -454,23 +468,22 @@ def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
 
     Requires measure preservation (a + b = 1/M), where the 2M branch images
     tile the cube and the operator is plain composition with the inverse:
-    each branch copies its block of input cells onto its image box.
+    each branch copies its block of input cells onto its image box, on the
+    lattice of F.
     """
     if not params.is_measure_preserving:
         raise ValueError("p_full_3d requires a + b = 1/M")
-    g = _BranchGrid.build(params, F.bps_u, F.bps_c)
-    bs = F.bps_s
-    gs, s = _push_axis(bs, {key: (ms, cs, ZERO, ONE) for key, (_, _, (ms, cs))
-                            in g.affines.items()})
-    cells = np.array(F.values, dtype=object)[
-        np.ix_(*F._index((g.bu, g.bc, bs)))]
-    out = np.full((len(g.gu) - 1, len(g.gc) - 1, len(gs) - 1), ZERO,
-                  dtype=object)
+    g = _BranchGrid.build(params, F)
+    bs = F.axis_lattices[2]
+    out_s, s = _push_axis(bs, {key: (ms, cs, ZERO, ONE) for key, (_, _, (ms, cs))
+                               in g.affines.items()})
+    cells, denom = F._lattice_on((*g.refined, bs))
+    (gu, lu), (gc, lc), (gs, ls) = *g.out, out_s
+    out = np.zeros((len(gu) - 1, len(gc) - 1, len(gs) - 1), dtype=object)
     for key in g.affines:
         (iu, pu), (ic, pc), (_, ps) = g.u[key], g.c[key], s[key]
         out[_box((pu, pc, ps))] = _spread(cells[iu, ic], (pu, pc, ps))
-    return PCFun3D(g.gu, g.gc, gs,
-                   tuple(tuple(map(tuple, p)) for p in out.tolist()))
+    return PCFun3D._from_lattice((gu, gc, gs), out, denom, (lu, lc, ls))
 
 
 def p_full_3d_n(params: BakerParams, F: PCFun3D, n: int) -> PCFun3D:
@@ -490,17 +503,18 @@ def p_full_2d(params: BakerParams, h: PCFun2D,
     before pushing; this realizes weighted operators like the stable-slope
     cocycle used by `fiber_average_decay_check`.
     """
-    g = _BranchGrid.build(params, h.bps_x, h.bps_y)
-    cells, denom = h._lattice_on((g.bu, g.bc))
+    g = _BranchGrid.build(params, h)
+    cells, denom = h._lattice_on(g.refined)
     w_alpha, w_beta = region_weight if region_weight else (ONE, ONE)
     weights, w_denom = _to_int_vector([
         (w_alpha if kind is Kind.ALPHA else w_beta) / (mu * mc)
         for (kind, _), ((mu, _), (mc, _), _) in g.affines.items()])
-    out = np.zeros((len(g.gu) - 1, len(g.gc) - 1), dtype=object)
+    (gu, lu), (gc, lc) = g.out
+    out = np.zeros((len(gu) - 1, len(gc) - 1), dtype=object)
     for key, weight in zip(g.affines, weights):
         (iu, pu), (ic, pc) = g.u[key], g.c[key]
         out[_box((pu, pc))] += _spread(cells[iu, ic] * weight, (pu, pc))
-    return PCFun2D(g.gu, g.gc, _fractions(out, denom * w_denom))
+    return PCFun2D._from_lattice((gu, gc), out, denom * w_denom, (lu, lc))
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +524,11 @@ def pi0(F: PCFun3D) -> PCFun3D:
     """Projection onto the x_c-average component: average over x_c per
     (x_u, x_s) cell, re-tensored with the constant function.  The result is
     constant in x_c and carries the trivial x_c grid."""
-    avg = _contract(_lattice(F.values), (None, _widths(F.bps_c), None))
-    return PCFun3D(F.bps_u, (ZERO, ONE), F.bps_s, tuple((row,) for row in avg))
+    lu, lc, ls = F.axis_lattices
+    avg, denom = _contract_lattice(F.lattice, (None, _widths(lc), None))
+    return PCFun3D._from_lattice((F.bps_u, (ZERO, ONE), F.bps_s),
+                                 avg[:, None, :], denom,
+                                 (lu, _uniform_lattice(1), ls))
 
 
 def component_split_apply(which: str, params: BakerParams, F: PCFun3D) -> PCFun3D:
@@ -646,15 +663,16 @@ def tensor_components_add(x, y):
 # fiber-average decay
 
 def xs_fiber_averages_zero(u: PCFun3D) -> bool:
-    averages = _contract(_lattice(u.values), (None, None, _widths(u.bps_s)))
+    averages = _contract(u.lattice, (None, None, _widths(u.axis_lattices[2])))
     return PCFun2D(u.bps_u, u.bps_c, averages).is_zero()
 
 
 def xs_first_moment(u: PCFun3D) -> PCFun2D:
     """m1(x_u, x_c) = integral of u * x_s over the stable fiber."""
-    return PCFun2D(u.bps_u, u.bps_c,
-                   _contract(_lattice(u.values),
-                             (None, None, _moments(u.bps_s))))
+    lu, lc, ls = u.axis_lattices
+    return PCFun2D._from_lattice(
+        (u.bps_u, u.bps_c),
+        *_contract_lattice(u.lattice, (None, None, _moments(ls))), (lu, lc))
 
 
 def fiber_average_decay_check(params: BakerParams, u: PCFun3D,

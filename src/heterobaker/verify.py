@@ -13,8 +13,8 @@ import numpy as np
 
 from .baker import BakerParams, Symbol, branch_affines, domain_box
 from .haar import tensor_analyze, tensor_synthesize
-from .pcfun import (PCFun1D, PCFun3D, _contract, _lattice, _to_int_vector,
-                    _widths, inner_product_3d, project_zero_mean)
+from .pcfun import (PCFun1D, PCFun3D, _contract_lattice, _widths,
+                    inner_product_3d, project_zero_mean)
 from .transfer import (ReducedOp, component_split_apply, p0_apply, p_full_3d,
                        p_full_3d_n, p_hat_alpha, p_hat_beta, pi0,
                        tensor_components_add)
@@ -80,9 +80,9 @@ def check_formula_compositions(params: BakerParams, F: PCFun3D,
 
 def project_xc(F: PCFun3D) -> PCFun1D:
     """Average over (x_u, x_s): the reduction projection."""
-    vals = _contract(_lattice(F.values),
-                     (_widths(F.bps_u), None, _widths(F.bps_s)))
-    return PCFun1D(F.bps_c, vals).simplify()
+    lu, lc, ls = F.axis_lattices
+    nums, denom = _contract_lattice(F.lattice, (_widths(lu), None, _widths(ls)))
+    return PCFun1D._from_lattice((F.bps_c,), nums, denom, (lc,)).simplify()
 
 
 def check_reduction(params: BakerParams, f: PCFun1D, n: int) -> bool:
@@ -145,21 +145,18 @@ def pair_with_pullback(params: BakerParams, F: PCFun3D, G: PCFun3D,
     """
     branches = [(domain_box(params, Symbol(kind, k)), maps)
                 for (kind, k), maps in branch_affines(params).items()]
-    cells, values_denom = _lattice(F.values)
+    cells, values_denom = F.lattice
     where = np.nonzero(cells)
     values = cells[where]
-    ends = []
-    for idx, bps in zip(where, F.axes):
-        nums, denom = _to_int_vector(bps)
-        ends.append((nums[idx], nums[idx + 1], denom))
+    ends = [(nums[idx], nums[idx + 1], denom)
+            for idx, (nums, denom) in zip(where, F.axis_lattices)]
     for _ in range(n):
         ends, values = _push_boxes(ends, values, branches)
 
-    g_cells, denom = _lattice(G.values)
+    g_cells, denom = G.lattice
     denom *= values_denom
     overlaps = []
-    for (lo, hi, box_denom), bps in zip(ends, G.axes):
-        nums, g_denom = _to_int_vector(bps)
+    for (lo, hi, box_denom), (nums, g_denom) in zip(ends, G.axis_lattices):
         e = math.lcm(box_denom, g_denom)
         lo, hi = lo[:, None] * (e // box_denom), hi[:, None] * (e // box_denom)
         nums = nums * (e // g_denom)

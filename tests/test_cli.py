@@ -308,3 +308,14 @@ def test_written_bytes_are_pinned(tmp_path, argv):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FILES[key]
+
+
+def test_mc_takes_a_constant_observable(capsys):
+    code, out = run(capsys, "corr", "--phi", "1/2", "--psi", "xc",
+                    "--method", "mc", "--n-list", "1", "--samples", "10000",
+                    "--seed", "1")
+    assert code == 0
+    n, value, method, err = out.splitlines()[1].split(",")
+    assert (n, method) == ("1", "monte-carlo")
+    # a constant has no correlation with anything
+    assert abs(float(value)) <= 5 * float(err)

@@ -298,7 +298,8 @@ def test_mc_memory_is_bounded():
 def test_double_levels_match_fractions(prof, c_tail, L):
     from heterobaker.correlation import _double_levels, _materialize
     arr, l2 = _double_levels(prof, c_tail, L)
-    ref = _materialize(prof, c_tail, L)
+    nums, denom = _materialize(prof, c_tail, L)
+    ref = [F(n, denom) for n in nums]
     expect = np.array([float(x) for x in ref])
     # same floats, including the sign of the zeros past the underflow
     assert np.array_equal(arr, expect)

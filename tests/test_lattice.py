@@ -11,9 +11,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heterobaker as hb
 from heterobaker.correlation import exact_reduced_correlation
+from heterobaker.pcfun import _lattice, _to_int_vector
 from heterobaker.transfer import p_full_2d, p_full_3d_n, pi0
 from heterobaker.verify import project_xc, random_pc1, random_pc3
 
@@ -100,3 +103,80 @@ def test_exact_series_are_pinned():
     assert _digest([[r.exact for r in s] for s in series]) == SERIES_PIN
     assert _digest(walks) == WALK_PIN
 
+
+
+def _outputs(seed: int, params, op) -> list:
+    """Every kernel that hands its output lattice over, on seeded inputs."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    F3, G3 = random_pc3(rng), random_pc3(rng, zero_mean=False)
+    f1, g1 = random_pc1(rng, 2), random_pc1(rng, 3)
+    n = 2 if params.M == 2 else 1
+    return [F3 + G3, F3 - pi0(G3), G3 * F(-5, 3), f1 + g1, g1 - f1,
+            f1 * F(7, 4), pi0(F3), p_full_3d_n(params, F3, n),
+            p_full_2d(params, _plane(G3)), project_xc(G3),
+            hb.p0_apply(op, f1, 3), F3.simplify(), (F3 + G3).simplify()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), params=st.sampled_from(PARAMS),
+       op=st.sampled_from(OPS[:2]))
+def test_kernel_outputs_hold_the_lattice_of_their_values(seed, params, op):
+    for G in _outputs(seed, params, op):
+        # handed over by the kernel, not recomputed on first use
+        assert {"lattice", "axis_lattices"} <= set(vars(G)), type(G)
+        nums, denom = G.lattice
+        ref, ref_denom = _lattice(G.values)
+        assert denom == ref_denom and np.array_equal(nums, ref)
+        for (nums, denom), bps in zip(G.axis_lattices, G.axes):
+            ref, ref_denom = _to_int_vector(bps)
+            assert denom == ref_denom and np.array_equal(nums, ref)
+        checked = type(G)(*G.axes, G.values)
+        assert checked == G and checked.equals(G)
+
+
+BAD_FUNCTIONS = [
+    (hb.PCFun1D, ((F(0), F(1, 2), F(1, 3), F(1)), (F(1),) * 3),
+     "strictly increasing"),
+    (hb.PCFun1D, ((F(0), F(1, 2), F(1, 2), F(1)), (F(1),) * 3),
+     "strictly increasing"),
+    (hb.PCFun1D, ((F(0), F(3, 2)), (F(1),)), "end at 1"),
+    (hb.PCFun1D, ((F(-1, 2), F(1)), (F(1),)), "start at 0"),
+    (hb.PCFun1D, ((F(0), F(1, 2), F(1)), (F(1),)), "shape"),
+    (hb.PCFun2D, ((F(0), F(1)), (F(0), F(2, 3), F(1, 3), F(1)),
+                  ((F(1),) * 3,)), "strictly increasing"),
+    (hb.PCFun2D, ((F(0), F(1)), (F(0), F(1)), ((F(1), F(2)),)), "shape"),
+    (hb.PCFun3D, ((F(0), F(1)), (F(0), F(5, 4)), (F(0), F(1)),
+                  (((F(1),),),)), "end at 1"),
+    (hb.PCFun3D, ((F(0), F(1)),) * 3 + ((((F(1), F(2)),),),), "shape"),
+]
+
+
+@pytest.mark.parametrize("cls,fields,match", BAD_FUNCTIONS)
+def test_public_constructors_still_check_their_input(cls, fields, match):
+    with pytest.raises(ValueError, match=match):
+        cls(*fields)
+    with pytest.raises(ValueError, match=match):
+        cls.build(*fields)
+
+
+def test_user_built_pa_functions_are_checked():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        hb.PAFun1D((F(0), F(2, 3), F(1, 3), F(1)), (F(1),) * 3, (F(0),) * 3)
+    with pytest.raises(ValueError, match="one \\(slope, intercept\\)"):
+        hb.PAFun1D((F(0), F(1)), (F(1), F(2)), (F(0),))
+
+
+def test_cached_lattices_are_read_only():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    F3 = random_pc3(rng)
+    # one computed on first use, one handed over by a kernel
+    for G in (hb.PCFun3D.build(F3.bps_u, F3.bps_c, F3.bps_s, F3.values),
+              p_full_3d_n(PARAMS[0], F3, 1)):
+        arrays = [G.lattice[0], *(nums for nums, _ in G.axis_lattices)]
+        before = [nums.copy() for nums in arrays]
+        for nums in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                nums[(0,) * nums.ndim] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                nums += 1
+        assert all(map(np.array_equal, arrays, before))
