@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .pcfun import (ONE, ZERO, NotMAdic, PCFun1D, PCFun2D, PCFun3D,
-                    _adic_depth, _fractions, _to_int_vector, _uniform_grid,
+                    _adic_depth, _fractions, _to_int_vector,
                     _uniform_lattice, _union, frac, inner_product)
 
 HaarExpansion = dict            # (l, k) -> Fraction synthesis weight
@@ -307,7 +307,7 @@ def tensor_analyze(F: PCFun3D) -> TensorComponents:
     nums, den = F._lattice_on((lu, _uniform_lattice(2 ** L), ls))
     levels = _grid_levels(np.moveaxis(nums, 1, 0))
     plane = lambda cells: PCFun2D._from_lattice(  # noqa: E731
-        (F.bps_u, F.bps_s), cells, den << L, (lu, ls))
+        cells, den << L, (lu, ls))
     return TensorComponents(plane(levels[0][0]), {
         (l, k): plane(cells) for l in range(1, L + 1)
         for k, cells in enumerate(levels[l]) if cells.any()})
@@ -315,17 +315,15 @@ def tensor_analyze(F: PCFun3D) -> TensorComponents:
 
 def tensor_synthesize(comp: TensorComponents) -> PCFun3D:
     parts = [comp.component00, *comp.waves.values()]
-    bu, lu = _union([(u.bps_x, u.axis_lattices[0]) for u in parts])
-    bs, ls = _union([(u.bps_y, u.axis_lattices[1]) for u in parts])
+    lu = _union([u.axis_lattices[0] for u in parts])
+    ls = _union([u.axis_lattices[1] for u in parts])
     lattices = [u._lattice_on((lu, ls)) for u in parts]
     den = math.lcm(*(d for _, d in lattices))
     constant, *waves = (nums * (den // d) for nums, d in lattices)
     cells = _haar_cells(constant, dict(zip(comp.waves, waves)),
-                        (len(bu) - 1, len(bs) - 1))
-    n = len(cells)
-    return PCFun3D._from_lattice((bu, _uniform_grid(n), bs),
-                                 np.moveaxis(cells, 0, 1), den,
-                                 (lu, _uniform_lattice(n), ls))
+                        (len(lu[0]) - 1, len(ls[0]) - 1))
+    return PCFun3D._from_lattice(np.moveaxis(cells, 0, 1), den,
+                                 (lu, _uniform_lattice(len(cells)), ls))
 
 
 # ---------------------------------------------------------------------------

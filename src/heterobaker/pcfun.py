@@ -17,19 +17,18 @@ The grid kernels run on an integer lattice, not on Fractions.
 `_to_int_vector` is the one conversion: a Fraction vector becomes Python-int
 numerators over the lcm of its denominators.  Each function holds its
 lattice: `lattice` is its value tensor that way (`_lattice(values)`) and
-`axis_lattices` its breakpoints, both read-only arrays made on first use, or
-handed over by the kernel that built the function (`_from_lattice`, which
-brings them to lowest terms, so they equal what the conversion would give,
-and skips the checks a public constructor runs: kernel outputs are valid by
-construction).  On the lattice, `_union` sorts and dedupes integers and
-returns the given Fraction objects in that order; `_refinement_index` finds
+`axis_lattices` its breakpoints, read-only arrays made once per function.
+A kernel's output is built from its lattices alone (`_from_lattice`, which
+brings the values to lowest terms, so they equal what the conversion would
+give, and skips the checks a public constructor runs: kernel outputs are
+valid by construction); its Fraction fields are made from them on first
+read, so a function that only feeds the next kernel never builds them.  On
+the lattice, `_union` sorts and dedupes integers; `_refinement_index` finds
 the cell of each refining cell by one two-pointer walk of both grids, and
 refuses a grid that misses a breakpoint.  Every weighted cell sum is one
 axis contraction, `_contract_lattice`: a value lattice against one integer
 weight vector per axis (cell widths or first moments), with `None` for an
-axis that is kept.  It is an integer dot product per axis.  Fractions are
-built only for what a function or a caller holds: the values and the new
-breakpoints of a kernel's output, and returned scalars.
+axis that is kept.  It is an integer dot product per axis.
 
 `PAFun1D` is the one-dimensional piecewise-*affine* sibling used as an
 independent grid oracle for affine observables like x - 1/2.  It runs on
@@ -151,25 +150,20 @@ def _same(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int]) -> bool:
     return a is b or (a[1] == b[1] and np.array_equal(a[0], b[0]))
 
 
-def _union(axes: Sequence[tuple]) -> tuple[tuple[Fraction, ...], tuple]:
-    """The sorted union of breakpoint lists, each given as (Fractions, its
-    lattice): as the given Fraction objects, and on the lattice of the lcm
-    of the lists' denominators (the integers that get sorted)."""
-    denom = math.lcm(*(d for _, (_, d) in axes))
-    union = {}
-    for bps, (nums, d) in axes:
-        union.update(zip((nums * (denom // d)).tolist(), bps))
-    nums = sorted(union)
-    return (tuple(map(union.__getitem__, nums)),
-            (_readonly(np.array(nums, dtype=object)), denom))
+def _union(lattices: Sequence[tuple[np.ndarray, int]]) -> tuple:
+    """The sorted union of breakpoint lists given as lattices, on the
+    lattice of the lcm of their denominators."""
+    denom = math.lcm(*(d for _, d in lattices))
+    nums = set().union(*((n * (denom // d)).tolist() for n, d in lattices))
+    return _readonly(np.array(sorted(nums), dtype=object)), denom
 
 
 def merge_breakpoints(*lists: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The sorted union of breakpoint lists, as the given Fraction objects."""
+    """The sorted union of breakpoint lists."""
     first = tuple(lists[0])
     if all(first == tuple(bps) for bps in lists[1:]):
         return first
-    return _union([(bps, _to_int_vector(bps)) for bps in lists])[0]
+    return _fractions(*_union([_to_int_vector(bps) for bps in lists]))
 
 
 def _refinement_index(own: tuple[np.ndarray, int],
@@ -293,7 +287,8 @@ class _ProductGrid:
 
     Subclasses are frozen dataclasses whose fields are the axis grids, named
     in `_AXES`, followed by `values`, nested one tuple level per axis.
-    Beside them an instance caches its lattice (`lattice`, `axis_lattices`).
+    Beside them an instance caches its lattice (`lattice`, `axis_lattices`);
+    a kernel's output starts from the lattice alone.
     """
 
     _AXES: tuple[str, ...] = ()
@@ -328,17 +323,30 @@ class _ProductGrid:
                    _nested_tuple(values, len(axes)))
 
     @classmethod
-    def _from_lattice(cls, axes, nums: np.ndarray, denom: int,
-                      axis_lattices=None):
-        """A kernel's output: values nums/denom on the product of `axes`,
-        unchecked, with the lattice (in lowest terms) cached, and the axis
-        lattices too when the kernel has them."""
+    def _from_lattice(cls, nums: np.ndarray, denom: int, axis_lattices):
+        """A kernel's output, unchecked: values nums/denom on the grids of
+        `axis_lattices`, with the value lattice brought to lowest terms.  Its
+        Fraction fields are made on first read (`__getattr__`)."""
         nums, denom = _reduced(nums, denom)
-        self = _unchecked(cls, *axes, _fractions(nums, denom))
-        self.__dict__["lattice"] = _readonly(nums), denom
-        if axis_lattices is not None:
-            self.__dict__["axis_lattices"] = tuple(axis_lattices)
+        self = object.__new__(cls)
+        self.__dict__.update(lattice=(_readonly(nums), denom),
+                             axis_lattices=tuple(axis_lattices))
         return self
+
+    def __getattr__(self, name):
+        # reached only for a field not yet set: the Fractions of a kernel's
+        # output, made from its lattice on first read and kept
+        cached = self.__dict__
+        if name == "values" and "lattice" in cached:
+            lattice = cached["lattice"]
+        elif name in self._AXES and "axis_lattices" in cached:
+            lattice = cached["axis_lattices"][self._AXES.index(name)]
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        value = _fractions(*lattice)
+        object.__setattr__(self, name, value)
+        return value
 
     @classmethod
     def constant(cls, c):
@@ -377,43 +385,40 @@ class _ProductGrid:
         return nums[np.ix_(*index)], denom
 
     def _common(self, other):
-        """The common refinement of both grids (its axes and their
-        lattices), and both value tensors on it as lattices."""
+        """The common refinement of both grids as lattices, and both value
+        tensors on it as lattices."""
         if type(other) is not type(self):
             raise DimensionMismatch(f"cannot combine {type(self).__name__} "
                                     f"with {type(other).__name__}")
-        axes, lattices = zip(*(
-            (a, la) if _same(la, lb) else _union([(a, la), (b, lb)])
-            for a, la, b, lb in zip(self.axes, self.axis_lattices,
-                                    other.axes, other.axis_lattices)))
-        return (axes, lattices, self._lattice_on(lattices),
+        lattices = [a if _same(a, b) else _union([a, b])
+                    for a, b in zip(self.axis_lattices, other.axis_lattices)]
+        return (lattices, self._lattice_on(lattices),
                 other._lattice_on(lattices))
 
     def equals(self, other) -> bool:
-        _, _, (a, a_denom), (b, b_denom) = self._common(other)
+        _, (a, a_denom), (b, b_denom) = self._common(other)
         return bool((a * b_denom == b * a_denom).all())
 
     def simplify(self):
         """Drop grid lines across which all values agree (canonical form);
         iterated pushforwards otherwise accumulate redundant breakpoints."""
         nums, denom = self.lattice
-        axes, lattices = list(self.axes), list(self.axis_lattices)
+        lattices = list(self.axis_lattices)
         for d in range(nums.ndim):
             cells = np.moveaxis(nums, d, 0)
             keep = [0] + [i for i in range(1, len(cells))
                           if not np.array_equal(cells[i], cells[i - 1])]
             nums = nums.take(keep, axis=d)
-            ends = [*keep, len(cells)]
-            axes[d] = tuple(map(axes[d].__getitem__, ends))
-            grid, grid_denom = _reduced(lattices[d][0][ends], lattices[d][1])
+            grid, grid_denom = lattices[d]
+            grid, grid_denom = _reduced(grid[[*keep, len(cells)]], grid_denom)
             lattices[d] = _readonly(grid), grid_denom
-        return self._from_lattice(axes, nums, denom, lattices)
+        return self._from_lattice(nums, denom, lattices)
 
     def _combine(self, op, other):
         """`op` (add or sub) cell by cell on the common refinement, over
         the product of both denominators."""
-        axes, lattices, (a, a_denom), (b, b_denom) = self._common(other)
-        return self._from_lattice(axes, op(a * b_denom, b * a_denom),
+        lattices, (a, a_denom), (b, b_denom) = self._common(other)
+        return self._from_lattice(op(a * b_denom, b * a_denom),
                                   a_denom * b_denom, lattices)
 
     def __add__(self, other):
@@ -425,8 +430,8 @@ class _ProductGrid:
     def __mul__(self, scalar):
         s = frac(scalar)
         nums, denom = self.lattice
-        return self._from_lattice(self.axes, nums * s.numerator,
-                                  denom * s.denominator, self.axis_lattices)
+        return self._from_lattice(nums * s.numerator, denom * s.denominator,
+                                  self.axis_lattices)
 
     __rmul__ = __mul__
 
@@ -493,7 +498,7 @@ class PCFun1D(_ProductGrid):
 def _pair(f: _ProductGrid, g: _ProductGrid) -> Fraction:
     """<f, g>: the product on the common refinement, contracted against the
     cell widths, all on the lattice."""
-    _, lattices, (a, a_denom), (b, b_denom) = f._common(g)
+    lattices, (a, a_denom), (b, b_denom) = f._common(g)
     return _contract((a * b, a_denom * b_denom), list(map(_widths, lattices)))
 
 
@@ -689,7 +694,7 @@ def inner_product_pa(f: PAFun1D, g: PAFun1D) -> Fraction:
     one denominator.
     """
     lf, lg = _to_int_vector(f.breakpoints), _to_int_vector(g.breakpoints)
-    _, (b, e) = _union([(f.breakpoints, lf), (g.breakpoints, lg)])
+    b, e = _union([lf, lg])
     sf, cf, f_denom = _pa_lattice(f)
     sg, cg, g_denom = _pa_lattice(g)
     i = _refinement_index(lf, (b, e), "merged")

@@ -49,8 +49,8 @@ from .baker import BakerParams, Kind, branch_affines
 from .haar import _grid_levels
 from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D, _contract,
                     _contract_lattice, _fractions, _moments, _pa_lattice,
-                    _readonly, _reduced, _to_int_vector, _uniform_grid,
-                    _uniform_lattice, _unchecked, _union, _widths, frac)
+                    _readonly, _reduced, _to_int_vector, _uniform_lattice,
+                    _unchecked, _union, _widths, frac)
 from .ruin import exact_walk_step, trim_levels, walk_step
 
 HALF = Fraction(1, 2)
@@ -204,9 +204,8 @@ def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
         for _ in range(n):
             nums = _p0_step_int(nums, op)
         denom *= (op.M * op.w.denominator) ** n
-        cells = len(nums)
-        return PCFun1D._from_lattice((_uniform_grid(cells),), nums, denom,
-                                     (_uniform_lattice(cells),))
+        return PCFun1D._from_lattice(nums, denom,
+                                     (_uniform_lattice(len(nums)),))
     for _ in range(n):
         f = p_alpha(op, f) + p_beta(op, f)
     return f
@@ -383,9 +382,9 @@ def _push_axis(lattice: tuple[np.ndarray, int], maps: dict):
     breakpoints from lo to hi (both on the grid).  With the grid given as
     its lattice, numerators over D, every image is an integer over D times
     the lcm of the branches' m and c denominators.  Returns the output grid
-    (the sorted union of the images) as (Fractions, lattice), and per key a
-    pair: the slice of input cells it maps, and the output position of each
-    of their breakpoints.
+    (the sorted union of the images) as a lattice, and per key a pair: the
+    slice of input cells it maps, and the output position of each of their
+    breakpoints.
     """
     nums, denom = lattice
     nums = nums.tolist()
@@ -401,7 +400,7 @@ def _push_axis(lattice: tuple[np.ndarray, int], maps: dict):
     out = sorted(set().union(*(img for _, img in images.values())))
     position = {n: i for i, n in enumerate(out)}
     grid, grid_denom = _reduced(np.array(out, dtype=object), denom * scale)
-    return ((_fractions(grid, grid_denom), (_readonly(grid), grid_denom)),
+    return ((_readonly(grid), grid_denom),
             {key: (slice(i0, i0 + len(img) - 1), [position[n] for n in img])
              for key, (i0, img) in images.items()})
 
@@ -420,21 +419,19 @@ def _box(positions: Sequence[list]) -> tuple:
 
 
 def _branch_edges(params: BakerParams) -> list:
-    """The x_u and x_c breakpoints of the branch domains, each as
-    (Fractions, lattice)."""
+    """The x_u and x_c breakpoints of the branch domains, as lattices."""
     M, a = params.M, params.a
-    edges = ([k * a for k in range(M + 1)] + [ONE],
-             [Fraction(k, M) for k in range(M + 1)])
-    return [(bps, _to_int_vector(bps)) for bps in edges]
+    return [_to_int_vector([k * a for k in range(M + 1)] + [ONE]),
+            _to_int_vector([Fraction(k, M) for k in range(M + 1)])]
 
 
 @dataclass(frozen=True)
 class _BranchGrid:
-    """The (x_u, x_c) grids of a pushforward: the input grids refined by the
-    branch edges (as lattices), the output grids (the branch images of the
-    refined ones, each as (Fractions, lattice)), and per branch key its
-    affine maps and the `_push_axis` tables of both axes (the input cells
-    it maps, the output positions of their breakpoints)."""
+    """The (x_u, x_c) grids of a pushforward, as lattices: the input grids
+    refined by the branch edges, the output grids (the branch images of the
+    refined ones), and per branch key its affine maps and the `_push_axis`
+    tables of both axes (the input cells it maps, the output positions of
+    their breakpoints)."""
 
     refined: tuple
     out: tuple
@@ -446,9 +443,8 @@ class _BranchGrid:
     def build(params: BakerParams, f) -> "_BranchGrid":
         """The grids for a function f whose first two axes are (x_u, x_c)."""
         M, a = params.M, params.a
-        refined = tuple(_union([(bps, lattice), edges])[1] for bps, lattice,
-                        edges in zip(f.axes, f.axis_lattices,
-                                     _branch_edges(params)))
+        refined = tuple(_union(pair) for pair in zip(f.axis_lattices,
+                                                      _branch_edges(params)))
         affines = branch_affines(params)
         u_maps, c_maps = {}, {}
         for (kind, k), ((mu, cu), (mc, cc), _) in affines.items():
@@ -478,12 +474,12 @@ def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
     out_s, s = _push_axis(bs, {key: (ms, cs, ZERO, ONE) for key, (_, _, (ms, cs))
                                in g.affines.items()})
     cells, denom = F._lattice_on((*g.refined, bs))
-    (gu, lu), (gc, lc), (gs, ls) = *g.out, out_s
-    out = np.zeros((len(gu) - 1, len(gc) - 1, len(gs) - 1), dtype=object)
+    grids = (*g.out, out_s)
+    out = np.zeros([len(nums) - 1 for nums, _ in grids], dtype=object)
     for key in g.affines:
         (iu, pu), (ic, pc), (_, ps) = g.u[key], g.c[key], s[key]
         out[_box((pu, pc, ps))] = _spread(cells[iu, ic], (pu, pc, ps))
-    return PCFun3D._from_lattice((gu, gc, gs), out, denom, (lu, lc, ls))
+    return PCFun3D._from_lattice(out, denom, grids)
 
 
 def p_full_3d_n(params: BakerParams, F: PCFun3D, n: int) -> PCFun3D:
@@ -509,12 +505,11 @@ def p_full_2d(params: BakerParams, h: PCFun2D,
     weights, w_denom = _to_int_vector([
         (w_alpha if kind is Kind.ALPHA else w_beta) / (mu * mc)
         for (kind, _), ((mu, _), (mc, _), _) in g.affines.items()])
-    (gu, lu), (gc, lc) = g.out
-    out = np.zeros((len(gu) - 1, len(gc) - 1), dtype=object)
+    out = np.zeros([len(nums) - 1 for nums, _ in g.out], dtype=object)
     for key, weight in zip(g.affines, weights):
         (iu, pu), (ic, pc) = g.u[key], g.c[key]
         out[_box((pu, pc))] += _spread(cells[iu, ic] * weight, (pu, pc))
-    return PCFun2D._from_lattice((gu, gc), out, denom * w_denom, (lu, lc))
+    return PCFun2D._from_lattice(out, denom * w_denom, g.out)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +521,7 @@ def pi0(F: PCFun3D) -> PCFun3D:
     constant in x_c and carries the trivial x_c grid."""
     lu, lc, ls = F.axis_lattices
     avg, denom = _contract_lattice(F.lattice, (None, _widths(lc), None))
-    return PCFun3D._from_lattice((F.bps_u, (ZERO, ONE), F.bps_s),
-                                 avg[:, None, :], denom,
+    return PCFun3D._from_lattice(avg[:, None, :], denom,
                                  (lu, _uniform_lattice(1), ls))
 
 
@@ -671,7 +665,6 @@ def xs_first_moment(u: PCFun3D) -> PCFun2D:
     """m1(x_u, x_c) = integral of u * x_s over the stable fiber."""
     lu, lc, ls = u.axis_lattices
     return PCFun2D._from_lattice(
-        (u.bps_u, u.bps_c),
         *_contract_lattice(u.lattice, (None, None, _moments(ls))), (lu, lc))
 
 

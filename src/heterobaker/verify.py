@@ -82,7 +82,7 @@ def project_xc(F: PCFun3D) -> PCFun1D:
     """Average over (x_u, x_s): the reduction projection."""
     lu, lc, ls = F.axis_lattices
     nums, denom = _contract_lattice(F.lattice, (_widths(lu), None, _widths(ls)))
-    return PCFun1D._from_lattice((F.bps_c,), nums, denom, (lc,)).simplify()
+    return PCFun1D._from_lattice(nums, denom, (lc,)).simplify()
 
 
 def check_reduction(params: BakerParams, f: PCFun1D, n: int) -> bool:
