@@ -297,7 +297,7 @@ def cmd_verify_all(args) -> int:
     ok = True
     for _ in range(5):
         f = random_pc1(rng, int(rng.integers(1, 5)))
-        if all(v == 0 for v in f.values):
+        if not f.lattice[0].any():
             continue
         ok = ok and oracle_equivalence_report(f, op, 8)["agree"]
     checks["oracle_equivalence"] = ok
@@ -319,8 +319,7 @@ def cmd_verify_all(args) -> int:
     rows = fiber_average_decay_check(params, u, (Fraction(-1, 2), 0, 0, 1), 6)
     checks["fiber_decay"] = all(r["ok"] for r in rows)
 
-    stair = PCFun1D.uniform([Fraction(-3, 4), Fraction(-1, 4),
-                             Fraction(1, 4), Fraction(3, 4)])
+    stair = PCFun1D.uniform(["-3/4", "-1/4", "1/4", "3/4"])
     rep = domination_check(stair, 4)
     checks["domination_equality"] = rep["all_hold"] and rep["all_equal"]
 

@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .pcfun import (ONE, ZERO, NotMAdic, PCFun1D, PCFun2D, PCFun3D,
-                    _adic_depth, _fractions, _to_int_vector,
+                    _adic_depth, _level_blocks, _to_int_vector,
                     _uniform_lattice, _union, frac, inner_product)
 
 HaarExpansion = dict            # (l, k) -> Fraction synthesis weight
@@ -75,8 +75,8 @@ def square_wave(l: int) -> PCFun1D:
     """s_l = sum_k chi_{l,k}: the +-1 square wave at frequency 2^(l-1)."""
     if l == 0:
         return PCFun1D.constant(1)
-    # one shared Fraction per sign, not one per cell (2^20 of them at l = 20)
-    return PCFun1D.uniform((ONE, -ONE) * 2 ** (l - 1))
+    signs = np.tile(np.array([1, -1], dtype=object), 2 ** (l - 1))
+    return PCFun1D._from_lattice(signs, 1, (_uniform_lattice(2 ** l),))
 
 
 def dyadic_level(f: PCFun1D) -> int:
@@ -154,9 +154,9 @@ def analyze(f: PCFun1D) -> HaarExpansion:
 
 
 def synthesize(expansion: Mapping) -> PCFun1D:
-    nums, den = _to_int_vector(list(expansion.values()))
-    return PCFun1D.uniform(_fractions(
-        _haar_cells(0, dict(zip(expansion, nums))), den))
+    nums, den = _to_int_vector(expansion.values())
+    cells = _haar_cells(0, dict(zip(expansion, nums)))
+    return PCFun1D._from_lattice(cells, den, (_uniform_lattice(len(cells)),))
 
 
 def coefficient(f: PCFun1D, l: int, k: int) -> Fraction:
@@ -239,10 +239,7 @@ class LevelComponents:
         return {l + 1: c.sup_norm() for l, c in enumerate(self.components)}
 
     def reconstruct(self) -> PCFun1D:
-        out = PCFun1D.zero()
-        for c in self.components:
-            out = out + c
-        return out
+        return sum(self.components, PCFun1D.zero())
 
 
 def analyze_general_M(f: PCFun1D, M: int) -> LevelComponents:
@@ -259,21 +256,17 @@ def analyze_general_M(f: PCFun1D, M: int) -> LevelComponents:
         raise NonZeroMean(f"mean is {Fraction(sums[0][0], den * M ** L)}, "
                           "expected 0")
     return LevelComponents(M, tuple(
-        PCFun1D.uniform(_fractions(M * sums[l] - np.repeat(sums[l - 1], M),
-                                   den * M ** (L - l + 1))).simplify()
+        PCFun1D._from_lattice(M * sums[l] - np.repeat(sums[l - 1], M),
+                              den * M ** (L - l + 1),
+                              (_uniform_lattice(M ** l),)).simplify()
         for l in range(1, L + 1)))
 
 
 def is_xi_increasing(f: PCFun1D, M: int, level: int) -> bool:
     """Membership in the level-`level` monotone cone: strictly increasing
     across distinct level cells inside each level-(level-1) cell."""
-    from .pcfun import restrict_to_m_adic
-    vals = restrict_to_m_adic(f, M, level)
-    for i in range(M ** (level - 1)):
-        block = vals[i * M:(i + 1) * M]
-        if any(a >= b for a, b in zip(block, block[1:])):
-            return False
-    return True
+    blocks, _ = _level_blocks(f, M, level)
+    return bool((blocks[:, 1:] > blocks[:, :-1]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +287,6 @@ class TensorComponents:
 
     def component(self, l: int, k: int) -> PCFun2D:
         return self.waves.get((l, k), PCFun2D.constant(0))
-
-    def max_level(self) -> int:
-        return max((l for l, _ in self.waves), default=0)
 
 
 def tensor_analyze(F: PCFun3D) -> TensorComponents:

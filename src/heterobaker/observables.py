@@ -72,8 +72,7 @@ def affine_center() -> Observable3D:
 
 
 def staircase4() -> Observable3D:
-    pc = PCFun1D.uniform([Fraction(-3, 4), Fraction(-1, 4),
-                          Fraction(1, 4), Fraction(3, 4)])
+    pc = PCFun1D.uniform(["-3/4", "-1/4", "1/4", "3/4"])
 
     def fn(xu, xc, xs):
         idx = np.minimum((np.asarray(xc) * 4).astype(np.int64), 3)

@@ -3,32 +3,33 @@
 Functions live on [0,1] (or [0,1]^2, [0,1]^3 as products of axis grids).
 Cells are half-open [b_i, b_{i+1}) with the last cell closed at 1; point
 evaluation at a breakpoint returns the right-hand cell's value.  Every
-breakpoint and value a function holds or returns is a `fractions.Fraction`,
-so every operation here is exact.  Floats only enter through the Monte
-Carlo fast paths elsewhere.
+operation here is exact.  Floats only enter through the Monte Carlo fast
+paths elsewhere.
 
 There is one product-grid core, `_ProductGrid`: `PCFun1D`, `PCFun2D` and
 `PCFun3D` only name their axes (`(breakpoints,)`, `(bps_x, bps_y)`,
-`(bps_u, bps_c, bps_s)`), and point evaluation, `on_grid`, `equals`,
-`simplify`, `+`, `-`, scalar `*`, `integral` and `l1_norm` are written once
-for d axes over values nested one tuple level per axis.
+`(bps_u, bps_c, bps_s)`), and construction, point evaluation, `on_grid`,
+`equals`, `simplify`, `+`, `-`, scalar `*`, `integral`, `l1_norm`, `repr`,
+`==` and `hash` are written once for d axes.
 
-The grid kernels run on an integer lattice, not on Fractions.
-`_to_int_vector` is the one conversion: a Fraction vector becomes Python-int
-numerators over the lcm of its denominators.  Each function holds its
-lattice: `lattice` is its value tensor that way (`_lattice(values)`) and
-`axis_lattices` its breakpoints, read-only arrays made once per function.
-A kernel's output is built from its lattices alone (`_from_lattice`, which
-brings the values to lowest terms, so they equal what the conversion would
-give, and skips the checks a public constructor runs: kernel outputs are
-valid by construction); its Fraction fields are made from them on first
-read, so a function that only feeds the next kernel never builds them.  On
-the lattice, `_union` sorts and dedupes integers; `_refinement_index` finds
-the cell of each refining cell by one two-pointer walk of both grids, and
-refuses a grid that misses a breakpoint.  Every weighted cell sum is one
-axis contraction, `_contract_lattice`: a value lattice against one integer
-weight vector per axis (cell widths or first moments), with `None` for an
-axis that is kept.  It is an integer dot product per axis.
+A function *is* its integer lattice: `lattice`, the value tensor as
+Python-int numerators (a read-only object array) over one denominator, and
+`axis_lattices`, each axis's breakpoints the same way; both in lowest terms,
+hence canonical.  `_to_int_vector` is the one conversion: rationals
+(Fractions, ints, 'p/q' strings) become numerators over the lcm of their
+denominators.  There are two ways in: the constructor parses its input once
+and checks the grids and the value shape on integers; a kernel's output
+comes from its lattices alone (`_from_lattice`, which brings the values to
+lowest terms and checks nothing).  Fractions are made only where they are
+read: the `values` and breakpoint tuples are views made on first read and
+kept, and `repr`, the JSON writer, point evaluation and every returned
+scalar build them.  On the lattice, `_union` sorts and dedupes integers;
+`_refinement_index` finds the cell of each refining cell by one two-pointer
+walk of both grids, and refuses a grid that misses a breakpoint.  Every
+weighted cell sum is one axis contraction, `_contract_lattice`: a value
+lattice against one integer weight vector per axis (cell widths or first
+moments), with `None` for an axis that is kept.  It is an integer dot
+product per axis.
 
 `PAFun1D` is the one-dimensional piecewise-*affine* sibling used as an
 independent grid oracle for affine observables like x - 1/2.  It runs on
@@ -81,14 +82,6 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
-def _check_breakpoints(bps: Sequence[Fraction]) -> None:
-    if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
-        raise ValueError("breakpoints must start at 0 and end at 1")
-    for a, b in zip(bps, bps[1:]):
-        if not a < b:
-            raise ValueError("breakpoints must be strictly increasing")
-
-
 def _cell_index(bps: Sequence[Fraction], x: Fraction) -> int:
     # right-hand cell convention; x == 1 belongs to the last cell
     if x >= 1:
@@ -96,10 +89,11 @@ def _cell_index(bps: Sequence[Fraction], x: Fraction) -> int:
     return bisect_right(bps, x) - 1
 
 
-def _to_int_vector(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
-    """The lattice form of a Fraction vector: integer numerators as a
-    Python-int object array, over the lcm of the denominators."""
-    ratios = [v.as_integer_ratio() for v in values]
+def _to_int_vector(values: Iterable) -> tuple[np.ndarray, int]:
+    """The lattice form of a vector of rationals (anything `frac` takes):
+    integer numerators as a Python-int object array, over the lcm of the
+    denominators."""
+    ratios = [frac(v).as_integer_ratio() for v in values]
     denom = math.lcm(*{d for _, d in ratios})
     return np.array([n * (denom // d) for n, d in ratios], dtype=object), denom
 
@@ -121,11 +115,6 @@ def _adic_depth(bps, M: int, what: str) -> int:
     return L
 
 
-def _uniform_grid(n: int) -> tuple[Fraction, ...]:
-    """The breakpoints i/n of the uniform grid with n cells."""
-    return tuple(Fraction(i, n) for i in range(n + 1))
-
-
 def _readonly(nums: np.ndarray) -> np.ndarray:
     """`nums`, flagged read-only: a cached lattice must not be written."""
     nums.flags.writeable = False
@@ -141,8 +130,20 @@ def _reduced(nums: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
 
 
 def _uniform_lattice(n: int) -> tuple[np.ndarray, int]:
-    """The lattice of `_uniform_grid(n)`: 0, 1, ..., n over n."""
+    """The breakpoints i/n of the uniform grid with n cells: 0, 1, ..., n
+    over n."""
     return _readonly(np.arange(n + 1).astype(object)), n
+
+
+def _grid_lattice(bps: Iterable) -> tuple[np.ndarray, int]:
+    """The lattice of a breakpoint list, checked on integers: the first
+    numerator is 0, the last the denominator, and they strictly increase."""
+    nums, denom = _to_int_vector(bps)
+    if len(nums) < 2 or nums[0] != 0 or nums[-1] != denom:
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    if not (nums[1:] > nums[:-1]).all():
+        raise ValueError("breakpoints must be strictly increasing")
+    return _readonly(nums), denom
 
 
 def _same(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int]) -> bool:
@@ -156,14 +157,6 @@ def _union(lattices: Sequence[tuple[np.ndarray, int]]) -> tuple:
     denom = math.lcm(*(d for _, d in lattices))
     nums = set().union(*((n * (denom // d)).tolist() for n, d in lattices))
     return _readonly(np.array(sorted(nums), dtype=object)), denom
-
-
-def merge_breakpoints(*lists: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The sorted union of breakpoint lists."""
-    first = tuple(lists[0])
-    if all(first == tuple(bps) for bps in lists[1:]):
-        return first
-    return _fractions(*_union([_to_int_vector(bps) for bps in lists]))
 
 
 def _refinement_index(own: tuple[np.ndarray, int],
@@ -189,13 +182,23 @@ def _refinement_index(own: tuple[np.ndarray, int],
 
 
 # ---------------------------------------------------------------------------
-# the product-grid core: nested value tuples, one level per axis
+# the product-grid core: a value lattice with one axis per grid axis
 
-def _lattice(values) -> tuple[np.ndarray, int]:
+def _lattice(values, shape=None) -> tuple[np.ndarray, int]:
     """A nested value tensor as integer numerators (an object array of its
-    shape) over one denominator."""
+    shape) over one denominator.  A tensor not of `shape`, when given, is
+    refused; numpy keeps the rows of a ragged tensor as cells, so a cell
+    that is a sequence is a shape error too."""
     cells = np.array(values, dtype=object)
-    nums, denom = _to_int_vector(cells.ravel().tolist())
+    mismatch = ValueError("value tensor shape does not match the grid")
+    if shape is not None and cells.shape != shape:
+        raise mismatch
+    try:
+        nums, denom = _to_int_vector(cells.ravel().tolist())
+    except TypeError:
+        if any(map(np.ndim, cells.flat)):
+            raise mismatch from None
+        raise
     return nums.reshape(cells.shape), denom
 
 
@@ -253,107 +256,82 @@ def _map(fn, depth: int, values):
     return tuple(_map(fn, depth - 1, v) for v in values)
 
 
-def _gather(values, index: Sequence):
-    """The cells of `values` picked by one index list per axis."""
-    head, *rest = index
-    if not rest:
-        return tuple(values[i] for i in head)
-    return tuple(_gather(values[i], rest) for i in head)
-
-
-def _has_shape(values, shape: Sequence[int]) -> bool:
-    n, *rest = shape
-    return len(values) == n and (
-        not rest or all(_has_shape(v, rest) for v in values))
-
-
-def _nested_tuple(values, depth: int):
-    if depth == 0:
-        return frac(values)
-    return tuple(_nested_tuple(v, depth - 1) for v in values)
-
-
-def _unchecked(cls, *fields):
-    """An instance of the dataclass `cls` built without `__post_init__`'s
-    checks, for grids that are valid by construction."""
-    self = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
-        object.__setattr__(self, name, value)
-    return self
+def _axis_view(axis: int) -> cached_property:
+    """The breakpoints of one axis as a Fraction tuple: a read-only view
+    made from the axis lattice on first read and kept."""
+    return cached_property(lambda self: _fractions(*self.axis_lattices[axis]))
 
 
 class _ProductGrid:
-    """A piecewise-constant function on the product of its axis grids.
-
-    Subclasses are frozen dataclasses whose fields are the axis grids, named
-    in `_AXES`, followed by `values`, nested one tuple level per axis.
-    Beside them an instance caches its lattice (`lattice`, `axis_lattices`);
-    a kernel's output starts from the lattice alone.
-    """
+    """A piecewise-constant function on the product of its axis grids,
+    stored as `lattice` and `axis_lattices` alone.  Subclasses name their
+    axes in `_AXES` and take the axis grids, then the values nested one
+    level per axis; writing any attribute raises."""
 
     _AXES: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        for bps in self.axes:
-            _check_breakpoints(bps)
-        if not _has_shape(self.values, [len(b) - 1 for b in self.axes]):
-            raise ValueError("value tensor shape does not match the grid")
+    def __init__(self, axes: Sequence, values):
+        """Parse and check each grid (`_grid_lattice`), then the values."""
+        axis_lattices = tuple(map(_grid_lattice, axes))
+        nums, denom = _lattice(values, tuple(len(b) - 1 for b, _ in
+                                             axis_lattices))
+        self.__dict__.update(lattice=(_readonly(nums), denom),
+                             axis_lattices=axis_lattices)
+
+    @classmethod
+    def _from_lattice(cls, nums: np.ndarray, denom: int, axis_lattices):
+        """A kernel's output, unchecked: values nums/denom on the grids of
+        `axis_lattices`, with the value lattice brought to lowest terms."""
+        nums, denom = _reduced(nums, denom)
+        self = object.__new__(cls)
+        self.__dict__.update(lattice=(_readonly(nums), denom), axis_lattices=
+                             tuple((_readonly(b), d) for b, d in axis_lattices))
+        return self
+
+    @classmethod
+    def build(cls, *axes_then_values):
+        """The constructor under its older name."""
+        return cls(*axes_then_values)
+
+    @cached_property
+    def values(self):
+        """The values as nested tuples of Fractions: a read-only view made
+        from the lattice on first read and kept."""
+        return _fractions(*self.lattice)
 
     @property
     def axes(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(getattr(self, name) for name in self._AXES)
 
-    @cached_property
-    def lattice(self) -> tuple[np.ndarray, int]:
-        """The values as integer numerators (a read-only object array of the
-        value shape) over one denominator, `_lattice(values)`."""
-        nums, denom = _lattice(self.values)
-        return _readonly(nums), denom
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
 
-    @cached_property
-    def axis_lattices(self) -> tuple[tuple[np.ndarray, int], ...]:
-        """Per axis, its breakpoints as integer numerators (read-only) over
-        the lcm of their denominators."""
-        return tuple((_readonly(nums), denom)
-                     for nums, denom in map(_to_int_vector, self.axes))
+    __delattr__ = __setattr__
 
-    @classmethod
-    def _build(cls, axes, values):
-        return cls(*(tuple(frac(b) for b in bps) for bps in axes),
-                   _nested_tuple(values, len(axes)))
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}"
+                  for name in (*self._AXES, "values"))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
-    @classmethod
-    def _from_lattice(cls, nums: np.ndarray, denom: int, axis_lattices):
-        """A kernel's output, unchecked: values nums/denom on the grids of
-        `axis_lattices`, with the value lattice brought to lowest terms.  Its
-        Fraction fields are made on first read (`__getattr__`)."""
-        nums, denom = _reduced(nums, denom)
-        self = object.__new__(cls)
-        self.__dict__.update(lattice=(_readonly(nums), denom),
-                             axis_lattices=tuple(axis_lattices))
-        return self
+    def __eq__(self, other) -> bool:
+        # lattices in lowest terms are canonical: equal fields, equal lattices
+        if type(other) is not type(self):
+            return NotImplemented
+        return _same(self.lattice, other.lattice) and \
+            all(map(_same, self.axis_lattices, other.axis_lattices))
 
-    def __getattr__(self, name):
-        # reached only for a field not yet set: the Fractions of a kernel's
-        # output, made from its lattice on first read and kept
-        cached = self.__dict__
-        if name == "values" and "lattice" in cached:
-            lattice = cached["lattice"]
-        elif name in self._AXES and "axis_lattices" in cached:
-            lattice = cached["axis_lattices"][self._AXES.index(name)]
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}")
-        value = _fractions(*lattice)
-        object.__setattr__(self, name, value)
-        return value
+    def __hash__(self) -> int:
+        return hash(tuple((denom, nums.shape, *nums.ravel().tolist()) for
+                          nums, denom in (self.lattice, *self.axis_lattices)))
+
+    def __reduce__(self):
+        return self._from_lattice, (*self.lattice, self.axis_lattices)
 
     @classmethod
     def constant(cls, c):
-        value = frac(c)
-        for _ in cls._AXES:
-            value = (value,)
-        return cls(*[(ZERO, ONE)] * len(cls._AXES), value)
+        c, d = frac(c), len(cls._AXES)
+        return cls._from_lattice(np.full((1,) * d, c.numerator, dtype=object),
+                                 c.denominator, [_uniform_lattice(1)] * d)
 
     def __call__(self, *point) -> Fraction:
         if len(point) != len(self._AXES):
@@ -373,7 +351,7 @@ class _ProductGrid:
     def on_grid(self, *grids):
         """Cell values on grids (one per axis) that refine this function's;
         a grid that misses one of its breakpoints raises ValueError."""
-        return _gather(self.values, self._index(map(_to_int_vector, grids)))
+        return _fractions(*self._lattice_on(map(_to_int_vector, grids)))
 
     def _lattice_on(self, lattices) -> tuple[np.ndarray, int]:
         """`on_grid` on the lattice, for grids given as lattices:
@@ -447,18 +425,14 @@ class _ProductGrid:
                          list(map(_widths, self.axis_lattices)))
 
 
-@dataclass(frozen=True)
 class PCFun1D(_ProductGrid):
     """Piecewise-constant function on [0,1]: values[i] on [bps[i], bps[i+1])."""
 
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-
     _AXES = ("breakpoints",)
+    breakpoints = _axis_view(0)
 
-    @staticmethod
-    def build(breakpoints: Iterable, values: Iterable) -> "PCFun1D":
-        return PCFun1D._build((breakpoints,), values)
+    def __init__(self, breakpoints: Iterable, values: Sequence):
+        super().__init__((breakpoints,), values)
 
     @staticmethod
     def zero() -> "PCFun1D":
@@ -466,33 +440,32 @@ class PCFun1D(_ProductGrid):
 
     @staticmethod
     def uniform(values: Iterable) -> "PCFun1D":
-        vals = tuple(frac(v) for v in values)
-        n = len(vals)
-        if not n:
+        nums, denom = _to_int_vector(values)
+        if not len(nums):
             raise ValueError("a uniform grid needs at least one value")
-        return _unchecked(PCFun1D, _uniform_grid(n), vals)
+        return PCFun1D._from_lattice(nums, denom,
+                                     (_uniform_lattice(len(nums)),))
 
     def refine(self, extra: Iterable) -> "PCFun1D":
         """Same function on a finer grid; inner products are invariant."""
-        bps = merge_breakpoints(self.breakpoints,
-                                [frac(b) for b in extra if 0 <= frac(b) <= 1])
-        return PCFun1D(bps, self.on_grid(bps))
+        inside = [b for b in map(frac, extra) if 0 <= b <= 1]
+        grid = _union([self.axis_lattices[0], _to_int_vector(inside)])
+        return self._from_lattice(*self._lattice_on((grid,)), (grid,))
 
     def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.values)
+        nums, denom = self.lattice
+        return Fraction(abs(nums).max(), denom)
 
     def is_uniform_level(self, base: int) -> int | None:
         """Return L if the grid is exactly the uniform base**L grid, else None."""
-        n = len(self.values)
+        nums, denom = self.axis_lattices[0]
+        n = len(nums) - 1
         L, m = 0, 1
         while m < n:
             m *= base
             L += 1
-        if m != n:
-            return None
-        uniform = all(b.numerator * n == i * b.denominator
-                      for i, b in enumerate(self.breakpoints))
-        return L if uniform else None
+        # n + 1 strictly increasing integers from 0 to n are 0, 1, ..., n
+        return L if m == n == denom else None
 
 
 def _pair(f: _ProductGrid, g: _ProductGrid) -> Fraction:
@@ -515,8 +488,7 @@ def mean(f: PCFun1D) -> Fraction:
 
 
 def project_zero_mean(f: PCFun1D) -> PCFun1D:
-    m = mean(f)
-    return PCFun1D(f.breakpoints, tuple(v - m for v in f.values))
+    return f - PCFun1D.constant(mean(f))
 
 
 def axpy(scalar, f: PCFun1D, g: PCFun1D) -> PCFun1D:
@@ -526,13 +498,15 @@ def axpy(scalar, f: PCFun1D, g: PCFun1D) -> PCFun1D:
 
 
 def from_affine(slope, intercept, level: int, base: int = 2) -> PCFun1D:
-    """Cell averages of slope*x + intercept on the uniform base**level grid."""
+    """Cell averages of slope*x + intercept on the uniform base**level grid:
+    m (2i + 1)/2n + c on cell i of n."""
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    m, c = frac(slope), frac(intercept)
-    grid = _uniform_grid(base ** level)
-    return PCFun1D.uniform(m * (lo + hi) / 2 + c
-                           for lo, hi in zip(grid, grid[1:]))
+    m, c, n = frac(slope), frac(intercept), base ** level
+    odd = np.arange(1, 2 * n, 2).astype(object)
+    return PCFun1D._from_lattice(
+        m.numerator * c.denominator * odd + 2 * n * c.numerator * m.denominator,
+        2 * n * m.denominator * c.denominator, (_uniform_lattice(n),))
 
 
 def _level_widths(f: PCFun1D, base: int, level: int):
@@ -547,8 +521,8 @@ def _level_widths(f: PCFun1D, base: int, level: int):
     if depth > level:
         raise NotInKLevel(f"a breakpoint needs {base}-adic level {depth}, "
                           f"not {level}")
-    return f, np.diff([b.numerator * base ** level // b.denominator
-                       for b in f.breakpoints])
+    nums, denom = f.axis_lattices[0]
+    return f, np.diff((nums * (base ** level // denom)).tolist())
 
 
 def restrict_to_m_adic(f: PCFun1D, base: int, level: int) -> tuple[Fraction, ...]:
@@ -557,66 +531,64 @@ def restrict_to_m_adic(f: PCFun1D, base: int, level: int) -> tuple[Fraction, ...
     Requires f to be constant on every cell of that partition.
     """
     f, widths = _level_widths(f, base, level)
-    return tuple(np.repeat(np.array(f.values, dtype=object), widths))
+    nums, denom = f.lattice
+    return _fractions(np.repeat(nums, widths), denom)
+
+
+def _level_blocks(f: PCFun1D, M: int, level: int):
+    """The value numerators of f on the uniform M**level grid, one row of M
+    per level-(level-1) cell, and their denominator."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    f, widths = _level_widths(f, M, level)
+    nums, denom = f.lattice
+    return np.repeat(nums, widths).reshape(-1, M), denom
 
 
 def osc_norm_star(f: PCFun1D, M: int, level: int) -> Fraction:
     """Max over level-(level-1) cells of the oscillation (sup - inf) of f.
 
-    f must be measurable w.r.t. the uniform M**level partition.  The value
-    numerators, repeated over the level cells, form one row of M per
-    level-(level-1) cell.
+    f must be measurable w.r.t. the uniform M**level partition.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    f, widths = _level_widths(f, M, level)
-    nums, denom = _to_int_vector(f.values)
-    blocks = np.repeat(nums, widths).reshape(-1, M)
+    blocks, denom = _level_blocks(f, M, level)
     return Fraction(max(blocks.max(axis=1) - blocks.min(axis=1)), denom)
 
 
 # ---------------------------------------------------------------------------
 # product grids in 2D / 3D
 
-@dataclass(frozen=True)
 class PCFun2D(_ProductGrid):
-    """Piecewise-constant on [0,1]^2 over a product grid (axes: x_u, x_s)."""
-
-    bps_x: tuple[Fraction, ...]
-    bps_y: tuple[Fraction, ...]
-    values: tuple[tuple[Fraction, ...], ...]  # values[i][j] on cell i of x, j of y
+    """Piecewise-constant on [0,1]^2 over a product grid (axes: x_u, x_s);
+    values[i][j] on cell i of x, j of y."""
 
     _AXES = ("bps_x", "bps_y")
+    bps_x, bps_y = _axis_view(0), _axis_view(1)
 
-    @staticmethod
-    def build(bps_x, bps_y, values) -> "PCFun2D":
-        return PCFun2D._build((bps_x, bps_y), values)
+    def __init__(self, bps_x: Iterable, bps_y: Iterable, values: Sequence):
+        super().__init__((bps_x, bps_y), values)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.values for v in row)
+        return not self.lattice[0].any()
 
 
-@dataclass(frozen=True)
 class PCFun3D(_ProductGrid):
-    """Piecewise-constant on [0,1]^3 over a product grid (axes: x_u, x_c, x_s)."""
-
-    bps_u: tuple[Fraction, ...]
-    bps_c: tuple[Fraction, ...]
-    bps_s: tuple[Fraction, ...]
-    values: tuple  # values[i][j][k]
+    """Piecewise-constant on [0,1]^3 over a product grid (axes: x_u, x_c,
+    x_s); values[i][j][k]."""
 
     _AXES = ("bps_u", "bps_c", "bps_s")
+    bps_u, bps_c, bps_s = _axis_view(0), _axis_view(1), _axis_view(2)
 
-    @staticmethod
-    def build(bps_u, bps_c, bps_s, values) -> "PCFun3D":
-        return PCFun3D._build((bps_u, bps_c, bps_s), values)
+    def __init__(self, bps_u: Iterable, bps_c: Iterable, bps_s: Iterable,
+                 values: Sequence):
+        super().__init__((bps_u, bps_c, bps_s), values)
 
     @staticmethod
     def from_xc(f: PCFun1D) -> "PCFun3D":
         """Lift a function of x_c to the cube."""
-        g = (ZERO, ONE)
-        vals = (tuple((v,) for v in f.values),)
-        return PCFun3D(g, f.breakpoints, g, vals)
+        nums, denom = f.lattice
+        flat = _uniform_lattice(1)
+        return PCFun3D._from_lattice(nums[None, :, None], denom,
+                                     (flat, *f.axis_lattices, flat))
 
 
 def inner_product_2d(f: PCFun2D, g: PCFun2D) -> Fraction:
@@ -660,7 +632,7 @@ class PAFun1D:
     intercepts: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _check_breakpoints(self.breakpoints)
+        _grid_lattice(self.breakpoints)
         if len(self.slopes) != len(self.breakpoints) - 1 or \
            len(self.intercepts) != len(self.slopes):
             raise ValueError("need one (slope, intercept) pair per cell")

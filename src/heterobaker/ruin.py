@@ -31,7 +31,6 @@ import numpy as np
 from .pcfun import ZERO, PCFun1D, _fractions, _to_int_vector, frac
 
 EXACT_N_CUTOFF = 64
-HALF = Fraction(1, 2)
 
 
 class ZeroFunction(ValueError):
@@ -95,7 +94,7 @@ def exact_walk_step(values: Sequence[Fraction], w: Fraction) -> tuple[Fraction, 
 
 def step(state: RuinState) -> RuinState:
     """One step: q'_l = (q_{l-1} + q_{l+1})/2, with q'_1 = q_2/2."""
-    return RuinState(state.n + 1, exact_walk_step(state.q, HALF))
+    return evolve_from(state, 1)
 
 
 def evolve_from(q0: RuinState, n: int) -> RuinState:

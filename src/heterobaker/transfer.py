@@ -41,16 +41,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .baker import BakerParams, Kind, branch_affines
 from .haar import _grid_levels
-from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D, _contract,
+from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D,
                     _contract_lattice, _fractions, _moments, _pa_lattice,
                     _readonly, _reduced, _to_int_vector, _uniform_lattice,
-                    _unchecked, _union, _widths, frac)
+                    _union, _widths, frac)
 from .ruin import exact_walk_step, trim_levels, walk_step
 
 HALF = Fraction(1, 2)
@@ -77,10 +79,6 @@ class ReducedOp:
             raise ValueError("M must be >= 2")
         if not 0 < self.w < 1:
             raise ValueError("weight must lie in (0,1)")
-
-    @property
-    def is_neutral(self) -> bool:
-        return self.w == HALF
 
     @staticmethod
     def neutral(M: int = 2) -> "ReducedOp":
@@ -150,9 +148,8 @@ def p0_apply_pa(op: ReducedOp, f: PAFun1D, n: int = 1) -> PAFun1D:
         x, slopes, icpts = _pa_step(x, x_denom, slopes, icpts, op)
         x_denom *= op.M
         denom *= op.w.denominator * op.M ** 2
-    # the breakpoints are sorted integers from 0 to x_denom: no check
-    return _unchecked(PAFun1D, _fractions(x, x_denom),
-                      _fractions(slopes, denom), _fractions(icpts, denom))
+    return PAFun1D(_fractions(x, x_denom), _fractions(slopes, denom),
+                   _fractions(icpts, denom))
 
 
 def _pa_step(x: np.ndarray, d: int, slopes: np.ndarray, icpts: np.ndarray,
@@ -418,45 +415,40 @@ def _box(positions: Sequence[list]) -> tuple:
     return tuple(slice(pos[0], pos[-1]) for pos in positions)
 
 
-def _branch_edges(params: BakerParams) -> list:
-    """The x_u and x_c breakpoints of the branch domains, as lattices."""
+@lru_cache(maxsize=64)
+def _branch_tables(params: BakerParams) -> tuple:
+    """What a pushforward takes from the parameters alone, built once per
+    parameter set and read-only, since every call shares it: the x_u and
+    x_c breakpoints of the branch domains as lattices, and per axis (x_u,
+    x_c, x_s) the `_push_axis` maps of every branch key."""
     M, a = params.M, params.a
-    return [_to_int_vector([k * a for k in range(M + 1)] + [ONE]),
-            _to_int_vector([Fraction(k, M) for k in range(M + 1)])]
+    edges = tuple((_readonly(nums), denom) for nums, denom in (
+        _to_int_vector([k * a for k in range(M + 1)] + [ONE]),
+        _to_int_vector([Fraction(k, M) for k in range(M + 1)])))
+    u_maps, c_maps, s_maps = {}, {}, {}
+    for (kind, k), ((mu, cu), (mc, cc), (ms, cs)) in \
+            branch_affines(params).items():
+        if kind is Kind.ALPHA:
+            u_maps[kind, k] = (mu, cu, (k - 1) * a, k * a)
+            c_maps[kind, k] = (mc, cc, ZERO, ONE)
+        else:
+            u_maps[kind, k] = (mu, cu, M * a, ONE)
+            c_maps[kind, k] = (mc, cc, Fraction(k - 1, M), Fraction(k, M))
+        s_maps[kind, k] = (ms, cs, ZERO, ONE)
+    return (edges, *map(MappingProxyType, (u_maps, c_maps, s_maps)))
 
 
-@dataclass(frozen=True)
-class _BranchGrid:
-    """The (x_u, x_c) grids of a pushforward, as lattices: the input grids
-    refined by the branch edges, the output grids (the branch images of the
-    refined ones), and per branch key its affine maps and the `_push_axis`
-    tables of both axes (the input cells it maps, the output positions of
-    their breakpoints)."""
-
-    refined: tuple
-    out: tuple
-    affines: dict
-    u: dict
-    c: dict
-
-    @staticmethod
-    def build(params: BakerParams, f) -> "_BranchGrid":
-        """The grids for a function f whose first two axes are (x_u, x_c)."""
-        M, a = params.M, params.a
-        refined = tuple(_union(pair) for pair in zip(f.axis_lattices,
-                                                      _branch_edges(params)))
-        affines = branch_affines(params)
-        u_maps, c_maps = {}, {}
-        for (kind, k), ((mu, cu), (mc, cc), _) in affines.items():
-            if kind is Kind.ALPHA:
-                u_maps[kind, k] = (mu, cu, (k - 1) * a, k * a)
-                c_maps[kind, k] = (mc, cc, ZERO, ONE)
-            else:
-                u_maps[kind, k] = (mu, cu, M * a, ONE)
-                c_maps[kind, k] = (mc, cc, Fraction(k - 1, M), Fraction(k, M))
-        gu, u = _push_axis(refined[0], u_maps)
-        gc, c = _push_axis(refined[1], c_maps)
-        return _BranchGrid(refined, (gu, gc), affines, u, c)
+def _push_grids(params: BakerParams, f) -> tuple:
+    """The (x_u, x_c) grids of a pushforward of f, whose first two axes are
+    (x_u, x_c), as lattices: the input grids refined by the branch edges,
+    the output grids (the branch images of the refined ones), and per
+    branch key the `_push_axis` tables of both axes (the input cells it
+    maps, the output positions of their breakpoints)."""
+    edges, u_maps, c_maps, _ = _branch_tables(params)
+    refined = tuple(map(_union, zip(f.axis_lattices, edges)))
+    (gu, u), (gc, c) = (_push_axis(refined[0], u_maps),
+                        _push_axis(refined[1], c_maps))
+    return refined, (gu, gc), u, c
 
 
 def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
@@ -469,15 +461,14 @@ def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
     """
     if not params.is_measure_preserving:
         raise ValueError("p_full_3d requires a + b = 1/M")
-    g = _BranchGrid.build(params, F)
+    refined, grids, u, c = _push_grids(params, F)
     bs = F.axis_lattices[2]
-    out_s, s = _push_axis(bs, {key: (ms, cs, ZERO, ONE) for key, (_, _, (ms, cs))
-                               in g.affines.items()})
-    cells, denom = F._lattice_on((*g.refined, bs))
-    grids = (*g.out, out_s)
+    out_s, s = _push_axis(bs, _branch_tables(params)[3])
+    cells, denom = F._lattice_on((*refined, bs))
+    grids = (*grids, out_s)
     out = np.zeros([len(nums) - 1 for nums, _ in grids], dtype=object)
-    for key in g.affines:
-        (iu, pu), (ic, pc), (_, ps) = g.u[key], g.c[key], s[key]
+    for key in u:
+        (iu, pu), (ic, pc), (_, ps) = u[key], c[key], s[key]
         out[_box((pu, pc, ps))] = _spread(cells[iu, ic], (pu, pc, ps))
     return PCFun3D._from_lattice(out, denom, grids)
 
@@ -499,17 +490,18 @@ def p_full_2d(params: BakerParams, h: PCFun2D,
     before pushing; this realizes weighted operators like the stable-slope
     cocycle used by `fiber_average_decay_check`.
     """
-    g = _BranchGrid.build(params, h)
-    cells, denom = h._lattice_on(g.refined)
+    refined, grids, u, c = _push_grids(params, h)
+    cells, denom = h._lattice_on(refined)
     w_alpha, w_beta = region_weight if region_weight else (ONE, ONE)
-    weights, w_denom = _to_int_vector([
+    affines = branch_affines(params).items()
+    weights, w_denom = _to_int_vector(
         (w_alpha if kind is Kind.ALPHA else w_beta) / (mu * mc)
-        for (kind, _), ((mu, _), (mc, _), _) in g.affines.items()])
-    out = np.zeros([len(nums) - 1 for nums, _ in g.out], dtype=object)
-    for key, weight in zip(g.affines, weights):
-        (iu, pu), (ic, pc) = g.u[key], g.c[key]
+        for (kind, _), ((mu, _), (mc, _), _) in affines)
+    out = np.zeros([len(nums) - 1 for nums, _ in grids], dtype=object)
+    for key, weight in zip(u, weights):
+        (iu, pu), (ic, pc) = u[key], c[key]
         out[_box((pu, pc))] += _spread(cells[iu, ic] * weight, (pu, pc))
-    return PCFun2D._from_lattice(out, denom * w_denom, g.out)
+    return PCFun2D._from_lattice(out, denom * w_denom, grids)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +649,9 @@ def tensor_components_add(x, y):
 # fiber-average decay
 
 def xs_fiber_averages_zero(u: PCFun3D) -> bool:
-    averages = _contract(u.lattice, (None, None, _widths(u.axis_lattices[2])))
-    return PCFun2D(u.bps_u, u.bps_c, averages).is_zero()
+    averages, _ = _contract_lattice(u.lattice,
+                                    (None, None, _widths(u.axis_lattices[2])))
+    return not averages.any()
 
 
 def xs_first_moment(u: PCFun3D) -> PCFun2D:

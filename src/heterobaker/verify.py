@@ -13,8 +13,8 @@ import numpy as np
 
 from .baker import BakerParams, Symbol, branch_affines, domain_box
 from .haar import tensor_analyze, tensor_synthesize
-from .pcfun import (PCFun1D, PCFun3D, _contract_lattice, _widths,
-                    inner_product_3d, project_zero_mean)
+from .pcfun import (PCFun1D, PCFun3D, _contract_lattice, _uniform_lattice,
+                    _widths, inner_product_3d, project_zero_mean)
 from .transfer import (ReducedOp, component_split_apply, p0_apply, p_full_3d,
                        p_full_3d_n, p_hat_alpha, p_hat_beta, pi0,
                        tensor_components_add)
@@ -23,10 +23,9 @@ from .transfer import (ReducedOp, component_split_apply, p0_apply, p_full_3d,
 def random_pc3(rng: np.random.Generator, zero_mean: bool = True,
                denominator: int = 16) -> PCFun3D:
     """Small random PC function on a level-1 dyadic product grid."""
-    vals = rng.integers(-denominator, denominator + 1, size=(2, 2, 2))
-    F = PCFun3D.build(["0", "1/2", "1"], ["0", "1/2", "1"], ["0", "1/2", "1"],
-                      [[[Fraction(int(v), denominator) for v in row]
-                        for row in plane] for plane in vals])
+    nums = rng.integers(-denominator, denominator + 1, size=(2, 2, 2))
+    F = PCFun3D._from_lattice(nums.astype(object), denominator,
+                              [_uniform_lattice(2)] * 3)
     if zero_mean:
         m = F.integral()
         F = F + PCFun3D.constant(-m)
@@ -35,10 +34,9 @@ def random_pc3(rng: np.random.Generator, zero_mean: bool = True,
 
 def random_pc1(rng: np.random.Generator, level: int,
                denominator: int = 64) -> PCFun1D:
-    n = 2 ** level
-    vals = [Fraction(int(v), denominator)
-            for v in rng.integers(-denominator, denominator + 1, size=n)]
-    return project_zero_mean(PCFun1D.uniform(vals))
+    nums = rng.integers(-denominator, denominator + 1, size=2 ** level)
+    return project_zero_mean(PCFun1D._from_lattice(
+        nums.astype(object), denominator, (_uniform_lattice(2 ** level),)))
 
 
 def check_phat_sum(params: BakerParams, F: PCFun3D) -> bool:

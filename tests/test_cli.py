@@ -210,6 +210,25 @@ def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
     assert captured.err.startswith(f"error: {flag}")
 
 
+@pytest.mark.parametrize("op,payload", [
+    ("p0", {"breakpoints": ["0", "1/2", "1"], "values": [["1", "2"], ["3"]]}),
+    ("pfull3d", {"xu": ["0", "1"], "xc": ["0", "1"], "xs": ["0", "1"],
+                 "values": [[1]]}),
+    ("pfull3d", {"xu": ["0", "1"], "xc": ["0", "1"], "xs": ["0", "1"],
+                 "values": [[[[1]]]]}),
+])
+def test_apply_op_names_a_misshapen_value_tensor(tmp_path, capsys, op,
+                                                  payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code = main(["apply-op", "--op", op, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --in")
+    assert "value tensor shape does not match the grid" in captured.err
+
+
 MC = ("corr", "--phi", "xc-1/2", "--psi", "xc-1/2", "--method", "mc",
       "--n-list", "1", "--samples", "10000")
 

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from collections import defaultdict
 from fractions import Fraction as F
 
@@ -335,8 +337,10 @@ def pc_functions(draw, dim, max_cuts=4):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(grids(), min_size=1, max_size=3))
-def test_merge_breakpoints_is_the_sorted_union(lists):
-    assert hb.pcfun.merge_breakpoints(*lists) == \
+def test_union_is_the_sorted_union(lists):
+    nums, denom = hb.pcfun._union([hb.pcfun._to_int_vector(bps)
+                                   for bps in lists])
+    assert tuple(F(n, denom) for n in nums) == \
         tuple(sorted(set().union(*lists)))
 
 
@@ -345,8 +349,7 @@ def test_merge_breakpoints_is_the_sorted_union(lists):
 @given(data=st.data())
 def test_on_grid_is_the_midpoint_rule(dim, data):
     f = data.draw(pc_functions(dim))
-    grids_ = [hb.pcfun.merge_breakpoints(bps, data.draw(grids()))
-              for bps in _axes(f)]
+    grids_ = [sorted(set(bps) | set(data.draw(grids()))) for bps in _axes(f)]
     index = [[hb.pcfun._cell_index(bps, (lo + hi) / 2)
               for lo, hi in zip(g, g[1:])] for bps, g in zip(_axes(f), grids_)]
     got = f.on_grid(*grids_)
@@ -473,7 +476,7 @@ def test_pa_step_is_the_branch_formula(u, op):
 def _pa_pair_cell_loop(f, g):
     """The Fraction rule: per merged cell, the pieces at its midpoint and
     the integral of their product, a quadratic."""
-    bps = hb.pcfun.merge_breakpoints(f.breakpoints, g.breakpoints)
+    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
     total = F(0)
     for lo, hi in zip(bps, bps[1:]):
         mid = (lo + hi) / 2
@@ -516,3 +519,90 @@ def test_on_grid_refuses_a_grid_that_does_not_refine(dim):
     with pytest.raises(ValueError, match=f"the {name} grid misses "
                                          "breakpoint 1/3"):
         f.on_grid(*grids_)
+
+
+# ---------------------------------------------------------------------------
+# a function is its lattice: construction, equality, hashing, copies
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_user_built_functions_hold_only_their_lattice(dim, data):
+    # the Fraction views wait for a reader, as for a kernel's output
+    f = data.draw(pc_functions(dim))            # built by `build`
+    assert set(vars(f)) == {"lattice", "axis_lattices"}
+    g = CLASSES[dim](*_axes(f), f.values)       # by the constructor
+    assert set(vars(g)) == {"lattice", "axis_lattices"}
+    assert g == f and g.values == f.values and g.axes == f.axes
+
+
+def test_positional_and_keyword_construction_agree():
+    bps, vals = [0, F(1, 3), 1], [F(1, 2), -2]
+    assert hb.PCFun1D(bps, vals) == hb.PCFun1D(breakpoints=bps, values=vals) \
+        == hb.PCFun1D(bps, values=vals) == hb.PCFun1D.build(bps, vals)
+    grid, rows = ["0", "1/2", "1"], [[1, 2], [3, 4]]
+    assert hb.PCFun2D(grid, grid, rows) == \
+        hb.PCFun2D(bps_x=grid, bps_y=grid, values=rows)
+    cube = [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
+    assert hb.PCFun3D(grid, grid, grid, cube) == \
+        hb.PCFun3D(bps_u=grid, bps_c=grid, bps_s=grid, values=cube)
+    with pytest.raises(TypeError):
+        hb.PCFun1D(bps, vals, breakpoints=bps)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_user_and_kernel_built_functions_agree(dim, data):
+    f = data.draw(pc_functions(dim))
+    user = CLASSES[dim](*_axes(f), f.values)
+    # scaling by 3 then by 1/3 leaves the kernel to reduce its lattice
+    for kernel in (f * 3 * F(1, 3), (f + f) * F(1, 2), f - f * 0):
+        assert user == kernel and kernel == user
+        assert hash(user) == hash(kernel)
+        assert repr(user) == repr(kernel)
+    assert user != f + CLASSES[dim].constant(1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_copies_and_pickles_are_equal(dim):
+    rng = np.random.Generator(np.random.Philox(key=11))
+    f = _random_pcn(rng, dim)
+    for h in (f, f * F(2, 3)):          # built by a user and by a kernel
+        for g in (copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+            assert set(vars(g)) == {"lattice", "axis_lattices"}
+            assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+            for nums in (g.lattice[0], *(b for b, _ in g.axis_lattices)):
+                assert not nums.flags.writeable
+    with pytest.raises(AttributeError, match="immutable"):
+        f.values = f.values
+
+
+SHAPE_ERRORS = [
+    (hb.PCFun1D, (["0", "1"], 1)),                             # under-nested
+    (hb.PCFun1D, (["0", "1"], [[1]])),                         # over-nested
+    (hb.PCFun1D, (["0", "1/2", "1"], [[1, 2], [3]])),          # ragged
+    (hb.PCFun2D, (["0", "1"], ["0", "1"], [1])),
+    (hb.PCFun2D, (["0", "1"], ["0", "1"], [[[1]]])),
+    (hb.PCFun2D, (["0", "1/2", "1"], ["0", "1/2", "1"], [[1, 2], [3]])),
+    (hb.PCFun2D, (["0", "1/2", "1"], ["0", "1"], [[1], [2, 3]])),
+    (hb.PCFun3D, (["0", "1"], ["0", "1"], ["0", "1"], [[1]])),
+    (hb.PCFun3D, (["0", "1"], ["0", "1"], ["0", "1"], [[[[1]]]])),
+    (hb.PCFun3D, (["0", "1/2", "1"], ["0", "1"], ["0", "1"],
+                  [[[1]], [[2], [3]]])),
+    (hb.PCFun3D, (["0", "1/2", "1"], ["0", "1"], ["0", "1/2", "1"],
+                  [[[1, 2]], [[3]]])),
+]
+
+
+@pytest.mark.parametrize("cls,fields", SHAPE_ERRORS)
+def test_misshapen_values_are_a_shape_error(cls, fields):
+    for make in (cls, cls.build):
+        with pytest.raises(ValueError, match="value tensor shape does not "
+                                             "match the grid"):
+            make(*fields)
+
+
+def test_a_cell_that_is_not_rational_is_refused():
+    with pytest.raises(TypeError, match="cannot coerce 0.5"):
+        hb.PCFun1D(["0", "1"], [0.5])
