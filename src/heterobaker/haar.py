@@ -81,7 +81,7 @@ def square_wave(l: int) -> PCFun1D:
 
 def dyadic_level(f: PCFun1D) -> int:
     """Smallest L with all breakpoints on the uniform 2^L grid."""
-    return _adic_depth(f.simplify().breakpoints, 2, "breakpoint")
+    return _adic_depth(f.simplify().axis_lattices[0], 2, "breakpoint")
 
 
 def _level_sums(cells: np.ndarray, M: int):
@@ -133,7 +133,7 @@ def analyze_levels(f: PCFun1D) -> tuple[list[np.ndarray], Fraction]:
     """(levels, scale): the exact Haar expansion of a zero-mean dyadic PC
     function as integer level numerators and one rational scale."""
     f = f.simplify()
-    L = _adic_depth(f.breakpoints, 2, "breakpoint")
+    L = _adic_depth(f.axis_lattices[0], 2, "breakpoint")
     nums, den = f._lattice_on((_uniform_lattice(2 ** L),))
     levels = _grid_levels(nums)
     scale = Fraction(1, den << L)
@@ -249,7 +249,7 @@ def analyze_general_M(f: PCFun1D, M: int) -> LevelComponents:
     the level-l cell means are S_l/(den M^(L-l)), so the level-l component
     is M S_l[i] - S_{l-1}[i // M] over den M^(L-l+1)."""
     f = f.simplify()
-    L = _adic_depth(f.breakpoints, M, "breakpoint")
+    L = _adic_depth(f.axis_lattices[0], M, "breakpoint")
     nums, den = f._lattice_on((_uniform_lattice(M ** L),))
     sums = list(_level_sums(nums, M))[::-1]       # sums[l]: level l
     if sums[0][0]:
@@ -292,7 +292,7 @@ class TensorComponents:
 def tensor_analyze(F: PCFun3D) -> TensorComponents:
     """Exact tensor components of a PC function dyadic in x_c: the Haar
     levels of its lattice along the x_c axis, at scale 1/(den 2^L)."""
-    L = _adic_depth(F.bps_c, 2, "x_c breakpoint")
+    L = _adic_depth(F.axis_lattices[1], 2, "x_c breakpoint")
     lu, _, ls = F.axis_lattices
     nums, den = F._lattice_on((lu, _uniform_lattice(2 ** L), ls))
     levels = _grid_levels(np.moveaxis(nums, 1, 0))

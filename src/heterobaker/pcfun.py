@@ -98,20 +98,22 @@ def _to_int_vector(values: Iterable) -> tuple[np.ndarray, int]:
     return np.array([n * (denom // d) for n, d in ratios], dtype=object), denom
 
 
-def _adic_depth(bps, M: int, what: str) -> int:
-    """Smallest L with all of `bps` on the uniform M^L grid: a breakpoint
-    lies on it when its denominator divides M^L.  `what` names the
-    breakpoints in the refusal."""
+def _adic_depth(lattice: tuple[np.ndarray, int], M: int, what: str) -> int:
+    """Smallest L with every breakpoint of a grid on the uniform M^L grid,
+    for the grid as its lattice in lowest terms: its denominator is the lcm
+    of the breakpoints' denominators, so L is the smallest with denom | M^L.
+    `what` names the first breakpoint on no such grid in the refusal."""
+    nums, denom = lattice
+    # d divides a power of M iff it divides M^bit_length(d), since no
+    # prime's exponent in d passes log2(d)
+    off = lambda d: pow(M, d.bit_length(), d)  # noqa: E731
+    if off(denom):
+        b = next(b for b in _fractions(nums, denom) if off(b.denominator))
+        raise NotMAdic(f"{what} {b} is not {M}-adic")
     L, top = 0, 1                   # top = M^L
-    for b in bps:
-        d = b.denominator
-        # d divides a power of M iff it divides M^bit_length(d), since no
-        # prime's exponent in d passes log2(d)
-        if top % d and pow(M, d.bit_length(), d):
-            raise NotMAdic(f"{what} {b} is not {M}-adic")
-        while top % d:
-            top *= M
-            L += 1
+    while top % denom:
+        top *= M
+        L += 1
     return L
 
 
@@ -515,7 +517,7 @@ def _level_widths(f: PCFun1D, base: int, level: int):
     constant on every cell of that grid."""
     f = f.simplify()
     try:
-        depth = _adic_depth(f.breakpoints, base, "breakpoint")
+        depth = _adic_depth(f.axis_lattices[0], base, "breakpoint")
     except NotMAdic as exc:
         raise NotInKLevel(f"{exc} at level {level}") from None
     if depth > level:

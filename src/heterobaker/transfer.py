@@ -20,7 +20,9 @@ square-wave step by wq.  The Haar state is the level list of
 `haar.analyze_levels` (levels[l] holds the 2^(l-1) numerators of level l),
 and `p0_haar_step` is the one Haar step.  The oracle report runs the grid
 step, the Haar step and `walk_step` side by side and compares the grid's
-analysis with the stepped levels.
+analysis with the stepped levels.  These kernels keep their input's dtype,
+so the report runs them on int64 for as long as a bound on each step's
+outputs stays below 2^63, and on Python ints from then on.
 
 The general weight w = M*a is derived from averaging the full 3D operator
 over (x_u, x_s): the alpha branches carry total mass w = 1 - M*b and the
@@ -33,7 +35,9 @@ x_c-average and the tensor-component actions.  The pushforward runs on
 the integer lattice of `pcfun`: each axis's breakpoints are numerators
 over one denominator, so a branch map is an integer affine map, the output
 grid is one integer sort, and each branch writes its block of input cells
-onto its image box.
+onto its image box.  All of that depends on the parameters and the input
+grids only, so it is one cached plan (`_push_plan`) per pair, and a
+pushforward is one gather of the input values per branch.
 """
 
 from __future__ import annotations
@@ -42,8 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -51,8 +54,8 @@ from .baker import BakerParams, Kind, branch_affines
 from .haar import _grid_levels
 from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D,
                     _contract_lattice, _fractions, _moments, _pa_lattice,
-                    _readonly, _reduced, _to_int_vector, _uniform_lattice,
-                    _union, _widths, frac)
+                    _readonly, _reduced, _refinement_index, _to_int_vector,
+                    _uniform_lattice, _union, _widths, frac)
 from .ruin import exact_walk_step, trim_levels, walk_step
 
 HALF = Fraction(1, 2)
@@ -238,7 +241,7 @@ def p0_haar_step(levels: list, op: ReducedOp) -> list:
     """
     op.require_m2("Haar route")
     wp, wq = op.w.numerator, op.w.denominator
-    new = [np.zeros(2 ** max(l - 1, 0), dtype=object)
+    new = [np.zeros(2 ** max(l - 1, 0), dtype=levels[0].dtype)
            for l in range(len(levels) + 1)]
     new[0] = 2 * wq * levels[0]
     for l in range(1, len(levels)):
@@ -322,6 +325,14 @@ def square_wave_profile(expansion: dict) -> list | None:
 # ---------------------------------------------------------------------------
 # oracle equivalence (integer kernels; used by the acceptance suite)
 
+_INT64_END = 2 ** 63     # int64 holds every integer of smaller magnitude
+
+
+def _max_abs(arrays: list) -> int:
+    """The largest |entry| of integer arrays, as a Python int."""
+    return int(abs(np.concatenate(arrays)).max()) if arrays else 0
+
+
 def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
     """Iterate the PC grid, Haar level, and (if applicable) square-wave
     routes side by side in exact integer arithmetic and compare after every
@@ -333,6 +344,14 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
     analysis of the grid (on 2^(L0+n) cells) must equal the levels times
     2^n, and on the square-wave span each level must be constant and equal
     to the walked coefficient.
+
+    The state runs on int64 while it provably fits.  Before each step the
+    outputs are bounded from the current largest entries, as Python ints:
+    a grid, Haar or walk step multiplies them by at most 2 wq, the analysis
+    of 2^L cells by at most 2^L, and the comparison shifts the levels by n.
+    When a bound could reach 2^63, the whole state becomes Python ints in
+    object arrays, for the rest of the run; each step records the dtype it
+    ran in.
     """
     op.require_m2("oracle comparison")
     L0 = f.is_uniform_level(2)
@@ -342,15 +361,27 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
         raise ValueError("input must be a nonconstant dyadic function")
 
     nums, _ = f.lattice
+    if _max_abs([nums]) << L0 < _INT64_END:
+        nums = nums.astype(np.int64)
     levels = _grid_levels(nums)
     sw = None  # square-wave levels, sw[i] is level i+1
     if all((arr == arr[0]).all() for arr in levels[1:]):
-        sw = np.array([arr[0] for arr in levels[1:]], dtype=object)
+        sw = np.array([arr[0] for arr in levels[1:]], dtype=nums.dtype)
 
     wp, wq = op.w.numerator, op.w.denominator
     agree_all = True
     per_step = []
     for stepn in range(1, n_steps + 1):
+        if nums.dtype != object:
+            # max(m, 1): the bounds cover the integer weights themselves
+            bounds = (
+                2 * wq * max(_max_abs([nums]), 1) << (L0 + stepn),
+                2 * wq * max(_max_abs(levels), 1) << stepn,
+                2 * wq * max(_max_abs([] if sw is None else [sw]), 1))
+            if max(bounds) >= _INT64_END:
+                nums = nums.astype(object)
+                levels = [arr.astype(object) for arr in levels]
+                sw = None if sw is None else sw.astype(object)
         nums = _p0_step_int(nums, op)
         levels = p0_haar_step(levels, op)
         grid = _grid_levels(nums)
@@ -361,7 +392,8 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
             sw = walk_step(sw, 2 * wp, 2 * (wq - wp))
             sw_ok = len(sw) == len(levels) - 1 and \
                 all((arr == c).all() for arr, c in zip(levels[1:], sw))
-        per_step.append({"n": stepn, "grid_vs_haar": ok,
+        per_step.append({"n": stepn, "dtype": str(nums.dtype),
+                         "grid_vs_haar": ok,
                          "squarewave": sw_ok if sw is not None else None})
         agree_all = agree_all and ok and sw_ok
 
@@ -372,83 +404,97 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
 # ---------------------------------------------------------------------------
 # full 3D operator
 
-def _push_axis(lattice: tuple[np.ndarray, int], maps: dict):
-    """One axis of a pushforward, on the integer lattice.
-
-    `maps` gives per branch key (m, c, lo, hi): the map x -> m x + c on the
-    breakpoints from lo to hi (both on the grid).  With the grid given as
-    its lattice, numerators over D, every image is an integer over D times
-    the lcm of the branches' m and c denominators.  Returns the output grid
-    (the sorted union of the images) as a lattice, and per key a pair: the
-    slice of input cells it maps, and the output position of each of their
-    breakpoints.
-    """
-    nums, denom = lattice
-    nums = nums.tolist()
-    at = {n: i for i, n in enumerate(nums)}
-    scale = math.lcm(*(m.denominator * c.denominator
-                       for m, c, _, _ in maps.values()))
-    images = {}
-    for key, (m, c, lo, hi) in maps.items():
-        i0, i1 = (at[x.numerator * (denom // x.denominator)] for x in (lo, hi))
-        slope = m.numerator * (scale // m.denominator)
-        shift = c.numerator * (denom * scale // c.denominator)
-        images[key] = (i0, [slope * n + shift for n in nums[i0:i1 + 1]])
-    out = sorted(set().union(*(img for _, img in images.values())))
-    position = {n: i for i, n in enumerate(out)}
-    grid, grid_denom = _reduced(np.array(out, dtype=object), denom * scale)
-    return ((_readonly(grid), grid_denom),
-            {key: (slice(i0, i0 + len(img) - 1), [position[n] for n in img])
-             for key, (i0, img) in images.items()})
-
-
-def _spread(block: np.ndarray, positions: Sequence[list]) -> np.ndarray:
-    """A branch's input block on its output cells: input cell i of an axis
-    covers the output cells from positions[i] to positions[i + 1]."""
-    for axis, pos in enumerate(positions):
-        block = np.repeat(block, np.diff(pos), axis=axis)
-    return block
-
-
-def _box(positions: Sequence[list]) -> tuple:
-    """The output slice a branch writes: its image is one box."""
-    return tuple(slice(pos[0], pos[-1]) for pos in positions)
-
-
 @lru_cache(maxsize=64)
 def _branch_tables(params: BakerParams) -> tuple:
     """What a pushforward takes from the parameters alone, built once per
     parameter set and read-only, since every call shares it: the x_u and
     x_c breakpoints of the branch domains as lattices, and per axis (x_u,
-    x_c, x_s) the `_push_axis` maps of every branch key."""
+    x_c, x_s) the map of every branch, in `branch_affines` order, as
+    (m, c, lo, hi): x -> m x + c on the breakpoints from lo to hi."""
     M, a = params.M, params.a
     edges = tuple((_readonly(nums), denom) for nums, denom in (
         _to_int_vector([k * a for k in range(M + 1)] + [ONE]),
         _to_int_vector([Fraction(k, M) for k in range(M + 1)])))
-    u_maps, c_maps, s_maps = {}, {}, {}
+    maps = ([], [], [])
     for (kind, k), ((mu, cu), (mc, cc), (ms, cs)) in \
             branch_affines(params).items():
         if kind is Kind.ALPHA:
-            u_maps[kind, k] = (mu, cu, (k - 1) * a, k * a)
-            c_maps[kind, k] = (mc, cc, ZERO, ONE)
+            maps[0].append((mu, cu, (k - 1) * a, k * a))
+            maps[1].append((mc, cc, ZERO, ONE))
         else:
-            u_maps[kind, k] = (mu, cu, M * a, ONE)
-            c_maps[kind, k] = (mc, cc, Fraction(k - 1, M), Fraction(k, M))
-        s_maps[kind, k] = (ms, cs, ZERO, ONE)
-    return (edges, *map(MappingProxyType, (u_maps, c_maps, s_maps)))
+            maps[0].append((mu, cu, M * a, ONE))
+            maps[1].append((mc, cc, Fraction(k - 1, M), Fraction(k, M)))
+        maps[2].append((ms, cs, ZERO, ONE))
+    return edges, tuple(map(tuple, maps))
 
 
-def _push_grids(params: BakerParams, f) -> tuple:
-    """The (x_u, x_c) grids of a pushforward of f, whose first two axes are
-    (x_u, x_c), as lattices: the input grids refined by the branch edges,
-    the output grids (the branch images of the refined ones), and per
-    branch key the `_push_axis` tables of both axes (the input cells it
-    maps, the output positions of their breakpoints)."""
-    edges, u_maps, c_maps, _ = _branch_tables(params)
-    refined = tuple(map(_union, zip(f.axis_lattices, edges)))
-    (gu, u), (gc, c) = (_push_axis(refined[0], u_maps),
-                        _push_axis(refined[1], c_maps))
-    return refined, (gu, gc), u, c
+@lru_cache(maxsize=64)
+def _branch_weights(params: BakerParams, region_weight: tuple) -> tuple:
+    """The weight of each branch of the 2D map, in `branch_affines` order:
+    its region's weight over its Jacobian mu mc, as integers over one
+    denominator (read-only)."""
+    w_alpha, w_beta = region_weight
+    weights, denom = _to_int_vector(
+        (w_alpha if kind is Kind.ALPHA else w_beta) / (mu * mc)
+        for (kind, _), ((mu, _), (mc, _), _) in
+        branch_affines(params).items())
+    return tuple(weights.tolist()), denom
+
+
+@lru_cache(maxsize=256)
+def _push_plan(params: BakerParams, axes: tuple) -> tuple:
+    """How a pushforward moves the cells of a product grid: built once per
+    (parameters, input grids), and read-only, since every function on
+    those grids shares it.  `axes` holds the input grids (x_u, x_c and
+    possibly x_s) as lattices with the numerators as tuples.
+
+    Per axis the grid is refined by the branch edges (x_u and x_c only),
+    and a branch maps its breakpoints from lo to hi by x -> m x + c; over
+    the grid's denominator times the lcm of the branches' m and c
+    denominators every image is an integer.  The output grid is the sorted
+    union of the images, and refined cell i covers the output cells from
+    the image of breakpoint i to that of i + 1.  Returns the output grids
+    and, per branch, the box it writes and the `np.ix_` gather of the input
+    cells under the cells of that box.
+    """
+    edges, maps = _branch_tables(params)
+    grids, moves = [], []
+    for axis, (nums, denom) in enumerate(axes):
+        own = (np.array(nums, dtype=object), denom)
+        refined = _union([own, edges[axis]]) if axis < 2 else own
+        cell = np.array(_refinement_index(own, refined, "refined"),
+                        dtype=np.intp)
+        nums, denom = refined[0].tolist(), refined[1]
+        at = {n: i for i, n in enumerate(nums)}
+        scale = math.lcm(*(m.denominator * c.denominator
+                           for m, c, _, _ in maps[axis]))
+        images = []
+        for m, c, lo, hi in maps[axis]:
+            i0, i1 = (at[x.numerator * (denom // x.denominator)]
+                      for x in (lo, hi))
+            slope = m.numerator * (scale // m.denominator)
+            shift = c.numerator * (denom * scale // c.denominator)
+            images.append((i0, [slope * n + shift for n in nums[i0:i1 + 1]]))
+        out = sorted(set().union(*(img for _, img in images)))
+        position = {n: i for i, n in enumerate(out)}
+        grid, grid_denom = _reduced(np.array(out, dtype=object), denom * scale)
+        grids.append((_readonly(grid), grid_denom))
+        moves.append([])
+        for i0, img in images:
+            pos = [position[n] for n in img]
+            moves[-1].append((slice(pos[0], pos[-1]), np.repeat(
+                cell[i0:i0 + len(pos) - 1], np.diff(pos))))
+    return tuple(grids), tuple(
+        (tuple(box for box, _ in move),
+         tuple(map(_readonly, np.ix_(*(index for _, index in move)))))
+        for move in zip(*moves))
+
+
+def _plan(params: BakerParams, f) -> tuple:
+    """The cached `_push_plan` of a pushforward of f, keyed by the content
+    of its axis lattices."""
+    return _push_plan(params, tuple((tuple(nums.tolist()), denom)
+                                    for nums, denom in f.axis_lattices))
 
 
 def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
@@ -456,20 +502,16 @@ def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
 
     Requires measure preservation (a + b = 1/M), where the 2M branch images
     tile the cube and the operator is plain composition with the inverse:
-    each branch copies its block of input cells onto its image box, on the
+    each branch gathers its block of input cells onto its image box, on the
     lattice of F.
     """
     if not params.is_measure_preserving:
         raise ValueError("p_full_3d requires a + b = 1/M")
-    refined, grids, u, c = _push_grids(params, F)
-    bs = F.axis_lattices[2]
-    out_s, s = _push_axis(bs, _branch_tables(params)[3])
-    cells, denom = F._lattice_on((*refined, bs))
-    grids = (*grids, out_s)
-    out = np.zeros([len(nums) - 1 for nums, _ in grids], dtype=object)
-    for key in u:
-        (iu, pu), (ic, pc), (_, ps) = u[key], c[key], s[key]
-        out[_box((pu, pc, ps))] = _spread(cells[iu, ic], (pu, pc, ps))
+    grids, branches = _plan(params, F)
+    nums, denom = F.lattice
+    out = np.zeros([len(g) - 1 for g, _ in grids], dtype=object)
+    for box, gather in branches:
+        out[box] = nums[gather]
     return PCFun3D._from_lattice(out, denom, grids)
 
 
@@ -490,17 +532,13 @@ def p_full_2d(params: BakerParams, h: PCFun2D,
     before pushing; this realizes weighted operators like the stable-slope
     cocycle used by `fiber_average_decay_check`.
     """
-    refined, grids, u, c = _push_grids(params, h)
-    cells, denom = h._lattice_on(refined)
-    w_alpha, w_beta = region_weight if region_weight else (ONE, ONE)
-    affines = branch_affines(params).items()
-    weights, w_denom = _to_int_vector(
-        (w_alpha if kind is Kind.ALPHA else w_beta) / (mu * mc)
-        for (kind, _), ((mu, _), (mc, _), _) in affines)
-    out = np.zeros([len(nums) - 1 for nums, _ in grids], dtype=object)
-    for key, weight in zip(u, weights):
-        (iu, pu), (ic, pc) = u[key], c[key]
-        out[_box((pu, pc))] += _spread(cells[iu, ic] * weight, (pu, pc))
+    grids, branches = _plan(params, h)
+    weights, w_denom = _branch_weights(params,
+                                       tuple(region_weight or (ONE, ONE)))
+    nums, denom = h.lattice
+    out = np.zeros([len(g) - 1 for g, _ in grids], dtype=object)
+    for (box, gather), weight in zip(branches, weights):
+        out[box] += nums[gather] * weight
     return PCFun2D._from_lattice(out, denom * w_denom, grids)
 
 

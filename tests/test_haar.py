@@ -10,7 +10,7 @@ from heterobaker.haar import (InvalidHaarIndex, NonDyadicBreakpoints,
                               NonZeroMean, TensorComponents, _adic_depth,
                               dyadic_level, level_sup_norms,
                               monotone_sign_report, pair_expansions)
-from heterobaker.pcfun import NotMAdic
+from heterobaker.pcfun import NotMAdic, _to_int_vector
 
 
 def test_wavelet_examples():
@@ -124,13 +124,36 @@ def test_depth_rule_for_composite_m():
     comps = hb.analyze_general_M(g, 6)
     assert len(comps.components) == 2 and comps.reconstruct().equals(g)
     # M = 2 and prime M keep their depths
-    assert _adic_depth([F(3, 8), F(1, 2)], 2, "b") == 3
-    assert _adic_depth([F(2, 9), F(1, 3)], 3, "b") == 2
-    assert _adic_depth([F(1, 9), F(1, 2)], 6, "b") == 2
+    # (the rule reads a grid's lattice: numerators over the lcm of the
+    # breakpoints' denominators)
+    assert _adic_depth(_to_int_vector([F(3, 8), F(1, 2)]), 2, "b") == 3
+    assert _adic_depth(_to_int_vector([F(2, 9), F(1, 3)]), 3, "b") == 2
+    assert _adic_depth(_to_int_vector([F(1, 9), F(1, 2)]), 6, "b") == 2
     with pytest.raises(NotMAdic, match="1/3 is not 4-adic"):
-        _adic_depth([F(1, 2), F(1, 3)], 4, "breakpoint")
+        _adic_depth(_to_int_vector([F(1, 2), F(1, 3)]), 4, "breakpoint")
     with pytest.raises(NonDyadicBreakpoints):
         dyadic_level(hb.PCFun1D.build([0, F(1, 3), 1], [1, 2]))
+
+
+def test_depth_rule_builds_no_breakpoint_fractions(monkeypatch):
+    # the depth comes from a lattice's denominator, so an analysis of a
+    # kernel output builds no breakpoint view; a refusal builds one to name
+    # the first breakpoint off the tower
+    from heterobaker import pcfun
+    f = hb.p0_apply(hb.ReducedOp.neutral(2), hb.wavelet(2, 1), 2)
+    F3 = hb.PCFun3D.from_xc(f)
+    made, real = [], pcfun._fractions
+    monkeypatch.setattr(pcfun, "_fractions",
+                        lambda *args: made.append(args) or real(*args))
+    assert dyadic_level(f) == 4
+    hb.analyze_levels(f)
+    hb.analyze_general_M(f, 2)
+    hb.tensor_analyze(F3)
+    hb.osc_norm_star(f, 2, 4)
+    assert made == []
+    with pytest.raises(NotMAdic, match="breakpoint 1/3 is not 2-adic"):
+        dyadic_level(hb.PCFun1D.build([0, F(1, 4), F(1, 3), 1], [1, 2, 3]))
+    assert made
 
 
 def test_analysis_ignores_a_redundant_breakpoint():

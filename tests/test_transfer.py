@@ -6,12 +6,13 @@ import pytest
 import heterobaker as hb
 from heterobaker import transfer
 from heterobaker.haar import _expansion
+from heterobaker.pcfun import _same, inner_product_3d
 from heterobaker.transfer import (_p0_step_int, _to_int_vector,
                                   square_wave_profile, squarewave_synthesize,
                                   xs_fiber_averages_zero)
 from heterobaker.verify import (check_duality, check_formula_compositions,
-                                check_phat_sum, check_reduction, random_pc1,
-                                random_pc3)
+                                check_phat_sum, check_reduction,
+                                pair_with_pullback, random_pc1, random_pc3)
 
 OP = hb.ReducedOp.neutral(2)
 NEUTRAL = hb.BakerParams.neutral(2)
@@ -331,9 +332,13 @@ def _off_by_one(step):
     return wrong
 
 
+# on the inputs below, a weight whose oracle state leaves int64 mid-run
+PROMOTING_W = F(2 ** 19 + 1, 2 ** 20)
+
+
 @pytest.mark.parametrize("name", ["p0_haar_step", "_p0_step_int",
                                   "walk_step"])
-@pytest.mark.parametrize("w", [F(1, 2), F(2, 5)])
+@pytest.mark.parametrize("w", [F(1, 2), F(2, 5), PROMOTING_W])
 def test_oracle_detects_a_wrong_step(monkeypatch, name, w):
     # each of the three routes the report compares is replaced in turn by a
     # step that is wrong in one entry; the report must disagree
@@ -343,3 +348,136 @@ def test_oracle_detects_a_wrong_step(monkeypatch, name, w):
     monkeypatch.setattr(transfer, name, _off_by_one(getattr(transfer, name)))
     rep = transfer.oracle_equivalence_report(f, op, 4)
     assert rep["squarewave_applicable"] and not rep["agree"]
+
+
+def _without_dtypes(report):
+    return {**report, "steps": [{k: v for k, v in step.items() if k != "dtype"}
+                                for step in report["steps"]]}
+
+
+def _dtypes(report):
+    return [step["dtype"] for step in report["steps"]]
+
+
+def test_oracle_int64_and_object_reports_are_equal(monkeypatch):
+    # the same report, step by step, whether the state runs on int64 or on
+    # Python ints from the start (a bound of 0 refuses int64 at once)
+    rng = np.random.Generator(np.random.Philox(key=12))
+    cases = [(random_pc1(rng, level), hb.ReducedOp(2, w))
+             for level in (1, 3, 5) for w in (F(1, 2), F(2, 5), F(7, 9))]
+    cases.append((hb.square_wave(1) * F(1, 3) + hb.square_wave(3) * F(1, 5),
+                  hb.ReducedOp(2, F(3, 5))))
+    reports = [hb.oracle_equivalence_report(f, op, 8) for f, op in cases]
+    assert all(_dtypes(rep)[0] == "int64" for rep in reports)
+    monkeypatch.setattr(transfer, "_INT64_END", 0)
+    for (f, op), rep in zip(cases, reports):
+        forced = transfer.oracle_equivalence_report(f, op, 8)
+        assert set(_dtypes(forced)) == {"object"}
+        assert _without_dtypes(forced) == _without_dtypes(rep)
+        assert rep["agree"]
+
+
+def test_oracle_promotes_once_and_stays_exact(monkeypatch):
+    # a weight with a large denominator outgrows int64 mid-run: the state
+    # becomes Python ints once, never goes back, and still agrees
+    f = hb.square_wave(1) * F(1, 3) + hb.square_wave(2) * F(1, 5)
+    assert _dtypes(hb.oracle_equivalence_report(f, hb.ReducedOp(
+        2, PROMOTING_W), 4)) == ["int64", "int64", "object", "object"]
+    rng = np.random.Generator(np.random.Philox(key=13))
+    g = random_pc1(rng, 4)
+    op = hb.ReducedOp(2, F(1000, 2001))
+    rep = hb.oracle_equivalence_report(g, op, 10)
+    dtypes = _dtypes(rep)
+    switch = dtypes.index("object")
+    assert 0 < switch and set(dtypes[switch:]) == {"object"}
+    assert rep["agree"]
+    monkeypatch.setattr(transfer, "_INT64_END", 0)
+    assert _without_dtypes(transfer.oracle_equivalence_report(g, op, 10)) == \
+        _without_dtypes(rep)
+
+
+@pytest.mark.parametrize("name,flag", [("p0_haar_step", "grid_vs_haar"),
+                                       ("_p0_step_int", "grid_vs_haar"),
+                                       ("walk_step", "squarewave")])
+def test_oracle_detects_a_wrong_step_on_python_ints(monkeypatch, name, flag):
+    # a step that is wrong only once the state is Python ints: the steps
+    # after the promotion, and only those, disagree
+    step = getattr(transfer, name)
+    wrong = _off_by_one(step)
+    monkeypatch.setattr(transfer, name, lambda state, *args: (
+        wrong if (state[0] if isinstance(state, list) else state).dtype
+        == object else step)(state, *args))
+    f = hb.square_wave(1) * F(1, 3) + hb.square_wave(2) * F(1, 5)
+    rep = transfer.oracle_equivalence_report(f, hb.ReducedOp(2, PROMOTING_W),
+                                             4)
+    assert _dtypes(rep) == ["int64", "int64", "object", "object"]
+    assert [step[flag] for step in rep["steps"]] == [True, True, False, False]
+    assert not rep["agree"]
+
+
+def _pushforwards():
+    rng = np.random.Generator(np.random.Philox(key=14))
+    out = []
+    for params in (hb.BakerParams(2, F(1, 5), F(3, 10)), NEUTRAL,
+                   hb.BakerParams(3, F(1, 6), F(1, 6))):
+        G = random_pc3(rng)
+        for _ in range(2):
+            G = hb.p_full_3d(params, G)
+            out.append(G)
+            out.append(hb.p_full_2d(params, _fiber_average(G),
+                                    (1 - params.M * params.b, params.b)))
+    return out
+
+
+def _fiber_average(G):
+    """The x_s average of a 3D function, as a function of (x_u, x_c)."""
+    lu, lc, ls = G.axis_lattices
+    return hb.PCFun2D._from_lattice(*transfer._contract_lattice(
+        G.lattice, (None, None, transfer._widths(ls))), (lu, lc))
+
+
+def test_pushforwards_do_not_depend_on_the_plan_cache():
+    warm = _pushforwards()
+    again = _pushforwards()
+    hits = transfer._push_plan.cache_info().hits
+    transfer._push_plan.cache_clear()
+    cold = _pushforwards()
+    info = transfer._push_plan.cache_info()
+    assert info.misses > 0 and hits > 0
+    assert warm == again == cold
+    assert list(map(repr, warm)) == list(map(repr, cold))
+
+
+def test_one_plan_moves_different_values():
+    # functions on one grid share a plan, and each gets its own image: the
+    # 3D image is checked against the box pullback (which has no plan), the
+    # 2D one against the x_s average of the 3D image
+    rng = np.random.Generator(np.random.Philox(key=15))
+    params = hb.BakerParams(2, F(1, 5), F(3, 10))
+    F1, F2, G = random_pc3(rng), random_pc3(rng), random_pc3(rng)
+    F1, F2 = hb.p_full_3d(params, F1), hb.p_full_3d(params, F2)
+    assert all(map(_same, F1.axis_lattices, F2.axis_lattices))
+    before = transfer._push_plan.cache_info()
+    images = [hb.p_full_3d(params, F1), hb.p_full_3d(params, F2)]
+    planes = [hb.p_full_2d(params, _fiber_average(H)) for H in (F1, F2)]
+    after = transfer._push_plan.cache_info()
+    assert after.misses - before.misses <= 2     # one 3D and one 2D plan
+    assert images[0] != images[1] and not planes[0].equals(planes[1])
+    for H, image, plane in zip((F1, F2), images, planes):
+        assert inner_product_3d(image, G) == \
+            pair_with_pullback(params, H, G, 1)
+        assert plane.equals(_fiber_average(image))
+
+
+def test_plan_cache_is_bounded_and_read_only():
+    assert transfer._push_plan.cache_info().maxsize is not None
+    grids, branches = transfer._plan(NEUTRAL, random_pc3(
+        np.random.Generator(np.random.Philox(key=16))))
+    arrays = [nums for nums, _ in grids] + [
+        index for _, gather in branches for index in gather]
+    assert all(not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[-1][0] = 0
+    assert all(isinstance(part, tuple) for part in
+               (grids, branches, *(part for branch in branches
+                                   for part in branch)))
