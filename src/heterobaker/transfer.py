@@ -220,7 +220,7 @@ def _p0_step_int(nums: np.ndarray, op: ReducedOp) -> np.ndarray:
     M, wp, wq = op.M, op.w.numerator, op.w.denominator
     # a beta value covers M^2 output cells: multiply before repeating
     beta = (wq - wp) * nums.reshape(M, -1).sum(axis=0)
-    return np.tile(M * wp * nums, M) + np.repeat(beta, M * M)
+    return np.concatenate([M * wp * nums] * M) + np.repeat(beta, M * M)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,8 @@ def p0_haar_step(levels: list, op: ReducedOp) -> list:
         arr = levels[l]
         if not arr.any():
             continue
-        new[l + 1] += np.tile(2 * wp * arr, 2)
+        up = 2 * wp * arr
+        new[l + 1] += np.concatenate((up, up))
         if l >= 2:
             q = arr.size // 2
             new[l - 1] += (wq - wp) * (arr[:q] + arr[q:])
@@ -571,37 +572,41 @@ def component_split_apply(which: str, params: BakerParams, F: PCFun3D) -> PCFun3
 # ---------------------------------------------------------------------------
 # tensor-component actions (M = 2, mostly neutral)
 
+def _pullback_axis(grid: tuple[np.ndarray, int], m: Fraction, c: Fraction):
+    """One axis of a pullback by t -> m t + c (m > 0), for a grid given as a
+    lattice: the output grid (0, 1 and the preimages in [0,1] of the
+    grid's breakpoints) as a lattice, and for each output cell the grid
+    cell its image lies in, or -1 where the image is outside [0,1].
+
+    On the denominator denom*cq*mp a preimage of nums/denom is
+    k = (nums*cq - cp*denom)*mq, and the image of k is k + cp*denom*mq
+    over denom*cq*mq, the denominator of the breakpoints nums*cq*mq."""
+    nums, denom = grid
+    bps = nums * (c.denominator * m.denominator)
+    shift = c.numerator * denom * m.denominator
+    k, k_denom = bps - shift, denom * c.denominator * m.numerator
+    kept = k[(k >= 0) & (k <= k_denom)]
+    out, _ = _union([(kept, k_denom), _uniform_lattice(1)])
+    cell = np.searchsorted(bps, out[:-1] + shift, side="right") - 1
+    cell[cell >= len(nums) - 1] = -1
+    return _reduced(out, k_denom), cell
+
+
 def _pullback_2d(u: PCFun2D, mx: Fraction, cx: Fraction,
                  my: Fraction, cy: Fraction) -> PCFun2D:
     """v(x, y) = u(mx*x + cx, my*y + cy) where both arguments lie in [0,1],
-    zero outside (the rectangle convention for transported 2D factors)."""
-    def axis(bps, m, c):
-        pts = {ZERO, ONE}
-        for b in bps:
-            t = (b - c) / m
-            if 0 <= t <= 1:
-                pts.add(t)
-        for edge in (ZERO, ONE):
-            t = (edge - c) / m
-            if 0 < t < 1:
-                pts.add(t)
-        return tuple(sorted(pts))
-
-    bx = axis(u.bps_x, mx, cx)
-    by = axis(u.bps_y, my, cy)
-    vals = []
-    for x0, x1 in zip(bx, bx[1:]):
-        xm = mx * (x0 + x1) / 2 + cx
-        row = []
-        inside_x = 0 <= xm <= 1
-        for y0, y1 in zip(by, by[1:]):
-            ym = my * (y0 + y1) / 2 + cy
-            if inside_x and 0 <= ym <= 1:
-                row.append(u(xm, ym))
-            else:
-                row.append(ZERO)
-        vals.append(tuple(row))
-    return PCFun2D(bx, by, tuple(vals))
+    zero outside (the rectangle convention for transported 2D factors).
+    The grid lines of v are those of u pulled back, plus 0 and 1; each
+    cell of v lies in one cell of u or outside [0,1]^2, so v is a gather
+    of u's lattice."""
+    (grid_x, cell_x), (grid_y, cell_y) = (
+        _pullback_axis(g, m, c)
+        for g, m, c in zip(u.axis_lattices, (mx, my), (cx, cy)))
+    nums, denom = u.lattice
+    in_x, in_y = cell_x >= 0, cell_y >= 0
+    out = np.zeros((len(cell_x), len(cell_y)), dtype=object)
+    out[np.ix_(in_x, in_y)] = nums[np.ix_(cell_x[in_x], cell_y[in_y])]
+    return PCFun2D._from_lattice(out, denom, (grid_x, grid_y))
 
 
 def _require_neutral2(params: BakerParams) -> None:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import heterobaker as hb
-from heterobaker.correlation import CorrelationRecord
+from heterobaker.correlation import CorrelationRecord, _chi2_sf
 from heterobaker.observables import parse_observable, pc_center
 from heterobaker.transfer import NotInSquareWaveSpan
 
@@ -362,6 +363,46 @@ def test_mc_entry_points_refuse_a_bad_seed(seed):
         hb.measure_invariance_chisq(NEUTRAL, n=2, samples=10 ** 4, seed=seed)
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    ({"n": -1}, "n"), ({"samples": 0}, "samples"), ({"samples": -5}, "samples"),
+    ({"boxes": 1}, "boxes"), ({"boxes": 0}, "boxes")])
+def test_chisq_refuses_bad_arguments(kwargs, name):
+    args = {"n": 2, "samples": 100, "seed": 1, **kwargs}
+    with pytest.raises(ValueError, match=rf"^{name} must be at least"):
+        hb.measure_invariance_chisq(NEUTRAL, **args)
+
+
+def test_chisq_smallest_arguments_run():
+    chi = hb.measure_invariance_chisq(NEUTRAL, n=0, samples=1, seed=1, boxes=2)
+    assert chi["statistic"] == 7.0 and chi["dof"] == 7
+
+
+def test_chi2_sf_exact_values():
+    for dof in (1, 2, 7, 511):
+        assert _chi2_sf(0.0, dof) == 1.0 and _chi2_sf(-3.5, dof) == 1.0
+    for x in (1e-9, 0.3, 2.0, 17.25, 500.0, 1400.0):
+        assert _chi2_sf(x, 2) == math.exp(-x / 2)
+    # erfc alone for one degree of freedom
+    assert _chi2_sf(2.0, 1) == math.erfc(1.0)
+
+
+@pytest.mark.parametrize("x", [1e4, 1e8, 1e300, math.inf])
+@pytest.mark.parametrize("dof", [1, 2, 511, 999])
+def test_chi2_sf_huge_statistic_is_zero(x, dof):
+    assert _chi2_sf(x, dof) == 0.0
+
+
+def test_chi2_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    ps = [1e-300, 1e-200, 1e-100, 1e-40, 1e-12, 1e-6, 1e-3, 0.05, 0.5, 0.9,
+          0.999, 1 - 1e-6, 1 - 1e-12]
+    for dof in [*range(1, 61), 511, 999]:
+        xs = stats.chi2.isf(ps, dof)
+        got = [_chi2_sf(float(x), dof) for x in xs]
+        np.testing.assert_allclose(got, stats.chi2.sf(xs, dof), rtol=1e-10,
+                                   err_msg=f"dof = {dof}")
+
+
 def test_chisq_harness():
     ok = hb.measure_invariance_chisq(NEUTRAL, n=50, samples=10 ** 5, seed=3)
     assert ok["passed"]
@@ -426,10 +467,15 @@ def test_parse_observable_structure():
 
 
 def test_import_leaves_scipy_out():
-    # scipy.stats costs most of an import; only the chi-square test loads it
+    # the package never loads scipy, the chi-square test included: its tail
+    # probability is computed in closed form
     src = os.path.dirname(os.path.dirname(hb.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, heterobaker; print('scipy' in sys.modules)"
+    code = ("import sys, heterobaker as hb\n"
+            "print('scipy' in sys.modules)\n"
+            "chi = hb.measure_invariance_chisq(hb.BakerParams.neutral(2), n=5,"
+            " samples=10 ** 4, seed=1)\n"
+            "print(chi['passed'], 'scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "True", "False"]

@@ -2,12 +2,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heterobaker as hb
 from heterobaker import transfer
 from heterobaker.haar import _expansion
 from heterobaker.pcfun import _same, inner_product_3d
-from heterobaker.transfer import (_p0_step_int, _to_int_vector,
+from heterobaker.transfer import (_p0_step_int, _pullback_2d, _to_int_vector,
                                   square_wave_profile, squarewave_synthesize,
                                   xs_fiber_averages_zero)
 from heterobaker.verify import (check_duality, check_formula_compositions,
@@ -481,3 +483,101 @@ def test_plan_cache_is_bounded_and_read_only():
     assert all(isinstance(part, tuple) for part in
                (grids, branches, *(part for branch in branches
                                    for part in branch)))
+
+
+def _pullback_2d_cellwise(u, mx, cx, my, cy):
+    # the Fraction loop _pullback_2d replaced: grid points pulled back one by
+    # one, then u read at each output cell's image midpoint
+    def axis(bps, m, c):
+        pts = {F(0), F(1)}
+        for b in bps:
+            t = (b - c) / m
+            if 0 <= t <= 1:
+                pts.add(t)
+        for edge in (F(0), F(1)):
+            t = (edge - c) / m
+            if 0 < t < 1:
+                pts.add(t)
+        return tuple(sorted(pts))
+
+    bx = axis(u.bps_x, mx, cx)
+    by = axis(u.bps_y, my, cy)
+    vals = []
+    for x0, x1 in zip(bx, bx[1:]):
+        xm = mx * (x0 + x1) / 2 + cx
+        row = []
+        inside_x = 0 <= xm <= 1
+        for y0, y1 in zip(by, by[1:]):
+            ym = my * (y0 + y1) / 2 + cy
+            if inside_x and 0 <= ym <= 1:
+                row.append(u(xm, ym))
+            else:
+                row.append(F(0))
+        vals.append(tuple(row))
+    return hb.PCFun2D(bx, by, tuple(vals))
+
+
+_inner_bps = st.lists(st.fractions(min_value=0, max_value=1,
+                                   max_denominator=48),
+                      max_size=6).map(lambda bs: sorted(set(bs) - {0, 1}))
+# the four branch factors of the tensor actions, then any positive slope
+_slope_offset = st.sampled_from([(F(1, 4), F(0)), (F(1, 4), F(1, 4)),
+                                 (F(2), F(0)), (F(1, 2), F(1, 2)),
+                                 (F(4), F(-2)), (F(4), F(-3))]) | st.tuples(
+    st.fractions(min_value=F(1, 16), max_value=16, max_denominator=16),
+    st.fractions(min_value=-4, max_value=4, max_denominator=16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_inner_bps, _inner_bps, st.data(), _slope_offset, _slope_offset)
+def test_pullback_2d_matches_the_cellwise_loop(bx, by, data, fx, fy):
+    values = data.draw(st.lists(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        min_size=len(by) + 1, max_size=len(by) + 1),
+        min_size=len(bx) + 1, max_size=len(bx) + 1))
+    u = hb.PCFun2D([0, *bx, 1], [0, *by, 1], values)
+    got = _pullback_2d(u, *fx, *fy)
+    want = _pullback_2d_cellwise(u, *fx, *fy)
+    assert got == want and repr(got) == repr(want)
+
+
+def _p0_step_int_tiled(nums, op):
+    M, wp, wq = op.M, op.w.numerator, op.w.denominator
+    beta = (wq - wp) * nums.reshape(M, -1).sum(axis=0)
+    return np.tile(M * wp * nums, M) + np.repeat(beta, M * M)
+
+
+def _p0_haar_step_tiled(levels, op):
+    wp, wq = op.w.numerator, op.w.denominator
+    new = [np.zeros(2 ** max(l - 1, 0), dtype=levels[0].dtype)
+           for l in range(len(levels) + 1)]
+    new[0] = 2 * wq * levels[0]
+    for l in range(1, len(levels)):
+        arr = levels[l]
+        if arr.any():
+            new[l + 1] += np.tile(2 * wp * arr, 2)
+            if l >= 2:
+                q = arr.size // 2
+                new[l - 1] += (wq - wp) * (arr[:q] + arr[q:])
+    return new
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("M,w", [(2, F(1, 2)), (2, F(2, 5)), (3, F(4, 7))])
+def test_int_steps_match_their_tiled_form(dtype, M, w):
+    # the grid and Haar steps copy with np.concatenate; np.tile gave the same
+    rng = np.random.Generator(np.random.Philox(key=17))
+    op = hb.ReducedOp(M, w)
+    nums = rng.integers(-50, 50, size=M ** 3).astype(dtype)
+    for _ in range(4):
+        want = _p0_step_int_tiled(nums, op)
+        nums = _p0_step_int(nums, op)
+        assert nums.dtype == want.dtype and np.array_equal(nums, want)
+    if M == 2:
+        levels = [rng.integers(-50, 50, size=2 ** max(l - 1, 0)).astype(dtype)
+                  for l in range(5)]
+        for _ in range(4):
+            want = _p0_haar_step_tiled(levels, op)
+            levels = transfer.p0_haar_step(levels, op)
+            assert [a.dtype for a in levels] == [a.dtype for a in want]
+            assert all(map(np.array_equal, levels, want))
