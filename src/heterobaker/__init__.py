@@ -7,7 +7,7 @@ wave coefficient dynamics tied to the gambler's-ruin walk, and seeded
 Monte Carlo over the exact orbit law.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .baker import (BakerParams, BoundaryPoint, CenterType, Kind, Symbol,
                     apply_f2, apply_f3, apply_f3_inverse, apply_tau, classify,

@@ -39,6 +39,21 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def symbol_law(params: BakerParams) -> tuple[int, int, np.dtype]:
+    """(p, q, dtype) of the exact branch-symbol law, a = p/q in lowest terms.
+
+    U uniform on [0, q), drawn as `integers(0, q, dtype=dtype)`, gives the
+    symbol min(U // p, M): each j < M has probability exactly p/q = a and
+    the beta symbol M exactly 1 - Ma.  Refused with a ValueError naming a
+    when q is 2^64 or more, past the widest integer numpy draws.
+    """
+    p, q = params.a.numerator, params.a.denominator
+    if q >= 2 ** 64:
+        raise ValueError(f"a = {params.a}: symbols are drawn as integers "
+                         "in [0, q) for a = p/q, which needs q < 2^64")
+    return p, q, np.min_scalar_type(q - 1)
+
+
 class CenterType(enum.Enum):
     MOSTLY_EXPANDING = "mostly-expanding"
     MOSTLY_NEUTRAL = "mostly-neutral"
@@ -213,20 +228,24 @@ def itinerary_stats(params: BakerParams, p=None, n: int = 10 ** 6,
     when the point is rational and small n, floats otherwise).  With
     p=None a Lebesgue-random point is simulated through its branch
     itinerary, which for tau is an i.i.d. sequence (each alpha strip has
-    probability a, the beta interval 1 - Ma); this is the faithful way to
-    sample long orbits of maps whose float iteration degenerates.
+    probability a, the beta interval 1 - Ma, drawn by `symbol_law`); this
+    is the faithful way to sample long orbits of maps whose float
+    iteration degenerates.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     M, a = params.M, float(params.a)
     if p is None:
         key = 0 if seed is None else check_seed(seed)
+        ap, q, dtype = symbol_law(params)
         rng = np.random.Generator(np.random.Philox(key=key))
         hits = 0
         remaining = n
         while remaining:
             block = min(remaining, 1 << 22)
-            hits += int((rng.random(block) < M * a).sum())
+            # symbol < M, that is U < M p
+            hits += int((rng.integers(0, q, size=block, dtype=dtype)
+                         < M * ap).sum())
             remaining -= block
         return hits / n
     pts = orbit(params, p, n - 1)

@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from . import __version__
 from .baker import BakerParams, check_seed, orbit, tiling_report
-from .correlation import (TruncationBudgetExceeded, decay_slope_fit,
-                          exact_reduced_correlation, exp_rate_fit,
-                          mc_correlation_series)
+from .correlation import (TruncationBudgetExceeded, _exp_fit, _plateau,
+                          _power_fit, _window_arrays,
+                          exact_reduced_correlation, mc_correlation_series)
 from .observables import ParseError, parse_observable
 from .pcfun import frac, pcfun1d_from_json, pcfun1d_to_json, \
     pcfun3d_from_json, pcfun3d_to_json
@@ -233,29 +233,29 @@ def cmd_slope(args) -> int:
                          f"got {args.window!r}") from None
     ns, vs = [], []
     with open(args.infile) as fh:
-        reader = csv.DictReader(r for r in fh if not r.startswith("#"))
-        if not {"n", "value"} <= set(reader.fieldnames or ()):
+        reader = csv.reader(r for r in fh if not r.startswith("#"))
+        header = next(reader, None)
+        # the last column of a name wins, as in csv.DictReader
+        col = {name: i for i, name in enumerate(header or ())}
+        if not {"n", "value"} <= col.keys():
             raise ValueError(f"--in: {args.infile} needs the columns n and "
-                             f"value, got {reader.fieldnames}")
+                             f"value, got {header}")
+        i_n, i_v = col["n"], col["value"]
         for row in reader:
+            if not row:
+                continue
             try:
-                ns.append(int(row["n"]))
-                vs.append(abs(float(row["value"])))
-            except (TypeError, ValueError):     # TypeError: a short row
+                ns.append(int(row[i_n]))
+                vs.append(abs(float(row[i_v])))
+            except (IndexError, ValueError):    # IndexError: a short row
+                n, v = (row[i] if i < len(row) else None for i in (i_n, i_v))
                 raise ValueError(f"--in: {args.infile} has a row with n = "
-                                 f"{row['n']!r} and value = "
-                                 f"{row['value']!r}") from None
-    from .correlation import CorrelationRecord
-    series = [CorrelationRecord(n, v, "csv", 0.0) for n, v in zip(ns, vs)]
+                                 f"{n!r} and value = {v!r}") from None
+    ns, vs = _window_arrays(ns, vs, (lo, hi))
     if args.model == "power":
-        fit = decay_slope_fit(series, (lo, hi))
-        out = {"slope": fit["slope"], "intercept": fit["intercept"],
-               "residual": fit["residual"],
-               "plateau_tail": fit["plateau"][-5:]}
+        out = {**_power_fit(ns, vs), "plateau_tail": _plateau(ns[-5:], vs[-5:])}
     else:
-        fit = exp_rate_fit(series, (lo, hi))
-        out = {"rate": fit["rate"], "intercept": fit["intercept"],
-               "residual": fit["residual"]}
+        out = _exp_fit(ns, vs)
     _write_json(args.out, out)
     return 0
 

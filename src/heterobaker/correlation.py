@@ -15,7 +15,8 @@ truncated-tail contribution is exactly
 
     c_phi c_psi kappa^n r^(2(L+1)) / (1 - r^2),   kappa = w r + (1-w)/r.
 
-In double mode the same step runs on floats with (w, 1 - w); the state is
+In double mode the same step runs on floats with (w, 1 - w), on the live
+window of the state only (up to its last nonzero level); the state is
 truncated at a fixed depth and the discarded tail is bounded through the
 L2 contraction of the reduced operator.
 
@@ -31,11 +32,14 @@ backward pass runs only for an observable of x_u, and the forward x_s
 update only for one of x_s or for the chi-square test's end state.  The
 draws are the same either way, so the estimates are too.
 
-Samples come in fixed-size shards, each drawn from its own Philox stream
-keyed by (seed, shard index).  A worker thread simulates a batch of whole
-consecutive shards in one vectorised pass over a step-major int8
-itinerary.  A batch holds at most _BATCH_BYTES (4 MiB) of per-sample state
-or a single shard, so its memory does not grow with the sample count.  Sums
+Samples come in fixed-size shards, each drawn from its own Philox streams
+keyed by (seed, shard index): one for the initial state and one per
+64-step itinerary chunk, whose symbols follow the exact law
+(`baker.symbol_law`).  A worker thread simulates a batch of whole
+consecutive shards in one vectorised pass, drawing the itinerary a chunk
+at a time (in reverse for the backward pass) instead of storing it.  A
+batch holds at most _BATCH_BYTES (4 MiB) of per-sample state or a single
+shard, so its memory grows with neither the sample count nor n_max.  Sums
 are still reduced shard by shard in shard order, so estimates and
 batch-means errors are byte-identical for any worker count.
 """
@@ -50,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baker import BakerParams, check_seed
+from .baker import BakerParams, check_seed, symbol_law
 from .observables import Observable3D
 from .pcfun import ZERO, _to_int_vector
 from .ruin import walk_step
@@ -208,16 +212,32 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
     tail_l2 = abs(float(c_phi)) * 0.5 ** (L + 1) / math.sqrt(0.75)
     psi_l2 = math.sqrt(float(b_l2) +
                        float(c_psi) ** 2 * 0.25 ** (depth + 1) / 0.75)
-    w = float(op.w)
-    out = []
-    state = arr
+    up, down = float(op.w), 1 - float(op.w)
+    # `walk_step` on the live window [0, live) only, in two zero-filled
+    # buffers of the final length.  Past the window every level is +0.0, as
+    # in the whole state, so `cur[:L + n]` is that state bit for bit; -0.0
+    # entries of the initial levels act as +0.0 in a step.  `dirty[k]` is
+    # the prefix of buffer k a step may have left nonzero.
+    bufs = [np.zeros(depth - 1), np.zeros(depth - 1)]
+    bufs[0][:L] = arr
+    dirty = [L, 0]
+    live = L
+    vals = []
     for n in range(n_max + 1):
-        val = float(state @ brr[:state.size])
-        err = tail_l2 * psi_l2 + 1e-15 * (n + 1) * abs(val)
-        out.append(CorrelationRecord(n, val, "exact-squarewave", err))
+        cur, nxt = bufs[n % 2], bufs[1 - n % 2]
+        vals.append(float(cur[:L + n] @ brr[:L + n]))
         if n < n_max:
-            state = walk_step(state, w, 1 - w)
-    return out
+            while live and cur[live - 1] == 0:
+                live -= 1
+            nxt[:max(live + 1, dirty[1 - n % 2])] = 0.0
+            nxt[1:live + 1] += up * cur[:live]
+            low = max(live - 1, 0)
+            nxt[:low] += down * cur[1:low + 1]
+            live += 1
+            dirty[1 - n % 2] = live
+    errs = tail_l2 * psi_l2 + 1e-15 * (np.arange(n_max + 1) + 1) * np.abs(vals)
+    return [CorrelationRecord(n, val, "exact-squarewave", err)
+            for n, (val, err) in enumerate(zip(vals, errs.tolist()))]
 
 
 def _haar_pc_of(obs: Observable3D, level: int | None, n_max: int):
@@ -289,7 +309,7 @@ def _haar_series(phi: Observable3D, psi: Observable3D, n_max: int,
 SHARD_SIZE = 1 << 14
 _BATCH_BYTES = 1 << 22    # per-sample state of one batch, see _batch_plan
 _WORK_FLOATS = 16        # float64 working arrays of the passes, an upper estimate
-_DRAW_BLOCK = 1 << 16    # itinerary uniforms drawn at a time (float64)
+_CHUNK = 64              # itinerary steps drawn per (shard, chunk) generator
 
 
 def _shard_plan(samples: int) -> list[tuple[int, int]]:
@@ -309,16 +329,20 @@ def _shard_plan(samples: int) -> list[tuple[int, int]]:
 
 
 def _batch_plan(shards: list[tuple[int, int]], n_max: int, kept: int,
-                workers: int) -> list[list[tuple[int, int]]]:
+                workers: int, itemsize: int = 1) -> list[list[tuple[int, int]]]:
     """Split the shard plan into batches of whole consecutive shards.
 
-    A batch holds at most _BATCH_BYTES of per-sample state (the int8
-    itinerary, `kept` stored x_u slices and the float working arrays of
-    the passes) or a single shard, so its memory does not grow with the
-    sample count.  There are at least `workers` batches when there are
-    that many shards, and batch sizes differ by at most one shard.
+    A batch holds at most _BATCH_BYTES of per-sample state (one itinerary
+    chunk of min(n_max, _CHUNK) symbols of `itemsize` bytes, one while a's
+    denominator is at most 256; `kept` stored x_u slices; the float
+    working arrays of the passes) or a single shard, so its memory grows
+    with neither the sample count nor n_max.  On top of it, drawing a
+    chunk holds one shard's draws, _CHUNK x shard size x itemsize (1 MiB
+    at most for one-byte symbols).  There are at least `workers` batches
+    when there are that many shards, and batch sizes differ by at most one
+    shard.
     """
-    per_sample = n_max + 8 * (kept + _WORK_FLOATS)
+    per_sample = min(n_max, _CHUNK) * itemsize + 8 * (kept + _WORK_FLOATS)
     cap = max(1, _BATCH_BYTES // (shards[0][1] * per_sample))
     count = min(len(shards), max(workers, -(-len(shards) // cap)))
     q, r = divmod(len(shards), count)
@@ -336,19 +360,47 @@ def _evaluate(obs: Observable3D, xu, xc, xs) -> np.ndarray:
     return np.broadcast_to(np.asarray(obs(xu, xc, xs), dtype=float), xc.shape)
 
 
-def _simulate_batch(params: BakerParams, batch: list[tuple[int, int]],
-                    seed: int, n_list: Sequence[int], phi: Observable3D,
+def _symbols(u: np.ndarray, p: int, M: int) -> np.ndarray:
+    """The symbols min(U // p, M) of draws U under `symbol_law`, in place."""
+    np.floor_divide(u, p, out=u)
+    return np.minimum(u, M, out=u)
+
+
+def _itinerary_chunk(out: np.ndarray, keys: list, bounds: list, chunk: int,
+                     law: tuple, M: int) -> np.ndarray:
+    """The symbols of itinerary chunk `chunk` of a batch into `out`, step
+    major (rows = the chunk's steps, columns = the batch's samples).
+
+    Shard j (key keys[j], columns bounds[j]) makes one draw of rows x size
+    integers in [0, q) from Philox(key, counter=[0, 0, chunk + 1, 0]);
+    splitting it into several calls would change the stream.
+    """
+    _, q, dtype = law
+    for key, (lo, hi) in zip(keys, bounds):
+        rng = np.random.Generator(np.random.Philox(
+            key=key, counter=[0, 0, chunk + 1, 0]))
+        out[:, lo:hi] = rng.integers(0, q, size=(out.shape[0], hi - lo),
+                                     dtype=dtype)
+    return _symbols(out, law[0], M)
+
+
+def _simulate_batch(params: BakerParams, law: tuple,
+                    batch: list[tuple[int, int]], seed: int,
+                    n_list: Sequence[int], phi: Observable3D,
                     psi: Observable3D, end_state: bool = False):
     """Consecutive shards of the same stream in one vectorised pass.
 
-    Shard `sidx` draws from Philox(key=(seed, sidx)) in a fixed order: its
-    (size, n_max) itinerary uniforms in row blocks, then x_u at time n_max,
-    x_c and x_s.  Every step of the backward x_u pass and of the forward
-    pass runs once over the whole batch on a contiguous row of the
-    step-major int8 itinerary.  The passes compute a coordinate only where
-    it is needed: the backward pass runs only when phi or psi reads x_u,
-    the forward x_s update only when one reads x_s or `end_state` is set,
-    and an unread coordinate is passed to the observables as drawn.
+    `law` is `symbol_law(params)`.  Shard `sidx` is keyed by
+    key = (seed, sidx); Philox(key) at counter 0 draws x_u at time n_max,
+    x_c and x_s.  The itinerary is never stored whole: chunk c, steps
+    [64c, min(64c + 64, n_max)), is drawn by `_itinerary_chunk` when a
+    pass reaches it, the forward pass in order and the backward x_u pass
+    again in reverse.  Every step of either pass runs once over the whole
+    batch on a contiguous row of the chunk.  The passes compute a
+    coordinate only where it is needed: the backward pass runs only when
+    phi or psi reads x_u, the forward x_s update only when one reads x_s or
+    `end_state` is set, and an unread coordinate is passed to the
+    observables as drawn.
     Returns the per-shard sums
     [(size, sum phi, sum psi at time 0, {n: sum phi*psi_n})] and, with
     `end_state`, the batch's state (x_u, x_c, x_s) at time
@@ -359,68 +411,65 @@ def _simulate_batch(params: BakerParams, batch: list[tuple[int, int]],
     Ma, Mb = M * a, M * b
     n_max = max(n_list)
     total = sum(size for _, size in batch)
-    itin = np.empty((n_max, total), dtype=np.int8)
     xu_end, xc, xs = np.empty(total), np.empty(total), np.empty(total)
-    rows = max(1, _DRAW_BLOCK // max(n_max, 1))
-    u = np.empty((min(rows, batch[0][1]), n_max))
-    beta = np.empty(u.shape, dtype=bool)
-    bounds, lo = [], 0
+    keys, bounds, lo = [], [], 0
     for sidx, size in batch:
         # an explicit uint64 key: numpy reads the tuple (seed, sidx) as
         # float64 once seed >= 2^63, which rounds the seed
         key = np.array([seed, sidx], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        for r in range(0, size, rows):
-            k = min(rows, size - r)
-            # np.where(u < Ma, min(floor(u / a), M - 1), M) without int64
-            # temporaries: u >= Ma implies u / a >= M - 1, so the clamp
-            # gives M - 1 there and adding the mask gives M
-            rng.random(out=u[:k])
-            np.greater_equal(u[:k], Ma, out=beta[:k])
-            np.divide(u[:k], a, out=u[:k])
-            np.minimum(u[:k], M - 1, out=u[:k])
-            np.add(u[:k], beta[:k], out=u[:k])
-            itin[:, lo + r:lo + r + k] = u[:k].T
         hi = lo + size
         for arr in (xu_end, xc, xs):
             rng.random(out=arr[lo:hi])
+        keys.append(key)
         bounds.append((lo, hi))
         lo = hi
+    buf = np.empty((min(n_max, _CHUNK), total), dtype=law[2])
+
+    def chunk(c):
+        """(first step, symbols) of chunk c for the whole batch."""
+        first = c * _CHUNK
+        rows = buf[:min(_CHUNK, n_max - first)]
+        return first, _itinerary_chunk(rows, keys, bounds, c, law, M)
 
     def shard_sums(v):
         return [float(v[lo:hi].sum()) for lo, hi in bounds]
 
+    chunks = range(-(-n_max // _CHUNK))
     want = set(n_list)
     reads = phi.reads | psi.reads
     xu_at = {}
     cur = xu_end
     # down to time 0 whenever x_u is read: psi at time 0 enters the centering
     if "xu" in reads:
-        for i in range(n_max - 1, -1, -1):
-            if i + 1 in want and "xu" in psi.reads:
-                xu_at[i + 1] = cur
-            w = itin[i]
-            cur = np.where(w < M, a * (cur + w), (1.0 - Ma) * cur + Ma)
+        for c in reversed(chunks):
+            first, itin = chunk(c)
+            for i in range(itin.shape[0] - 1, -1, -1):
+                if first + i + 1 in want and "xu" in psi.reads:
+                    xu_at[first + i + 1] = cur
+                w = itin[i]
+                cur = np.where(w < M, a * (cur + w), (1.0 - Ma) * cur + Ma)
 
     phi0 = _evaluate(phi, cur, xc, xs)
     psi0 = _evaluate(psi, cur, xc, xs)
     per_n = {0: shard_sums(phi0 * psi0)} if 0 in want else {}
     step_xs = end_state or "xs" in reads
-    for i in range(n_max):
-        w = itin[i]
-        # k = min(floor(M xc), M - 1) held as a float, so M xc - k and
-        # b (k - M) round as with an integer k; where alpha selects it,
-        # w / M equals clip(w, 0, M - 1) / M
-        y = xc * M
-        k = np.floor(y)
-        np.minimum(k, M - 1, out=k)
-        alpha = w < M
-        xc = np.where(alpha, xc / M + w / M, y - k)
-        if step_xs:
-            xs = np.where(alpha, (1.0 - Mb) * xs, b * xs + 1.0 + b * (k - M))
-        if i + 1 in want:
-            psin = _evaluate(psi, xu_at.pop(i + 1, xu_end), xc, xs)
-            per_n[i + 1] = shard_sums(phi0 * psin)
+    for c in chunks:
+        first, itin = chunk(c)
+        for i, w in enumerate(itin, start=first + 1):
+            # k = min(floor(M xc), M - 1) held as a float, so M xc - k and
+            # b (k - M) round as with an integer k; where alpha selects it,
+            # w / M equals clip(w, 0, M - 1) / M
+            y = xc * M
+            k = np.floor(y)
+            np.minimum(k, M - 1, out=k)
+            alpha = w < M
+            xc = np.where(alpha, xc / M + w / M, y - k)
+            if step_xs:
+                xs = np.where(alpha, (1.0 - Mb) * xs, b * xs + 1.0 + b * (k - M))
+            if i in want:
+                psin = _evaluate(psi, xu_at.pop(i, xu_end), xc, xs)
+                per_n[i] = shard_sums(phi0 * psin)
     sphi, spsi0 = shard_sums(phi0), shard_sums(psi0)
     sums = [(size, sphi[j], spsi0[j], {n: v[j] for n, v in per_n.items()})
             for j, (_, size) in enumerate(batch)]
@@ -452,12 +501,15 @@ def mc_correlation_series(params: BakerParams, phi: Observable3D,
     if samples < 10 ** 4:
         raise ValueError("use at least 10^4 samples")
     seed = check_seed(seed)
+    law = symbol_law(params)
     n_list = sorted(set(int(n) for n in n_list))
     n_max = max(n_list)
-    batches = _batch_plan(_shard_plan(samples), n_max, len(n_list), workers)
+    kept = len(n_list) if "xu" in psi.reads else 0
+    batches = _batch_plan(_shard_plan(samples), n_max, kept, workers,
+                          law[2].itemsize)
 
     def run(batch):
-        return _simulate_batch(params, batch, seed, n_list, phi, psi)[0]
+        return _simulate_batch(params, law, batch, seed, n_list, phi, psi)[0]
 
     results = [shard for sums in _run_batches(run, batches, workers)
                for shard in sums]
@@ -528,18 +580,20 @@ def measure_invariance_chisq(params: BakerParams, n: int = 50,
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value!r}")
     seed = check_seed(seed)
+    law = symbol_law(params)
     ident = Observable3D("one", lambda xu, xc, xs: np.ones_like(xc),
                          reads=frozenset())
 
     def run(batch):
         cell = 0
-        for x in _simulate_batch(params, batch, seed, [n], ident, ident,
+        for x in _simulate_batch(params, law, batch, seed, [n], ident, ident,
                                  end_state=True)[1]:
             cell = cell * boxes + np.minimum((x * boxes).astype(np.int64),
                                              boxes - 1)
         return np.bincount(cell, minlength=boxes ** 3)
 
-    batches = _batch_plan(_shard_plan(samples), n, 1, workers)
+    batches = _batch_plan(_shard_plan(samples), n, 0, workers,
+                          law[2].itemsize)
     counts = sum(_run_batches(run, batches, workers))
     expected = samples / boxes ** 3
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -553,18 +607,41 @@ def measure_invariance_chisq(params: BakerParams, n: int = 50,
 # decay-rate fits
 
 def _window(series, n_window) -> tuple[np.ndarray, np.ndarray]:
+    return _window_arrays([rec.n for rec in series],
+                          [rec.value for rec in series], n_window)
+
+
+def _window_arrays(ns, vs, n_window) -> tuple[np.ndarray, np.ndarray]:
+    """(n, value) as float arrays over lo <= n <= hi, in input order."""
     lo, hi = n_window
-    ns, vs = [], []
-    for rec in series:
-        if lo <= rec.n <= hi:
-            ns.append(rec.n)
-            vs.append(rec.value)
-    if len(ns) < 3:
+    ns = np.asarray(ns)
+    keep = (ns >= lo) & (ns <= hi)
+    if np.count_nonzero(keep) < 3:
         raise ValueError("window too small for a fit")
-    v = np.asarray(vs, dtype=float)
+    v = np.asarray(vs, dtype=float)[keep]
     if np.any(v <= 0):
         raise NonPositiveValue("fit window contains non-positive values")
-    return np.asarray(ns, dtype=float), v
+    return ns[keep].astype(float), v
+
+
+def _power_fit(ns: np.ndarray, vs: np.ndarray) -> dict:
+    x, y = np.log(ns), np.log(vs)
+    (slope, intercept), res = np.polyfit(x, y, 1, full=True)[:2]
+    residual = float(res[0]) if len(res) else 0.0
+    return {"slope": float(slope), "intercept": float(intercept),
+            "residual": residual}
+
+
+def _plateau(ns: np.ndarray, vs: np.ndarray) -> list:
+    return [(int(n), float(n ** 1.5 * v)) for n, v in zip(ns, vs)]
+
+
+def _exp_fit(ns: np.ndarray, vs: np.ndarray) -> dict:
+    y = np.log(vs)
+    (slope, intercept), res = np.polyfit(ns, y, 1, full=True)[:2]
+    residual = float(res[0]) if len(res) else 0.0
+    return {"rate": float(math.exp(slope)), "intercept": float(intercept),
+            "residual": residual}
 
 
 def decay_slope_fit(series, n_window) -> dict:
@@ -572,22 +649,12 @@ def decay_slope_fit(series, n_window) -> dict:
     squared log residuals.  Also returns n^(3/2) * value for plateau
     inspection."""
     ns, vs = _window(series, n_window)
-    x, y = np.log(ns), np.log(vs)
-    (slope, intercept), res = np.polyfit(x, y, 1, full=True)[:2]
-    residual = float(res[0]) if len(res) else 0.0
-    plateau = [(int(n), float(n ** 1.5 * v)) for n, v in zip(ns, vs)]
-    return {"slope": float(slope), "intercept": float(intercept),
-            "residual": residual, "plateau": plateau}
+    return {**_power_fit(ns, vs), "plateau": _plateau(ns, vs)}
 
 
 def exp_rate_fit(series, n_window) -> dict:
     """Least squares of log value against n; lambda = exp(slope)."""
-    ns, vs = _window(series, n_window)
-    y = np.log(vs)
-    (slope, intercept), res = np.polyfit(ns, y, 1, full=True)[:2]
-    residual = float(res[0]) if len(res) else 0.0
-    return {"rate": float(math.exp(slope)), "intercept": float(intercept),
-            "residual": residual}
+    return _exp_fit(*_window(series, n_window))
 
 
 def lower_bound_check(phi: Observable3D, psi: Observable3D, n_max: int,

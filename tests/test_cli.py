@@ -261,6 +261,15 @@ def test_high_seeds_key_their_own_streams(capsys):
     assert len(rows) == 3
 
 
+def test_mc_names_an_a_it_cannot_draw(capsys):
+    a = "1/18446744073709551617"
+    b = str(F(1, 2) - F(a))
+    code = main([*MC, "--a", a, "--b", b, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: a = {a}")
+
+
 def test_mc_csv_does_not_depend_on_workers_or_out(tmp_path):
     # the footer hashed --workers and --out, so identical rows got two hashes
     paths = [tmp_path / f"mc{w}.csv" for w in (1, 2)]

@@ -92,6 +92,27 @@ def test_haar_projection_bound():
         hb.exact_reduced_correlation(PHI, PHI, 2, mode="haar")
 
 
+@pytest.mark.parametrize("w,level", [
+    (F(1, 2), None), (F(1, 10), 1200), (F(3, 5), 300)])
+def test_double_mode_steps_its_live_window_bit_for_bit(w, level):
+    # the whole state, stepped by walk_step and paired as it grows; at
+    # level 1200 the initial tail underflows to -0.0
+    from heterobaker.correlation import _double_levels
+    from heterobaker.ruin import walk_step
+    n_max = 400
+    L = max(64, level or 0)
+    state, _ = _double_levels([], F(-1, 2), L)
+    b, _ = _double_levels([], F(-1, 2), L + n_max + 1)
+    want = []
+    for n in range(n_max + 1):
+        want.append(float(state @ b[:state.size]).hex())
+        state = walk_step(state, float(w), 1 - float(w))
+    got = hb.exact_reduced_correlation(PHI, PHI, n_max, op=hb.ReducedOp(2, w),
+                                       numeric="double",
+                                       truncation_level=level)
+    assert [rec.value.hex() for rec in got] == want
+
+
 def test_double_mode_tracks_rational():
     sr = hb.exact_reduced_correlation(PHI, PHI, 12, numeric="rational")
     sd = hb.exact_reduced_correlation(PHI, PHI, 12, numeric="double")
@@ -164,20 +185,21 @@ def test_mc_requires_preservation():
                           10 ** 4, seed=1)
 
 
-# Monte Carlo outputs (repr of value, error) recorded before the shards of
-# a worker were batched into one vectorised pass; the (seed, shard) stream
-# and the per-shard reductions must reproduce them bit for bit
+# Monte Carlo outputs (repr of value, error) recorded from the stream of
+# version 0.2.0 (itinerary chunks of 64 steps keyed by (seed, shard, chunk),
+# exact integer symbols); the stream and the per-shard reductions must
+# reproduce them bit for bit
 MC_PINNED = {
     "affine": {
-        0: ("0.08386467178680768", "0.0007244017543194419"),
-        1: ("0.042274286852281975", "0.0008312701826082513"),
-        64: ("0.0011950731441717798", "0.0006863849578292998"),
-        512: ("0.000368471199810842", "0.00047065155826812524")},
+        0: ("0.08410509185079615", "0.0008296672465185916"),
+        1: ("0.04237669421141171", "0.0006541619842535155"),
+        64: ("0.003186172365421299", "0.0005086021492986087"),
+        512: ("0.0007104617694579334", "0.0007400588363503657")},
     "staircase": {
-        0: ("0.31292229426318313", "0.0007416931266857592"),
-        1: ("0.10487677110675105", "0.0006933868300356101"),
-        64: ("0.002512146018033865", "0.0006927659669166375"),
-        512: ("-0.001242714683506565", "0.0009383466606412882")},
+        0: ("0.31281407805798983", "0.0005411908446373075"),
+        1: ("0.10284426688812266", "0.0008147606579329226"),
+        64: ("0.002961223614134028", "0.0013322724609589928"),
+        512: ("0.0011506435287656144", "0.0008574522050443525")},
 }
 
 
@@ -199,41 +221,41 @@ def test_mc_stream_is_pinned(workers):
     chi = hb.measure_invariance_chisq(hb.BakerParams(2, F(1, 8), F(1, 8)),
                                       n=50, samples=2 ** 15, seed=3,
                                       workers=workers)
-    assert chi["statistic"] == 50300.125
+    assert chi["statistic"] == 50014.78125
     chi = hb.measure_invariance_chisq(hb.BakerParams(3, F(1, 6), F(1, 6)),
                                       n=7, samples=54321, seed=1,
                                       workers=workers)
-    assert chi["statistic"] == 527.3569890097751
+    assert chi["statistic"] == 556.8963568417371
 
 
 # Monte Carlo outputs (repr of value, error) of observables that read x_u,
-# x_s or both, recorded while every pass still ran all three coordinates:
+# x_s or both, from the stream of version 0.2.0:
 # (params, phi, psi, n_list, samples, seed) -> {n: (value, error)}.  The
 # last three cases end on a partial shard; "cancel" reads x_u although its
 # affine form has no x_u term, and "xc-xu" reads x_u in psi only, from an
-# n_list without 0.
+# n_list without 0.  "xu-xc" regenerates eight itinerary chunks in reverse.
 MC_FULL_PATH = {
     "xu-xc": (((2, F(1, 4), F(1, 4)), "xu-1/2", "xc-1/2", [0, 1, 64, 512],
                2 ** 14, 11), {
-        0: ("-0.00037321857307419935", "0.000691049269718458"),
-        1: ("0.01629035461565366", "0.000629284684346276"),
-        64: ("0.0002841437889323494", "0.0006431687796731982"),
-        512: ("-0.0007147621274415731", "0.0007531788040736911")}),
+        0: ("-0.0006272712196340069", "0.0007414247444445479"),
+        1: ("0.01562621072920017", "0.0005977930930180113"),
+        64: ("-0.00033511469751935", "0.000723435484080312"),
+        512: ("0.0002653741096422372", "0.0006047803712188502")}),
     "xs-xs": (((3, F(1, 6), F(1, 6)), "xs-1/2", "xs-1/2", [0, 1, 7, 50],
                10 ** 5 + 37, 5), {
-        0: ("0.0831788966436845", "0.0001992171482510835"),
-        1: ("0.027655099408836762", "0.00026348284800552257"),
-        7: ("-0.0003020316373036197", "0.0002153286199305663"),
-        50: ("-7.23509552492123e-05", "0.0002786011333104296")}),
+        0: ("0.08304004150123934", "0.000289892869770168"),
+        1: ("0.02801108346892788", "0.00023077147842143425"),
+        7: ("-0.0002994334407463708", "0.0001834292191853888"),
+        50: ("0.0004583027692453308", "0.00029412163406835956")}),
     "cancel": (((2, F(1, 5), F(3, 10)), "(xu+xc)-xu", "xc-1/2", [1, 5, 40],
                 3 * 10 ** 4 + 11, 23), {
-        1: ("0.04019289743740154", "0.00119064450046577"),
-        5: ("0.01676959542908682", "0.0008626848846061948"),
-        40: ("-0.0006844122459758496", "0.0011910019533699929")}),
+        1: ("0.04165766592282448", "0.0010401954808527058"),
+        5: ("0.017594548968160022", "0.0014954264035030882"),
+        40: ("0.0006307790140005509", "0.0015802552702535737")}),
     "xc-xu": (((3, F(1, 6), F(1, 6)), "xc-1/2", "xu-1/2", [3, 20],
                5 * 10 ** 4 + 3, 17), {
-        3: ("0.0002850709871280502", "0.0003357830477202158"),
-        20: ("-0.0001123231590510582", "0.00032838645601494413")}),
+        3: ("-4.6408426565433346e-05", "0.00036881448733094136"),
+        20: ("0.00042305877004166013", "0.0003914246625587205")}),
 }
 
 
@@ -247,11 +269,15 @@ def test_mc_full_path_is_pinned(key, workers):
     assert {n: (repr(out[n].value), repr(out[n].error)) for n in ns} == pinned
 
 
+# the ids end in the statistics these cases had on the stream of version
+# 0.1.0, so the test names stay those of the earlier pins
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("p,n,samples,seed,statistic", [
-    ((2, F(1, 4), F(1, 4)), 50, 10 ** 5, 3, 525.75232),
-    ((2, F(1, 5), F(1, 5)), 50, 10 ** 5, 3, 30270.01344),
-    ((3, F(1, 5), F(2, 15)), 9, 3 * 10 ** 4 + 7, 8, 438.0689505781984)])
+    ((2, F(1, 4), F(1, 4)), 50, 10 ** 5, 3, 518.46144),
+    ((2, F(1, 5), F(1, 5)), 50, 10 ** 5, 3, 30292.85888),
+    ((3, F(1, 5), F(2, 15)), 9, 3 * 10 ** 4 + 7, 8, 520.8571000099976)],
+    ids=["p0-50-100000-3-525.75232", "p1-50-100000-3-30270.01344",
+         "p2-9-30007-8-438.0689505781984"])
 def test_chisq_statistic_is_pinned(p, n, samples, seed, statistic, workers):
     chi = hb.measure_invariance_chisq(hb.BakerParams(*p), n=n, samples=samples,
                                       seed=seed, workers=workers)
@@ -262,7 +288,7 @@ def test_chisq_statistic_is_pinned(p, n, samples, seed, statistic, workers):
     (2 ** 14, 512, 10, 2), (10 ** 5 + 37, 512, 4, 3), (10 ** 6, 1, 2, 1),
     (10 ** 6, 50_000, 1, 2), (10 ** 4, 0, 1, 64)])
 def test_batch_plan_bounds(samples, n_max, kept, workers):
-    from heterobaker.correlation import (_BATCH_BYTES, _WORK_FLOATS,
+    from heterobaker.correlation import (_BATCH_BYTES, _CHUNK, _WORK_FLOATS,
                                          _batch_plan, _shard_plan)
     shards = _shard_plan(samples)
     batches = _batch_plan(shards, n_max, kept, workers)
@@ -270,7 +296,7 @@ def test_batch_plan_bounds(samples, n_max, kept, workers):
     assert [s for batch in batches for s in batch] == shards
     assert all(batches)
     assert len(batches) >= min(workers, len(shards))
-    per_sample = n_max + 8 * (kept + _WORK_FLOATS)
+    per_sample = min(n_max, _CHUNK) + 8 * (kept + _WORK_FLOATS)
     for batch in batches:
         size = sum(n for _, n in batch)
         assert len(batch) == 1 or size * per_sample <= _BATCH_BYTES
@@ -291,6 +317,80 @@ def test_mc_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 106346806 // 2
+
+
+def test_mc_memory_does_not_grow_with_n_max():
+    # an x_c-only series to n = 8192 holds one 64-step itinerary chunk per
+    # batch; a stored (n_max, shard) int8 itinerary read a tracemalloc peak
+    # of 18435875 bytes (17.6 MiB) here, and 32.9 MiB at 2^16 samples
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        hb.mc_correlation_series(NEUTRAL, PHI, PHI, [1, 8192], 2 ** 15,
+                                 seed=1, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
+
+
+@pytest.mark.parametrize("M,a,seed,shard,chunk,rows,size", [
+    (2, F(1, 4), 11, 3, 0, 64, 1024),
+    (3, F(1, 6), 2 ** 63 + 5, 1, 7, 9, 625),
+    # q = 300 draws uint16
+    (2, F(7, 300), 2 ** 64 - 1, 5, 2, 64, 700)])
+def test_mc_stream_matches_its_definition(M, a, seed, shard, chunk, rows,
+                                          size):
+    # one (shard, chunk) of symbols rebuilt with plain numpy from the stream
+    # definition, against the package's symbols for a batch in which that
+    # shard follows 100 samples of shard - 1
+    from heterobaker.baker import symbol_law
+    from heterobaker.correlation import _itinerary_chunk
+    p, q = a.numerator, a.denominator
+    key = np.array([seed, shard], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key,
+                                               counter=[0, 0, chunk + 1, 0]))
+    u = rng.integers(0, q, size=(rows, size), dtype=np.min_scalar_type(q - 1))
+    expected = np.minimum(u // p, M)
+    keys = [np.array([seed, shard - 1], dtype=np.uint64), key]
+    out = np.empty((rows, 100 + size), dtype=u.dtype)
+    got = _itinerary_chunk(out, keys, [(0, 100), (100, 100 + size)], chunk,
+                           symbol_law(hb.BakerParams(M, a, F(1, M) - a)), M)
+    np.testing.assert_array_equal(got[:, 100:], expected)
+    assert got.dtype == u.dtype and expected.max() == M
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_symbols_follow_the_exact_law(M):
+    # every U in [0, q) maps to min(U // p, M): each j < M takes exactly p
+    # of the q values (probability a = p/q), the beta symbol M the rest
+    from heterobaker.baker import symbol_law
+    from heterobaker.correlation import _symbols
+    for q in range(M + 1, 21):
+        for p in range(1, -(-q // M)):
+            if math.gcd(p, q) != 1:
+                continue
+            a = F(p, q)
+            assert symbol_law(hb.BakerParams(M, a, a))[:2] == (p, q)
+            u = np.arange(q, dtype=np.min_scalar_type(q - 1))
+            sym = _symbols(u.copy(), p, M)
+            assert sym.tolist() == [min(U // p, M) for U in range(q)]
+            assert np.bincount(sym).tolist() == [p] * M + [q - M * p]
+
+
+def test_draws_refuse_an_a_past_64_bits():
+    from heterobaker.baker import symbol_law
+    ok = F(1, 2 ** 64 - 1)
+    assert symbol_law(hb.BakerParams(2, ok, ok))[2] == np.uint64
+    a = F(1, 2 ** 64 + 1)
+    params = hb.BakerParams(2, a, F(1, 2) - a)
+    name = r"a = 1/18446744073709551617"
+    with pytest.raises(ValueError, match=name):
+        hb.mc_correlation_series(params, PHI, PHI, [1], 10 ** 4, seed=1)
+    with pytest.raises(ValueError, match=name):
+        hb.measure_invariance_chisq(params, n=1, samples=10, seed=1)
+    with pytest.raises(ValueError, match=name):
+        hb.itinerary_stats(params, n=10, seed=1)
 
 
 @pytest.mark.parametrize("prof,c_tail,L", [
