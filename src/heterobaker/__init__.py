@@ -22,17 +22,16 @@ from .haar import (HaarExpansion, LevelComponents, TensorComponents, analyze,
                    holder_bound_check, square_wave, synthesize, tensor_analyze,
                    tensor_synthesize, wavelet)
 from .observables import Observable3D, affine_center, parse_observable, staircase4
-from .pcfun import (PAFun1D, PCFun1D, PCFun2D, PCFun3D, axpy, frac,
-                    from_affine, inner_product, inner_product_pa, mean,
-                    osc_norm_star, project_zero_mean)
+from .pcfun import (PAFun1D, PCFun1D, PCFun2D, PCFun3D, frac, from_affine,
+                    inner_product, inner_product_pa, mean, osc_norm_star,
+                    project_zero_mean)
 from .ruin import (RuinState, asymptotic_ratio_report, domination_check,
                    evolve_from, q_via_transition, step, transition_prob,
                    transition_prob_exact, transition_prob_float)
 from .transfer import (FiberAverageNonZero, NotInSquareWaveSpan, ReducedOp,
-                       SquareWaveState, component_split_apply,
-                       fiber_average_decay_check, oracle_equivalence_report,
-                       p0_apply, p0_apply_pa, p0_haar_step, p_alpha, p_beta,
-                       p_full_2d, p_full_3d, p_hat_alpha, p_hat_beta, pi0,
-                       squarewave_step)
+                       component_split_apply, fiber_average_decay_check,
+                       oracle_equivalence_report, p0_apply, p0_apply_pa,
+                       p0_haar_step, p_alpha, p_beta, p_full_2d, p_full_3d,
+                       p_hat_alpha, p_hat_beta, pi0)
 from .verify import (check_formula_compositions, check_phat_sum,
                      check_reduction, project_xc, run_identity_suite)

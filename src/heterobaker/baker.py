@@ -108,12 +108,19 @@ class BakerParams:
         return BakerParams(M, h, h)
 
 
+def _check_in_cube(p) -> None:
+    """Refuse a point outside [0,1]^3, naming its first coordinate outside."""
+    for name, x in zip(("x_u", "x_c", "x_s"), p):
+        if not 0 <= x <= 1:
+            raise ValueError(f"point outside the cube: {name} = {x} is not "
+                             "in [0, 1]")
+
+
 def classify(params: BakerParams, p) -> Symbol:
     """The unique branch symbol whose domain contains p in [0,1]^3."""
-    xu, xc = frac(p[0]), frac(p[1])
+    xu, xc, xs = frac(p[0]), frac(p[1]), frac(p[2])
+    _check_in_cube((xu, xc, xs))
     M, a = params.M, params.a
-    if not (0 <= xu <= 1 and 0 <= xc <= 1):
-        raise ValueError("point outside the cube")
     if xu < M * a:
         return Symbol(Kind.ALPHA, int(xu / a) + 1)
     k = min(int(xc * M) + 1, M)  # last beta strip closed at x_c = 1
@@ -193,6 +200,7 @@ def orbit(params: BakerParams, p, n: int, exact: bool = False) -> list:
         raise ValueError("n must be >= 0")
     if exact:
         pts = [(frac(p[0]), frac(p[1]), frac(p[2]))]
+        _check_in_cube(pts[0])
         for _ in range(n):
             pts.append(apply_f3(params, pts[-1]))
         return pts
@@ -200,6 +208,7 @@ def orbit(params: BakerParams, p, n: int, exact: bool = False) -> list:
     a, b = float(params.a), float(params.b)
     Ma, Mb = M * a, M * b
     xu, xc, xs = float(p[0]), float(p[1]), float(p[2])
+    _check_in_cube((xu, xc, xs))
     pts = [(xu, xc, xs)]
     for _ in range(n):
         if xu < Ma:

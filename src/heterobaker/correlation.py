@@ -59,7 +59,7 @@ from .observables import Observable3D
 from .pcfun import ZERO, _to_int_vector
 from .ruin import walk_step
 from .transfer import (NotInSquareWaveSpan, ReducedOp, p0_haar_step,
-                       square_wave_profile)
+                       square_wave_levels)
 
 HALF = Fraction(1, 2)
 _HAAR_MAX_LEVEL = 20      # deepest level the Haar route may reach
@@ -105,13 +105,14 @@ def _squarewave_profile(obs: Observable3D):
         m, _ = obs.xc_affine
         return [], -m * HALF
     if obs.xc_pc is not None:
-        from .haar import analyze
+        from .haar import analyze_levels
         from .pcfun import project_zero_mean
-        prof = square_wave_profile(analyze(project_zero_mean(obs.xc_pc)))
-        if prof is None:
+        levels, scale = analyze_levels(project_zero_mean(obs.xc_pc))
+        sw = square_wave_levels(levels)
+        if sw is None:
             raise NotInSquareWaveSpan(
                 f"{obs.name}: per-level Haar coefficients are not constant in k")
-        return prof, ZERO
+        return [c * scale for c in sw], ZERO
     raise NotInSquareWaveSpan(f"{obs.name} is not an exact x_c observable")
 
 
@@ -619,6 +620,10 @@ def _window_arrays(ns, vs, n_window) -> tuple[np.ndarray, np.ndarray]:
     if np.count_nonzero(keep) < 3:
         raise ValueError("window too small for a fit")
     v = np.asarray(vs, dtype=float)[keep]
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise ValueError(f"fit window has the non-finite value {v[bad][0]} "
+                         f"at n = {ns[keep][bad][0]}")
     if np.any(v <= 0):
         raise NonPositiveValue("fit window contains non-positive values")
     return ns[keep].astype(float), v
@@ -666,7 +671,7 @@ def lower_bound_check(phi: Observable3D, psi: Observable3D, n_max: int,
     projection: strictly increasing functions have all-negative raw Haar
     coefficients, decreasing all-positive.
     """
-    from .haar import analyze
+    from .haar import monotone_sign_report
     from .pcfun import from_affine, project_zero_mean
 
     def signature(obs: Observable3D) -> int:
@@ -676,10 +681,10 @@ def lower_bound_check(phi: Observable3D, psi: Observable3D, n_max: int,
             pc = obs.xc_pc
         else:
             raise NotMonotone(f"{obs.name} is not an x_c observable")
-        exp = analyze(project_zero_mean(pc))
-        if exp and all(c < 0 for c in exp.values()):
+        signs = monotone_sign_report(project_zero_mean(pc))
+        if signs["all_negative"]:
             return 1     # increasing
-        if exp and all(c > 0 for c in exp.values()):
+        if signs["all_positive"]:
             return -1    # decreasing
         raise NotMonotone(f"{obs.name}: coefficient signs are mixed")
 

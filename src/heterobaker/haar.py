@@ -25,7 +25,6 @@ expectations on the M-adic tower (K_l, with H_l the complement of K_{l-1}).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -173,17 +172,6 @@ def level_sup_norms(expansion: Mapping) -> dict[int, Fraction]:
     return out
 
 
-def pair_expansions(a: Mapping, b: Mapping) -> Fraction:
-    """<f, g> from expansions: sum c a_{l,k} b_{l,k} 2^(1-l)."""
-    total = ZERO
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    for (l, k), c in small.items():
-        d = big.get((l, k))
-        if d:
-            total += c * d * Fraction(2, 2 ** l)
-    return total
-
-
 def holder_bound_check(f: PCFun1D, theta: Fraction, holder_norm: Fraction) -> list[dict]:
     """Per-level check of ||f_l||_inf <= 2^(-theta*l) * holder_norm.
 
@@ -315,15 +303,3 @@ def tensor_synthesize(comp: TensorComponents) -> PCFun3D:
     return PCFun3D._from_lattice(np.moveaxis(cells, 0, 1), den,
                                  (lu, _uniform_lattice(len(cells)), ls))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def expansion_to_json(expansion: Mapping) -> str:
-    items = [{"l": l, "k": k, "coeff": str(c)}
-             for (l, k), c in sorted(expansion.items())]
-    return json.dumps(items)
-
-
-def expansion_from_json(s: str) -> HaarExpansion:
-    return {(int(e["l"]), int(e["k"])): frac(e["coeff"]) for e in json.loads(s)}

@@ -100,6 +100,8 @@ PRESETS = {"affine-center": affine_center, "staircase-4": staircase4}
 
 # --- parser ---------------------------------------------------------------
 
+MAX_DEPTH = 200     # deepest nesting and deepest tree `parse_observable` takes
+
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(xu|xc|xs|min|max)|([()+\-*,]))")
 
 
@@ -124,10 +126,19 @@ def _tokenize(text: str) -> list:
     return out
 
 
+def _too_deep() -> ParseError:
+    return ParseError(f"expression nests deeper than {MAX_DEPTH} levels")
+
+
 class _Parser:
+    """Recursive descent.  Every nesting (parenthesis, unary minus, min,
+    max) recurses through `factor`, which refuses more than MAX_DEPTH open
+    factors, so the recursion stays far from Python's limit."""
+
     def __init__(self, tokens):
         self.toks = tokens
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -156,34 +167,52 @@ class _Parser:
         return node
 
     def factor(self):
-        k, v = self.peek()
-        if k == "sym" and v == "-":
-            self.take()
-            return ("neg", self.factor())
-        if k == "num":
-            self.take()
-            return ("const", v)
-        if k == "word" and v in ("xu", "xc", "xs"):
-            self.take()
-            return ("var", v)
-        if k == "word" and v in ("min", "max"):
-            self.take()
-            self.take("sym", "(")
-            a = self.expr()
-            self.take("sym", ",")
-            b = self.expr()
-            self.take("sym", ")")
-            return (v, a, b)
-        if k == "sym" and v == "(":
-            self.take()
-            node = self.expr()
-            self.take("sym", ")")
-            return node
-        raise ParseError(f"unexpected {_describe(k, v)}")
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise _too_deep()
+        try:
+            k, v = self.peek()
+            if k == "sym" and v == "-":
+                self.take()
+                return ("neg", self.factor())
+            if k == "num":
+                self.take()
+                return ("const", v)
+            if k == "word" and v in ("xu", "xc", "xs"):
+                self.take()
+                return ("var", v)
+            if k == "word" and v in ("min", "max"):
+                self.take()
+                self.take("sym", "(")
+                a = self.expr()
+                self.take("sym", ",")
+                b = self.expr()
+                self.take("sym", ")")
+                return (v, a, b)
+            if k == "sym" and v == "(":
+                self.take()
+                node = self.expr()
+                self.take("sym", ")")
+                return node
+            raise ParseError(f"unexpected {_describe(k, v)}")
+        finally:
+            self.nesting -= 1
 
 
 def _describe(kind, value) -> str:
     return "end of input" if kind == "end" else repr(value)
+
+
+def _depth(tree) -> int:
+    """The number of nodes on the longest root-to-leaf path, without
+    recursion."""
+    deepest, stack = 0, [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node[1:]
+                     if isinstance(child, tuple))
+    return deepest
 
 
 def _eval_node(node, xu, xc, xs):
@@ -253,6 +282,8 @@ def parse_observable(text: str) -> Observable3D:
     tree = parser.expr()
     if parser.peek()[0] != "end":
         raise ParseError("trailing input")
+    if _depth(tree) > MAX_DEPTH:     # the evaluators below recurse per level
+        raise _too_deep()
 
     def fn(xu, xc, xs):
         return _eval_node(tree, np.asarray(xu, dtype=float),

@@ -493,12 +493,6 @@ def project_zero_mean(f: PCFun1D) -> PCFun1D:
     return f - PCFun1D.constant(mean(f))
 
 
-def axpy(scalar, f: PCFun1D, g: PCFun1D) -> PCFun1D:
-    """scalar * f + g, exact; operands of different dimension raise
-    DimensionMismatch."""
-    return f * scalar + g
-
-
 def from_affine(slope, intercept, level: int, base: int = 2) -> PCFun1D:
     """Cell averages of slope*x + intercept on the uniform base**level grid:
     m (2i + 1)/2n + c on cell i of n."""
@@ -679,10 +673,6 @@ def inner_product_pa(f: PAFun1D, g: PAFun1D) -> Fraction:
              + 3 * e * np.dot(sf * cg + cf * sg, squares[1:] - squares[:-1])
              + 6 * e * e * np.dot(cf * cg, b[1:] - b[:-1]))
     return Fraction(total, 6 * e ** 3 * f_denom * g_denom)
-
-
-def pa_mean(f: PAFun1D) -> Fraction:
-    return inner_product_pa(f, PAFun1D.affine(0, 1))
 
 
 # ---------------------------------------------------------------------------

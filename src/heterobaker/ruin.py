@@ -81,17 +81,6 @@ def trim_levels(a: np.ndarray) -> np.ndarray:
     return a[:nz[-1] + 1] if nz.size else a[:0]
 
 
-def exact_walk_step(values: Sequence[Fraction], w: Fraction) -> tuple[Fraction, ...]:
-    """`walk_step` with (up, down) = (w, 1-w) on exact rationals: integer
-    numerators over their common denominator, stepped with (wp, wq-wp) at
-    scale 1/wq; trailing zero levels are dropped."""
-    nums, denom = _to_int_vector(values)
-    wp, wq = w.numerator, w.denominator
-    new = trim_levels(walk_step(nums, wp, wq - wp))
-    denom *= wq
-    return tuple(Fraction(x, denom) for x in new)
-
-
 def step(state: RuinState) -> RuinState:
     """One step: q'_l = (q_{l-1} + q_{l+1})/2, with q'_1 = q_2/2."""
     return evolve_from(state, 1)
@@ -170,15 +159,6 @@ def q_via_transition(q0: RuinState, n: int) -> RuinState:
     while out and out[-1] == 0:
         out.pop()
     return RuinState(n, tuple(out))
-
-
-def count_surviving_paths(l: int, lp: int, n: int) -> int:
-    """Brute-force count of +-1 paths from l to lp staying >= 1 throughout.
-
-    Enumerates all 2^n sign words; only for small n (tests of the
-    reflection principle).
-    """
-    return surviving_path_histogram(l, n).get(lp, 0)
 
 
 def surviving_path_histogram(l: int, n: int) -> dict[int, int]:

@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -56,7 +55,7 @@ from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D,
                     _contract_lattice, _fractions, _moments, _pa_lattice,
                     _readonly, _reduced, _refinement_index, _to_int_vector,
                     _uniform_lattice, _union, _widths, frac)
-from .ruin import exact_walk_step, trim_levels, walk_step
+from .ruin import walk_step
 
 HALF = Fraction(1, 2)
 
@@ -89,6 +88,12 @@ class ReducedOp:
 
     @staticmethod
     def from_params(params: BakerParams) -> "ReducedOp":
+        """w = M a, for parameters that preserve Lebesgue measure; off
+        a + b = 1/M, M a != 1 - M b and the weight is ambiguous."""
+        if not params.is_measure_preserving:
+            raise ValueError(
+                f"the reduced operator needs a + b = 1/M = 1/{params.M}, "
+                f"got a + b = {params.a + params.b}")
         return ReducedOp(params.M, params.M * params.a)
 
     def require_m2(self, route: str) -> None:
@@ -259,68 +264,13 @@ def p0_haar_step(levels: list, op: ReducedOp) -> list:
 # ---------------------------------------------------------------------------
 # square-wave route
 
-@dataclass(frozen=True)
-class SquareWaveState:
-    """Coefficients of sum a_l s_l, l = 1..len(coeffs); s_l has modulus one
-    a.e. and distinct levels are orthonormal, so pairings are plain dot
-    products.  mode is 'rational' (Fractions) or 'double' (numpy)."""
-
-    coeffs: tuple
-    mode: str = "rational"
-
-    def __post_init__(self):
-        if self.mode not in ("rational", "double"):
-            raise ValueError("mode must be 'rational' or 'double'")
-
-    @staticmethod
-    def from_profile(values: Iterable, mode: str = "rational") -> "SquareWaveState":
-        if mode == "rational":
-            return SquareWaveState(tuple(frac(v) for v in values), mode)
-        return SquareWaveState(tuple(float(v) for v in values), mode)
-
-    def coefficient(self, l: int):
-        if 1 <= l <= len(self.coeffs):
-            return self.coeffs[l - 1]
-        return ZERO if self.mode == "rational" else 0.0
-
-
-def squarewave_step(state: SquareWaveState, op: ReducedOp) -> SquareWaveState:
-    """a'_l = w a_{l-1} + (1-w) a_{l+1}, with a'_1 = (1-w) a_2.
-
-    This is exactly the level recursion of the absorbed walk when w = 1/2;
-    for other weights it is the same biased-walk recursion.
-    """
-    op.require_m2("square-wave subspace")
-    if state.mode == "rational":
-        return SquareWaveState(exact_walk_step(state.coeffs, op.w), "rational")
-    w = float(op.w)
-    new = walk_step(np.asarray(state.coeffs, dtype=float), w, 1 - w)
-    return SquareWaveState(tuple(trim_levels(new).tolist()), "double")
-
-
-def squarewave_synthesize(state: SquareWaveState) -> PCFun1D:
-    from .haar import square_wave
-    out = PCFun1D.zero()
-    for i, c in enumerate(state.coeffs):
-        if c:
-            out = out + square_wave(i + 1) * frac(c)
-    return out
-
-
-def square_wave_profile(expansion: dict) -> list | None:
-    """Per-level coefficients if the expansion lies in span{s_l}: every
-    level must be fully populated with a k-independent coefficient."""
-    if not expansion:
-        return []
-    lmax = max(l for l, _ in expansion)
-    profile = []
-    for l in range(1, lmax + 1):
-        vals = {expansion.get((l, k)) for k in range(2 ** (l - 1))}
-        if len(vals) != 1:
-            return None  # zeros are never stored, so mixed means off-span
-        c = vals.pop()
-        profile.append(ZERO if c is None else c)
-    return profile
+def square_wave_levels(levels: list) -> np.ndarray | None:
+    """The per-level numerators of an `haar.analyze_levels` state in
+    span{s_l}, sw[i] for level i + 1, when every level is constant in k;
+    None otherwise."""
+    if all((arr == arr[0]).all() for arr in levels[1:]):
+        return np.array([arr[0] for arr in levels[1:]], dtype=levels[0].dtype)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +315,7 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
     if _max_abs([nums]) << L0 < _INT64_END:
         nums = nums.astype(np.int64)
     levels = _grid_levels(nums)
-    sw = None  # square-wave levels, sw[i] is level i+1
-    if all((arr == arr[0]).all() for arr in levels[1:]):
-        sw = np.array([arr[0] for arr in levels[1:]], dtype=nums.dtype)
+    sw = square_wave_levels(levels)
 
     wp, wq = op.w.numerator, op.w.denominator
     agree_all = True

@@ -64,6 +64,21 @@ def test_orbit():
     assert floats[2] == pytest.approx((0.6, 0.575, 0.125), abs=1e-12)
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("axis,name", [(0, "x_u"), (1, "x_c"), (2, "x_s")])
+@pytest.mark.parametrize("bad", [F(-1, 2), F(5)])
+def test_orbit_refuses_points_outside_the_cube(exact, axis, name, bad):
+    # x_s went unchecked in exact mode, and float mode clamped every
+    # coordinate back into the cube after the first step
+    p = [F(1, 2)] * 3
+    p[axis] = bad
+    for n in (0, 3):
+        with pytest.raises(ValueError, match=f"{name} = "):
+            hb.orbit(NEUTRAL, tuple(p), n, exact=exact)
+    with pytest.raises(ValueError, match=f"{name} = {bad}"):
+        hb.classify(NEUTRAL, tuple(p))
+
+
 def test_inverse_examples():
     assert hb.apply_f3_inverse(NEUTRAL, (F(2, 5), F(3, 20), F(1, 4))) == \
         (F(1, 10), F(3, 10), F(1, 2))

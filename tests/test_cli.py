@@ -1,9 +1,13 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heterobaker as hb
 from heterobaker.cli import main
@@ -181,6 +185,92 @@ def test_orbit_point_needs_three_coordinates(capsys):
     assert code == 2
     assert captured.out == ""
     assert "--point needs three coordinates, got 2" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("point,name", [
+    ("-1/2,1/2,1/2", "x_u"), ("1/2,-1/2,1/2", "x_c"), ("1/2,1/2,5", "x_s")])
+def test_orbit_refuses_points_outside_the_cube(capsys, mode, point, name):
+    # x_s = 5 ran in exact mode; float mode clamped any bad coordinate
+    code = main(["orbit", f"--point={point}", "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: point outside the cube: {name} = ")
+
+
+@pytest.mark.parametrize("text", [
+    "+".join(["xc"] * 1501),
+    "(" * 1200 + "xc" + ")" * 1200,
+    "-" * 1500 + "xc",
+], ids=["sum", "parentheses", "negations"])
+def test_deep_observables_name_the_flag(capsys, text):
+    # each of these died with a RecursionError traceback
+    code = main(["corr", f"--phi={text}", "--psi", "xc", "--n-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --phi: expression nests deeper than " \
+        "200 levels\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_slope_refuses_non_finite_values(tmp_path, capsys, value):
+    # these passed the v <= 0 check and wrote NaN or Infinity, which is not JSON
+    csv = tmp_path / "series.csv"
+    csv.write_text(f"n,value\n1,0.5\n2,{value}\n3,0.125\n")
+    code = main(["slope", "--in", str(csv), "--window", "1:3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "non-finite value" in captured.err and "at n = 2" in captured.err
+
+
+_FRACTION_TEXT = st.one_of(
+    st.sampled_from(["1/4", "1/5", "3/10", "1/6", "1/3", "1/2", "0", "1/0",
+                     "x", ""]),
+    st.fractions(-1, 1, max_denominator=12).map(str))
+# (M, a, b): preserving presets, so that runs get past the checks, or anything
+_PARAMS = st.one_of(
+    st.sampled_from([(2, "1/4", "1/4"), (2, "1/5", "3/10"), (2, "3/10", "1/5")]),
+    st.tuples(st.integers(-1, 4), _FRACTION_TEXT, _FRACTION_TEXT))
+_OBSERVABLE_TEXT = st.one_of(
+    st.sampled_from(["xc-1/2", "1/2-xc", "3*xc+1", "2", "affine-center",
+                     "staircase-4", "xu*xc", "min(xc,1/2)"]),
+    st.text(alphabet="xucsmina0123456789/+-*(), ", max_size=24),
+    # long runs of one nesting, on both sides of the parser's depth limit
+    st.builds(lambda k, pre, core, post: pre * k + core + post * k,
+              st.integers(0, 1500),
+              st.sampled_from(["(", "-", "xc+", "min(xc,"]),
+              st.sampled_from(["xc", "1/2", "xc-1/2"]),
+              st.sampled_from(["", ")", "+xc", ",1)"])))
+_N_LIST_TEXT = st.one_of(
+    st.lists(st.integers(-1, 8), min_size=1, max_size=4).map(
+        lambda ns: ",".join(map(str, ns))),
+    st.text(alphabet="0123456789,- x", max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=_OBSERVABLE_TEXT, psi=_OBSERVABLE_TEXT, params=_PARAMS,
+       n_max=st.integers(-2, 6), n_list=st.none() | _N_LIST_TEXT,
+       numeric=st.sampled_from(["rational", "double"]))
+def test_corr_input_fuzz(phi, psi, params, n_max, n_list, numeric):
+    # any input either runs or is refused with one named error line
+    M, a, b = params
+    argv = ["corr", f"--phi={phi}", f"--psi={psi}", f"--M={M}", f"--a={a}",
+            f"--b={b}", f"--n-max={n_max}", f"--numeric={numeric}"]
+    if n_list is not None:
+        argv.append(f"--n-list={n_list}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert out.getvalue().startswith("n,value,method,err\n")
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -9,7 +9,8 @@ import pytest
 
 import heterobaker as hb
 from heterobaker.correlation import CorrelationRecord, _chi2_sf
-from heterobaker.observables import parse_observable, pc_center
+from heterobaker.observables import (MAX_DEPTH, ParseError, parse_observable,
+                                     pc_center)
 from heterobaker.transfer import NotInSquareWaveSpan
 
 NEUTRAL = hb.BakerParams.neutral(2)
@@ -114,11 +115,19 @@ def test_double_mode_steps_its_live_window_bit_for_bit(w, level):
 
 
 def test_double_mode_tracks_rational():
-    sr = hb.exact_reduced_correlation(PHI, PHI, 12, numeric="rational")
-    sd = hb.exact_reduced_correlation(PHI, PHI, 12, numeric="double")
-    for a, b in zip(sr, sd):
-        assert b.value == pytest.approx(float(a.exact), rel=1e-12)
-        assert abs(b.value - float(a.exact)) <= b.error + 1e-15
+    # w = 1/2 steps are exact in doubles, w = 2/5 and 3/5 steps round
+    sw = pc_center(hb.square_wave(1) * F(1, 2) - hb.square_wave(2) * F(1, 4)
+                   + hb.square_wave(3) * F(1, 8))
+    for w in (F(1, 2), F(2, 5), F(3, 5)):
+        op = hb.ReducedOp(2, w)
+        for phi in (PHI, sw):
+            sr = hb.exact_reduced_correlation(phi, phi, 12, op=op,
+                                              numeric="rational")
+            sd = hb.exact_reduced_correlation(phi, phi, 12, op=op,
+                                              numeric="double")
+            for a, b in zip(sr, sd):
+                assert b.value == pytest.approx(float(a.exact), rel=1e-12)
+                assert abs(b.value - float(a.exact)) <= b.error + 1e-15
 
 
 @pytest.fixture(scope="module")
@@ -542,6 +551,15 @@ def test_fit_errors():
         hb.decay_slope_fit(series, (1, 3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fit", [hb.decay_slope_fit, hb.exp_rate_fit])
+def test_fits_refuse_non_finite_values(fit, bad):
+    # nan passed the v <= 0 check and came out as a NaN slope
+    series = _synthetic([1.0, 0.5, 0.25, bad, 0.125])
+    with pytest.raises(ValueError, match="non-finite value .* at n = 3"):
+        fit(series, (1, 4))
+
+
 def test_lower_bound_check():
     rep = hb.lower_bound_check(PHI, PHI, 256)
     assert rep["signs_constant"] and rep["expected_sign"] == 1
@@ -564,6 +582,31 @@ def test_parse_observable_structure():
     assert gen(np.array([0.3]), np.array([0.9]), np.array([0.1]))[0] == \
         pytest.approx(0.1)
     assert parse_observable("xc-1/2").xc_affine == (F(1), F(-1, 2))
+
+
+DEEP_OBSERVABLES = {
+    "sum": "+".join(["xc"] * 1501),
+    "parentheses": "(" * 1200 + "xc" + ")" * 1200,
+    "negations": "-" * 1500 + "xc",
+}
+
+
+@pytest.mark.parametrize("text", DEEP_OBSERVABLES.values(),
+                         ids=DEEP_OBSERVABLES.keys())
+def test_parser_refuses_deep_trees(text):
+    # each of these died with a RecursionError
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_observable(text)
+
+
+def test_parser_takes_trees_at_the_depth_limit():
+    assert parse_observable("+".join(["xc"] * MAX_DEPTH)).xc_affine == \
+        (F(MAX_DEPTH), F(0))
+    assert parse_observable("-" * (MAX_DEPTH - 1) + "xc").xc_affine == \
+        (F(-1), F(0))
+    nested = "min(" * (MAX_DEPTH - 1) + "xc" + ",1/2)" * (MAX_DEPTH - 1)
+    assert parse_observable(nested)(0, np.array([0.25, 0.75]), 0).tolist() \
+        == [0.25, 0.5]
 
 
 def test_import_leaves_scipy_out():

@@ -9,7 +9,7 @@ import heterobaker as hb
 from heterobaker.haar import (InvalidHaarIndex, NonDyadicBreakpoints,
                               NonZeroMean, TensorComponents, _adic_depth,
                               dyadic_level, level_sup_norms,
-                              monotone_sign_report, pair_expansions)
+                              monotone_sign_report)
 from heterobaker.pcfun import NotMAdic, _to_int_vector
 
 
@@ -86,7 +86,6 @@ def test_parseval(vals):
     exp = hb.analyze(f)
     energy = sum((c * c * F(2, 2 ** l) for (l, _), c in exp.items()), F(0))
     assert energy == hb.inner_product(f, f)
-    assert pair_expansions(exp, exp) == energy
 
 
 def test_affine_energy_recovery():
@@ -234,12 +233,6 @@ def test_tensor_round_trip_random():
 def test_dyadic_level():
     assert dyadic_level(hb.wavelet(3, 1)) == 3
     assert dyadic_level(hb.PCFun1D.constant(2)) == 0
-
-
-def test_expansion_json_round_trip():
-    from heterobaker.haar import expansion_from_json, expansion_to_json
-    exp = hb.analyze(hb.from_affine(1, F(-1, 2), 3))
-    assert expansion_from_json(expansion_to_json(exp)) == exp
 
 
 # ---------------------------------------------------------------------------

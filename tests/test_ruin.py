@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 import heterobaker as hb
-from heterobaker.ruin import (ZeroFunction, count_surviving_paths,
-                              initial_profile, surviving_path_histogram)
+from heterobaker.ruin import (ZeroFunction, initial_profile,
+                              surviving_path_histogram)
 
 
 def test_step_examples():
@@ -59,7 +59,7 @@ def test_reflection_vs_brute_force():
                 assert F(hist.get(lp, 0), 2 ** n) == \
                     hb.transition_prob_exact(l, lp, n) if (n - l + lp) % 2 == 0 \
                     else hist.get(lp, 0) == 0
-    assert count_surviving_paths(1, 1, 2) == 1
+    assert surviving_path_histogram(1, 2).get(1, 0) == 1
 
 
 def test_asymptotic_report():

@@ -10,8 +10,7 @@ from heterobaker import transfer
 from heterobaker.haar import _expansion
 from heterobaker.pcfun import _same, inner_product_3d
 from heterobaker.transfer import (_p0_step_int, _pullback_2d, _to_int_vector,
-                                  square_wave_profile, squarewave_synthesize,
-                                  xs_fiber_averages_zero)
+                                  square_wave_levels, xs_fiber_averages_zero)
 from heterobaker.verify import (check_duality, check_formula_compositions,
                                 check_phat_sum, check_reduction,
                                 pair_with_pullback, random_pc1, random_pc3)
@@ -103,34 +102,6 @@ def test_haar_matches_grid():
             scale /= 4
             assert _expansion(levels, scale) == \
                 hb.analyze(hb.p0_apply(OP, f, n))
-
-
-def test_squarewave_step_examples():
-    s = hb.SquareWaveState.from_profile([1])
-    s = hb.squarewave_step(s, OP)
-    assert s.coeffs == (F(0), F(1, 2))
-    s2 = hb.SquareWaveState.from_profile([0, 1])
-    s2 = hb.squarewave_step(s2, OP)
-    assert s2.coeffs == (F(1, 2), F(0), F(1, 2))
-    z = hb.squarewave_step(hb.SquareWaveState.from_profile([0]), OP)
-    assert all(c == 0 for c in z.coeffs)
-
-
-@pytest.mark.parametrize("w", [F(1, 2), F(2, 5), F(3, 5)])
-def test_squarewave_double_mode_matches_rational(w):
-    # dyadic weights keep every double step exact; otherwise each of the six
-    # steps rounds a few times against coefficients of l1 norm <= 7/8
-    op = hb.ReducedOp(2, w)
-    prof = [F(1, 2), F(-1, 4), F(1, 8)]
-    sr = hb.SquareWaveState.from_profile(prof)
-    sd = hb.SquareWaveState.from_profile(prof, mode="double")
-    for _ in range(6):
-        sr = hb.squarewave_step(sr, op)
-        sd = hb.squarewave_step(sd, op)
-    assert len(sr.coeffs) == len(sd.coeffs)
-    tol = 0.0 if w == F(1, 2) else 1e-15
-    for cr, cd in zip(sr.coeffs, sd.coeffs):
-        assert abs(float(cr) - cd) <= tol
 
 
 def test_subspace_invariance():
@@ -227,6 +198,14 @@ def test_reduction_identity():
     assert check_reduction(skew, f, 3)
 
 
+def test_reduced_weight_needs_measure_preserving_parameters():
+    assert hb.ReducedOp.from_params(hb.BakerParams(2, F(1, 5), F(3, 10))) == \
+        hb.ReducedOp(2, F(2, 5))
+    # off a + b = 1/M the alpha weight M a and 1 - M b differ
+    with pytest.raises(ValueError, match=r"a \+ b = 1/M = 1/2, got a \+ b = 2/5"):
+        hb.ReducedOp.from_params(hb.BakerParams(2, F(1, 5), F(1, 5)))
+
+
 def test_phat_beta_h1_example():
     from heterobaker.haar import TensorComponents
     comp = TensorComponents(hb.PCFun2D.constant(0),
@@ -304,12 +283,13 @@ def test_fiber_average_decay():
 
 def test_square_wave_profile_detection():
     f = hb.square_wave(1) * F(1, 2) + hb.square_wave(3) * F(-1, 8)
-    prof = square_wave_profile(hb.analyze(f))
+    levels, scale = hb.analyze_levels(f)
+    prof = [c * scale for c in square_wave_levels(levels)]
     assert prof == [F(1, 2), F(0), F(-1, 8)]
     g = hb.wavelet(2, 0)
-    assert square_wave_profile(hb.analyze(g)) is None
-    st = hb.SquareWaveState.from_profile(prof)
-    assert squarewave_synthesize(st).equals(f)
+    assert square_wave_levels(hb.analyze_levels(g)[0]) is None
+    assert sum((hb.square_wave(l) * c for l, c in enumerate(prof, start=1)),
+               hb.PCFun1D.zero()).equals(f)
 
 
 def test_oracle_equivalence_reports():
