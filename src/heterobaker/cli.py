@@ -10,6 +10,7 @@ version, so runs are auditably reproducible.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -66,25 +67,29 @@ def _config_hash(args) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _write_csv(path, header, rows, args):
-    lines = [",".join(header)]
-    lines += [",".join(str(x) for x in row) for row in rows]
-    lines.append(f"# config={_config_hash(args)} version={__version__}")
-    text = "\n".join(lines) + "\n"
+@contextlib.contextmanager
+def _output(path):
+    """The file at `path`, opened for writing, or stdout for None and "-"."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_csv(path, header, rows, args):
+    """The header, then each row of the iterable `rows` as it comes, then
+    the footer; no row is held once written."""
+    with _output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+        fh.write(f"# config={_config_hash(args)} version={__version__}\n")
 
 
 def _write_json(path, obj):
-    text = json.dumps(obj, indent=2, default=str) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with _output(path) as fh:
+        fh.write(json.dumps(obj, indent=2, default=str) + "\n")
 
 
 def cmd_orbit(args) -> int:
@@ -93,8 +98,8 @@ def cmd_orbit(args) -> int:
     if len(point) != 3:
         raise ValueError(f"--point needs three coordinates, got {len(point)}")
     pts = orbit(params, tuple(point), args.n, exact=args.mode == "exact")
-    rows = [(i, *(str(c) if args.mode == "exact" else repr(float(c))
-                  for c in p)) for i, p in enumerate(pts)]
+    rows = ((i, *(str(c) if args.mode == "exact" else repr(float(c))
+                  for c in p)) for i, p in enumerate(pts))
     _write_csv(args.out, ["n", "xu", "xc", "xs"], rows, args)
     return 0
 
@@ -126,11 +131,8 @@ def cmd_apply_op(args) -> int:
         F = _read_pcfun(args.infile, pcfun3d_from_json, "xu, xc, xs, values")
         params = _params_from(args)
         out = pcfun3d_to_json(p_full_3d_n(params, F, args.n))
-    if args.out in (None, "-"):
-        sys.stdout.write(out + "\n")
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+    with _output(args.out) as fh:
+        fh.write(out + "\n")
     return 0
 
 
@@ -141,14 +143,16 @@ def cmd_ruin(args) -> int:
         state = RuinState.from_profile(profile)
     else:
         state = RuinState.delta(_at_least(args.delta, 1, "--delta"))
-    rows = []
-    for n in range(args.n + 1):
-        for l, q in enumerate(state.q, start=1):
-            if q or args.dense:
-                rows.append((n, l, float(q) if args.mode == "double" else q))
-        if n < args.n:
-            state = step(state)
-    _write_csv(args.out, ["n", "l", "q"], rows, args)
+
+    def rows(state):
+        for n in range(args.n + 1):
+            for l, q in enumerate(state.q, start=1):
+                if q or args.dense:
+                    yield n, l, float(q) if args.mode == "double" else q
+            if n < args.n:
+                state = step(state)
+
+    _write_csv(args.out, ["n", "l", "q"], rows(state), args)
     return 0
 
 
@@ -195,7 +199,6 @@ def cmd_corr(args) -> int:
     ns = _n_values(args)
     if args.truncation_level is not None:
         _at_least(args.truncation_level, 0, "--truncation-level")
-    rows = []
     if args.method in ("squarewave", "haar"):
         op = ReducedOp.from_params(params)
         try:
@@ -208,18 +211,16 @@ def cmd_corr(args) -> int:
             raise ValueError(str(exc).replace("n_max", n_flag).replace(
                 "truncation_level", "--truncation-level")) from None
         wanted = set(ns)
-        for rec in series:
-            if rec.n in wanted:
-                rows.append((rec.n, repr(rec.value), rec.method, repr(rec.error)))
+        records = (rec for rec in series if rec.n in wanted)
     else:  # mc
         if args.seed is None:
             print("error: --seed is required for Monte Carlo", file=sys.stderr)
             return 2
         out = mc_correlation_series(params, phi, psi, ns, args.samples,
                                     args.seed, workers=args.workers)
-        for n in ns:
-            rec = out[n]
-            rows.append((rec.n, repr(rec.value), rec.method, repr(rec.error)))
+        records = (out[n] for n in ns)
+    rows = ((rec.n, repr(rec.value), rec.method, repr(rec.error))
+            for rec in records)
     _write_csv(args.out, ["n", "value", "method", "err"], rows, args)
     return 0
 
@@ -231,6 +232,9 @@ def cmd_slope(args) -> int:
     except ValueError:
         raise ValueError("--window must be lo:hi with integers lo and hi, "
                          f"got {args.window!r}") from None
+    # int64 bounds, which numpy compares with any column of n, even an
+    # empty (float) one
+    lo, hi = (min(max(x, -2 ** 63), 2 ** 63 - 1) for x in (lo, hi))
     ns, vs = [], []
     with open(args.infile) as fh:
         reader = csv.reader(r for r in fh if not r.startswith("#"))

@@ -15,10 +15,11 @@ truncated-tail contribution is exactly
 
     c_phi c_psi kappa^n r^(2(L+1)) / (1 - r^2),   kappa = w r + (1-w)/r.
 
-In double mode the same step runs on floats with (w, 1 - w), on the live
-window of the state only (up to its last nonzero level); the state is
-truncated at a fixed depth and the discarded tail is bounded through the
-L2 contraction of the reduced operator.
+In double mode the same step runs on floats with (w, 1 - w), on a window
+of the state only: up to its last nonzero level, and below the levels that
+can no longer reach psi's support; the state is truncated at a fixed depth
+and the discarded tail is bounded through the L2 contraction of the
+reduced operator.
 
 Monte Carlo samples the exact joint law of (x, f^n x) for x ~ Lebesgue:
 branch symbols of the expanding coordinate are i.i.d., the expanding
@@ -56,7 +57,7 @@ import numpy as np
 
 from .baker import BakerParams, check_seed, symbol_law
 from .observables import Observable3D
-from .pcfun import ZERO, _to_int_vector
+from .pcfun import ZERO
 from .ruin import walk_step
 from .transfer import (NotInSquareWaveSpan, ReducedOp, p0_haar_step,
                        square_wave_levels)
@@ -81,7 +82,7 @@ class TruncationBudgetExceeded(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrelationRecord:
     n: int
     value: float
@@ -94,16 +95,17 @@ class CorrelationRecord:
 # exact reduced routes
 
 def _squarewave_profile(obs: Observable3D):
-    """(intrinsic coefficients, geometric tail coefficient c).
+    """(intrinsic level numerators, their denominator, geometric tail
+    coefficient c).
 
     Affine observables have a_l = c * (1/2)^l at every level (c = -m/2 for
     slope m; the observable is centered first, correlations are mean-free),
-    returned as an empty list plus the tail coefficient.  PC observables
-    return their finite profile and no tail.
+    returned as no levels plus the tail coefficient.  PC observables return
+    their finite profile, level l + 1 being nums[l] / den, and no tail.
     """
     if obs.xc_affine is not None:
         m, _ = obs.xc_affine
-        return [], -m * HALF
+        return [], 1, -m * HALF
     if obs.xc_pc is not None:
         from .haar import analyze_levels
         from .pcfun import project_zero_mean
@@ -112,45 +114,49 @@ def _squarewave_profile(obs: Observable3D):
         if sw is None:
             raise NotInSquareWaveSpan(
                 f"{obs.name}: per-level Haar coefficients are not constant in k")
-        return [c * scale for c in sw], ZERO
+        # over the lcm of the levels' reduced denominators, as in
+        # `_to_int_vector`, so the exact kernels see the same integers
+        nums = [int(c) * scale.numerator for c in sw]
+        g = math.gcd(scale.denominator, *nums)
+        return [c // g for c in nums], scale.denominator // g, ZERO
     raise NotInSquareWaveSpan(f"{obs.name} is not an exact x_c observable")
 
 
-def _materialize(prof, c_tail, L: int) -> tuple[np.ndarray, int]:
+def _materialize(nums, den: int, c_tail, L: int) -> tuple[np.ndarray, int]:
     """The first L level coefficients as integer numerators over one
-    denominator: the profile, then past it the geometric tail c 2^-l, which
-    is c's numerator times 2^(L-l) over c's denominator times 2^L."""
-    p = min(len(prof), L)
-    nums, denom = _to_int_vector(prof[:p])
+    denominator: the profile nums / den, then past it the geometric tail
+    c 2^-l, which is c's numerator times 2^(L-l) over c's denominator
+    times 2^L."""
+    p = min(len(nums), L)
     out = np.zeros(L, dtype=object)
+    out[:p] = nums[:p]
     if c_tail:
         tail_denom = c_tail.denominator << L
-        common = math.lcm(denom, tail_denom)
-        nums *= common // denom
+        common = math.lcm(den, tail_denom)
+        out[:p] *= common // den
         scale = c_tail.numerator * (common // tail_denom)
         out[p:] = [scale << (L - l) for l in range(p + 1, L + 1)]
-        denom = common
-    out[:p] = nums
-    return out, denom
+        den = common
+    return out, den
 
 
-def _double_levels(prof, c_tail, L: int) -> tuple[np.ndarray, Fraction]:
-    """The levels of `_materialize(prof, c_tail, L)` as floats, and the exact
-    sum of their squares.
+def _double_levels(nums, den: int, c_tail, L: int) -> tuple[np.ndarray, Fraction]:
+    """The levels of `_materialize(nums, den, c_tail, L)` as floats, and the
+    exact sum of their squares.
 
-    A tail entry c 2^-l is the correctly rounded num / (den << l), the same
-    float as that of the Fraction; once one underflows to (signed) zero the
-    rest do too.  The tail's squares sum to c^2 (4^-p - 4^-L) / 3 past the
-    p = len(prof) intrinsic levels.
+    Every entry is a correctly rounded int / int, the same float as that of
+    the Fraction.  A tail entry c 2^-l is num / (den << l); once one
+    underflows to (signed) zero the rest do too.  The tail's squares sum to
+    c^2 (4^-p - 4^-L) / 3 past the p = len(nums) intrinsic levels.
     """
-    p = min(len(prof), L)
+    p = min(len(nums), L)
     out = np.zeros(L)
-    out[:p] = [float(x) for x in prof[:p]]
-    l2 = sum((x * x for x in prof[:p]), ZERO)
+    out[:p] = [c / den for c in nums[:p]]
+    l2 = Fraction(sum(c * c for c in nums[:p]), den * den)
     if c_tail:
-        num, den = c_tail.numerator, c_tail.denominator
+        num, tden = c_tail.numerator, c_tail.denominator
         for l in range(p + 1, L + 1):
-            v = num / (den << l)
+            v = num / (tden << l)
             if v == 0.0:
                 out[l - 1:] = v
                 break
@@ -178,16 +184,17 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
     if mode != "squarewave":
         raise ValueError("mode must be 'squarewave' or 'haar'")
     op.require_m2("square-wave subspace")
-    prof_phi, c_phi = _squarewave_profile(phi)
-    prof_psi, c_psi = _squarewave_profile(psi)
-    pc_depth = max(len(prof_phi), len(prof_psi))
+    prof_phi = _squarewave_profile(phi)     # (nums, den, c_tail)
+    prof_psi = _squarewave_profile(psi)
+    c_phi, c_psi = prof_phi[2], prof_psi[2]
+    pc_depth = max(len(prof_phi[0]), len(prof_psi[0]))
     if numeric == "rational":
         # with L >= n_max + PC depth, the discarded geometric tail evolves as
         # a free walk and can only pair against geometric coefficients; its
         # contribution is the closed form below and the series is exact
         L = n_max + 2 + pc_depth
-        state, den_a = _materialize(prof_phi, c_phi, L)
-        b, den_b = _materialize(prof_psi, c_psi, L + n_max + 1)
+        state, den_a = _materialize(*prof_phi, L)
+        b, den_b = _materialize(*prof_psi, L + n_max + 1)
         scale = Fraction(1, den_a * den_b)
         wp, wq = op.w.numerator, op.w.denominator
         r = HALF
@@ -207,35 +214,48 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
         raise ValueError("numeric must be 'rational' or 'double'")
     L = max(64, truncation_level or 0, pc_depth)
     depth = L + n_max + 1
-    arr, _ = _double_levels(prof_phi, c_phi, L)
-    brr, b_l2 = _double_levels(prof_psi, c_psi, depth)
+    arr, _ = _double_levels(*prof_phi, L)
+    brr, b_l2 = _double_levels(*prof_psi, depth)
     # discarded-tail bound: ||tail of phi||_2 ||psi||_2 via L2 contraction
     tail_l2 = abs(float(c_phi)) * 0.5 ** (L + 1) / math.sqrt(0.75)
     psi_l2 = math.sqrt(float(b_l2) +
                        float(c_psi) ** 2 * 0.25 ** (depth + 1) / 0.75)
     up, down = float(op.w), 1 - float(op.w)
-    # `walk_step` on the live window [0, live) only, in two zero-filled
-    # buffers of the final length.  Past the window every level is +0.0, as
-    # in the whole state, so `cur[:L + n]` is that state bit for bit; -0.0
-    # entries of the initial levels act as +0.0 in a step.  `dirty[k]` is
-    # the prefix of buffer k a step may have left nonzero.
+    # `walk_step` on the levels [0, top) only, in two buffers of the final
+    # length.  `live` is one past the state's last nonzero level; with k
+    # steps left, a level at or above blive + k (blive: one past psi's last
+    # nonzero level) can no longer reach psi's support, so it is zeroed,
+    # not stepped.  A state so differs from the whole state of `walk_step`
+    # only in levels that pair with psi's zeros and in the sign of zeros,
+    # which changes no sum that is not zero: each value is the whole
+    # state's bit for bit.  The dot runs at full length so that BLAS blocks
+    # the sum as it would the whole state's.  `dirty[k]` is the prefix of
+    # buffer k a step may have left nonzero.
+    nz = np.flatnonzero(brr)
+    blive = int(nz[-1]) + 1 if nz.size else 0
     bufs = [np.zeros(depth - 1), np.zeros(depth - 1)]
     bufs[0][:L] = arr
+    down_part = np.empty(depth - 1)
     dirty = [L, 0]
     live = L
     vals = []
     for n in range(n_max + 1):
         cur, nxt = bufs[n % 2], bufs[1 - n % 2]
         vals.append(float(cur[:L + n] @ brr[:L + n]))
-        if n < n_max:
-            while live and cur[live - 1] == 0:
-                live -= 1
-            nxt[:max(live + 1, dirty[1 - n % 2])] = 0.0
-            nxt[1:live + 1] += up * cur[:live]
-            low = max(live - 1, 0)
-            nxt[:low] += down * cur[1:low + 1]
-            live += 1
-            dirty[1 - n % 2] = live
+        if n == n_max:
+            break
+        while live and cur[live - 1] == 0:
+            live -= 1
+        # the next state's levels [0, top): up from below, down from above
+        top = max(min(live + 1, blive + n_max - n - 1), 1)
+        nxt[0] = 0.0
+        np.multiply(cur[:top - 1], up, out=nxt[1:top])
+        low = min(max(live - 1, 0), top)
+        np.multiply(cur[1:low + 1], down, out=down_part[:low])
+        nxt[:low] += down_part[:low]
+        k = 1 - n % 2
+        nxt[top:dirty[k]] = 0.0
+        dirty[k] = live = top
     errs = tail_l2 * psi_l2 + 1e-15 * (np.arange(n_max + 1) + 1) * np.abs(vals)
     return [CorrelationRecord(n, val, "exact-squarewave", err)
             for n, (val, err) in enumerate(zip(vals, errs.tolist()))]
@@ -619,6 +639,8 @@ def _window_arrays(ns, vs, n_window) -> tuple[np.ndarray, np.ndarray]:
     keep = (ns >= lo) & (ns <= hi)
     if np.count_nonzero(keep) < 3:
         raise ValueError("window too small for a fit")
+    if ns[keep].min() == ns[keep].max():
+        raise ValueError("fit window needs at least two distinct n")
     v = np.asarray(vs, dtype=float)[keep]
     bad = ~np.isfinite(v)
     if bad.any():
@@ -630,6 +652,8 @@ def _window_arrays(ns, vs, n_window) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _power_fit(ns: np.ndarray, vs: np.ndarray) -> dict:
+    if ns.min() < 1:
+        raise ValueError(f"a power-law fit needs n >= 1, got n = {ns.min():g}")
     x, y = np.log(ns), np.log(vs)
     (slope, intercept), res = np.polyfit(x, y, 1, full=True)[:2]
     residual = float(res[0]) if len(res) else 0.0
@@ -638,15 +662,24 @@ def _power_fit(ns: np.ndarray, vs: np.ndarray) -> dict:
 
 
 def _plateau(ns: np.ndarray, vs: np.ndarray) -> list:
-    return [(int(n), float(n ** 1.5 * v)) for n, v in zip(ns, vs)]
+    with np.errstate(over="ignore"):
+        out = [(int(n), float(n ** 1.5 * v)) for n, v in zip(ns, vs)]
+    for n, p in out:
+        if math.isinf(p):
+            raise ValueError(f"n^1.5 * value is too large for a float at n = {n}")
+    return out
 
 
 def _exp_fit(ns: np.ndarray, vs: np.ndarray) -> dict:
     y = np.log(vs)
     (slope, intercept), res = np.polyfit(ns, y, 1, full=True)[:2]
     residual = float(res[0]) if len(res) else 0.0
-    return {"rate": float(math.exp(slope)), "intercept": float(intercept),
-            "residual": residual}
+    try:
+        rate = math.exp(slope)
+    except OverflowError:
+        raise ValueError(f"the fitted rate exp({slope:.6g}) is too large for "
+                         "a float") from None
+    return {"rate": rate, "intercept": float(intercept), "residual": residual}
 
 
 def decay_slope_fit(series, n_window) -> dict:

@@ -1,7 +1,8 @@
 """Observables on the cube and the small expression grammar of the CLI.
 
 The grammar is deliberately tiny: variables xu, xc, xs, integer and p/q
-rational constants, +, -, *, parentheses, min(,)/max(,), plus the named
+rational constants that fit a float (an affine expression may not pass
+2^510 in magnitude), +, -, *, parentheses, min(,)/max(,), plus the named
 presets "affine-center" (x_c - 1/2) and "staircase-4" (the increasing
 staircase -3/4, -1/4, 1/4, 3/4 on quarters of x_c).  Everything the
 grammar can build is evaluated exactly where the exact routes need it;
@@ -101,6 +102,9 @@ PRESETS = {"affine-center": affine_center, "staircase-4": staircase4}
 # --- parser ---------------------------------------------------------------
 
 MAX_DEPTH = 200     # deepest nesting and deepest tree `parse_observable` takes
+# largest magnitude an affine observable may reach on the cube: the routes
+# multiply two observables' values and square their coefficients in floats
+MAX_MAGNITUDE = 2 ** 510
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(xu|xc|xs|min|max)|([()+\-*,]))")
 
@@ -114,9 +118,14 @@ def _tokenize(text: str) -> list:
         num, word, sym = m.groups()
         if num:
             try:
-                out.append(("num", Fraction(num)))
+                value = Fraction(num)
+                float(value)
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {num!r}") from None
+            except OverflowError:
+                raise ParseError(f"constant {_abridged(num)} is too large "
+                                 "for a float") from None
+            out.append(("num", value))
         elif word:
             out.append(("word", word))
         else:
@@ -124,6 +133,11 @@ def _tokenize(text: str) -> list:
         pos = m.end()
     out.append(("end", None))
     return out
+
+
+def _abridged(text: str) -> str:
+    return text if len(text) <= 24 else \
+        f"{text[:10]}...{text[-10:]} ({len(text)} characters)"
 
 
 def _too_deep() -> ParseError:
@@ -298,10 +312,13 @@ def parse_observable(text: str) -> Observable3D:
         if cu == 0 and cs == 0:
             xc_affine = (cc, c0)
         theta = 1.0
-        corners = [float(c0 + cu * x + cc * y + cs * z)
-                   for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+        sup = max(abs(c0 + cu * x + cc * y + cs * z)
+                  for x in (0, 1) for y in (0, 1) for z in (0, 1))
+        if sup > MAX_MAGNITUDE:
+            raise ParseError("expression reaches magnitudes above 2^510, "
+                             "too large for the float routes to square")
         lip = float(np.sqrt(float(cu) ** 2 + float(cc) ** 2 + float(cs) ** 2))
-        holder = max(abs(c) for c in corners) + lip
+        holder = float(sup) + lip
     return Observable3D(text, fn, xc_affine=xc_affine,
                         theta=theta, holder_norm=holder,
                         reads=_variables(tree))

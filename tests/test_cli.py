@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -234,10 +237,17 @@ _FRACTION_TEXT = st.one_of(
 _PARAMS = st.one_of(
     st.sampled_from([(2, "1/4", "1/4"), (2, "1/5", "3/10"), (2, "3/10", "1/5")]),
     st.tuples(st.integers(-1, 4), _FRACTION_TEXT, _FRACTION_TEXT))
+# up to 400 digits, uniform in the number of digits
+_DIGITS = st.builds(lambda lead, k: str(lead) + "0" * k, st.integers(1, 99),
+                    st.integers(0, 398))
 _OBSERVABLE_TEXT = st.one_of(
     st.sampled_from(["xc-1/2", "1/2-xc", "3*xc+1", "2", "affine-center",
                      "staircase-4", "xu*xc", "min(xc,1/2)"]),
     st.text(alphabet="xucsmina0123456789/+-*(), ", max_size=24),
+    # constants of up to 400 digits, on both sides of what fits a float
+    st.builds(lambda c, d, form: form.format(c=c, d=d), _DIGITS, _DIGITS,
+              st.sampled_from(["{c}*xc", "xc-{c}", "{c}", "{c}/{d}*xc-1/2",
+                               "{c}*{d}*xc", "1/{c}*xc", "min(xc,{c})"])),
     # long runs of one nesting, on both sides of the parser's depth limit
     st.builds(lambda k, pre, core, post: pre * k + core + post * k,
               st.integers(0, 1500),
@@ -271,6 +281,99 @@ def test_corr_input_fuzz(phi, psi, params, n_max, n_list, numeric):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
         assert out.getvalue().startswith("n,value,method,err\n")
+
+
+def test_huge_constants_name_the_flag(capsys):
+    # died with an OverflowError traceback in the Hoelder corners
+    code = main(["corr", "--phi", "1" + "0" * 400 + "*xc", "--psi", "xc",
+                 "--n-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --phi: constant 1000000000...0000000000 " \
+        "(401 characters) is too large for a float\n"
+    code = main(["corr", "--phi", "xc", "--psi", "1" + "0" * 200 + "*xc",
+                 "--n-max", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: --psi: expression reaches "
+                                   "magnitudes above 2^510")
+
+
+_CELL = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "1e-400", "0",
+                     "-0.0", " 5", "1_0", "9" * 400, "0x10"]))
+# rows that read, and lines that the reader skips
+_GOOD_ROW = st.builds(lambda n, v: f"{n},{v!r}",
+                      st.integers(1, 12) | st.integers(-2, 40),
+                      st.floats(1e-300, 1e300) | st.floats(-1e300, 1e300))
+_ROWS = st.lists(st.one_of(_GOOD_ROW, _GOOD_ROW, _GOOD_ROW,
+                           st.sampled_from(["# a comment", "#", ""])),
+                 min_size=3, max_size=20)
+_HEADER = st.sampled_from(["n,value"] * 30 + [
+    "n,value,method,err", "value,n", "n,value,value", "n,n,value", "a,b",
+    "n", "", "# comment", "n, value", '"n","value"'])
+_WINDOW = st.builds(lambda lo, hi: f"{lo}:{hi}", st.integers(-5, 10),
+                    st.integers(10, 45) | st.integers(0, 10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(header=_HEADER, rows=_ROWS,
+       bad_row=st.one_of(st.none(), st.none(), st.none(),
+                         st.lists(_CELL, max_size=4).map(",".join)),
+       at=st.integers(0, 20),
+       window=st.one_of(_WINDOW, _WINDOW, _WINDOW, st.sampled_from(
+           ["512:8192", "a:b", "5", ":", "1:2:3", "", "0:" + "9" * 400])),
+       model=st.sampled_from(["power", "exp"]))
+def test_slope_input_fuzz(header, rows, bad_row, at, window, model):
+    # any CSV text either fits or is refused with one named error line
+    if bad_row is not None:
+        rows.insert(at, bad_row)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join([header, *rows]) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["slope", "--in", path, f"--window={window}",
+                         f"--model={model}"])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        # strict JSON: no NaN or Infinity
+        json.loads(out.getvalue(), parse_constant=pytest.fail)
+
+
+HEADLINE = ("corr", "--M", "2", "--a", "1/4", "--b", "1/4", "--phi", "xc-1/2",
+            "--psi", "xc-1/2", "--method", "squarewave", "--n-max", "8192")
+
+
+def test_headline_csv_streams(tmp_path):
+    # the rows were held three times over (tuples, lines, one string) before
+    # the first byte was written, and each record had a __dict__: 6.1 MiB
+    out = str(tmp_path / "series.csv")
+    assert main([*HEADLINE[:-1], "16", "--out", out]) == 0   # imports, caches
+    tracemalloc.start()
+    try:
+        assert main([*HEADLINE, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20
+
+
+def test_headline_stdout_is_the_file(tmp_path, capsys):
+    out = tmp_path / "series.csv"
+    assert main([*HEADLINE, "--out", str(out)]) == 0
+    assert main([*HEADLINE, "--out", "-"]) == 0
+    written = capsys.readouterr().out.encode()
+    assert written == out.read_bytes()
+    assert written.count(b"\n") == 8195      # header, n = 0..8192, footer
 
 
 @pytest.mark.parametrize("argv,flag", [

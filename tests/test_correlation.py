@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -102,8 +103,8 @@ def test_double_mode_steps_its_live_window_bit_for_bit(w, level):
     from heterobaker.ruin import walk_step
     n_max = 400
     L = max(64, level or 0)
-    state, _ = _double_levels([], F(-1, 2), L)
-    b, _ = _double_levels([], F(-1, 2), L + n_max + 1)
+    state, _ = _double_levels([], 1, F(-1, 2), L)
+    b, _ = _double_levels([], 1, F(-1, 2), L + n_max + 1)
     want = []
     for n in range(n_max + 1):
         want.append(float(state @ b[:state.size]).hex())
@@ -128,6 +129,66 @@ def test_double_mode_tracks_rational():
             for a, b in zip(sr, sd):
                 assert b.value == pytest.approx(float(a.exact), rel=1e-12)
                 assert abs(b.value - float(a.exact)) <= b.error + 1e-15
+
+
+# the observables of the double-loop guard: affine, two PC profiles, and
+# zero (the sign of a zero pairing shows in repr)
+GUARD_OBSERVABLES = [
+    PHI, hb.staircase4(),
+    pc_center(hb.square_wave(1) * F(1, 2) - hb.square_wave(2) * F(1, 4)
+              + hb.square_wave(3) * F(1, 8), "sw-depth-3"),
+    parse_observable("0*xc")]
+
+
+def _plain_double_series(phi, psi, w, n_max):
+    """The double series stepped the plain way: the whole state, a
+    zero-filled next state, += of temporaries, and the full-length dot."""
+    from heterobaker.correlation import _double_levels, _squarewave_profile
+    prof_phi, prof_psi = _squarewave_profile(phi), _squarewave_profile(psi)
+    L = max(64, len(prof_phi[0]), len(prof_psi[0]))
+    state, _ = _double_levels(*prof_phi, L)
+    b, _ = _double_levels(*prof_psi, L + n_max + 1)
+    up, down = float(w), 1 - float(w)
+    out = []
+    for n in range(n_max + 1):
+        out.append(float(state @ b[:state.size]))
+        nxt = np.zeros(state.size + 1)
+        nxt[1:] += up * state
+        nxt[:-2] += down * state[1:]
+        state = nxt
+    return out
+
+
+@pytest.mark.parametrize("w", [F(1, 10), F(2, 5), F(1, 2), F(3, 5),
+                               F(9, 10)])
+def test_double_loop_matches_the_plain_loop_bit_for_bit(w):
+    # the double loop steps a window of the state and stops stepping the
+    # levels that cannot reach psi's support; each value must still be the
+    # plain loop's, zeros and their signs included
+    op = hb.ReducedOp(2, w)
+    for phi in GUARD_OBSERVABLES:
+        for psi in GUARD_OBSERVABLES:
+            plain = _plain_double_series(phi, psi, w, 2000)
+            for n_max in (0, 1, 2, 300, 2000):
+                got = [rec.value for rec in hb.exact_reduced_correlation(
+                    phi, psi, n_max, op=op, numeric="double")]
+                want = plain[:n_max + 1]
+                assert [repr(v) for v in got] == [repr(v) for v in want]
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("e", [1000, 1030, 1060])
+def test_double_loop_matches_the_plain_loop_as_states_underflow(e):
+    # at scale 2^-e the front of the walk underflows, the window shrinks,
+    # and the levels it leaves behind must pair as zeros
+    phi = parse_observable(f"1/{2 ** e}*xc-1/{2 ** (e + 1)}")
+    for w in (F(1, 10), F(1, 2)):
+        for psi in GUARD_OBSERVABLES:
+            want = _plain_double_series(phi, psi, w, 300)
+            got = hb.exact_reduced_correlation(phi, psi, 300,
+                                               op=hb.ReducedOp(2, w),
+                                               numeric="double")
+            assert [rec.value.hex() for rec in got] == [v.hex() for v in want]
 
 
 @pytest.fixture(scope="module")
@@ -407,8 +468,10 @@ def test_draws_refuse_an_a_past_64_bits():
     ([F(3, 8), F(-1, 8)], F(0), 70), ([F(1, 3)] * 5, F(0), 3)])
 def test_double_levels_match_fractions(prof, c_tail, L):
     from heterobaker.correlation import _double_levels, _materialize
-    arr, l2 = _double_levels(prof, c_tail, L)
-    nums, denom = _materialize(prof, c_tail, L)
+    from heterobaker.pcfun import _to_int_vector
+    profile = (*_to_int_vector(prof), c_tail)
+    arr, l2 = _double_levels(*profile, L)
+    nums, denom = _materialize(*profile, L)
     ref = [F(n, denom) for n in nums]
     expect = np.array([float(x) for x in ref])
     # same floats, including the sign of the zeros past the underflow
@@ -607,6 +670,34 @@ def test_parser_takes_trees_at_the_depth_limit():
     nested = "min(" * (MAX_DEPTH - 1) + "xc" + ",1/2)" * (MAX_DEPTH - 1)
     assert parse_observable(nested)(0, np.array([0.25, 0.75]), 0).tolist() \
         == [0.25, 0.5]
+
+
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("text,message", [
+    # each died with an OverflowError in the Hoelder corners
+    (f"{BIG}*xc", "constant 1000000000...0000000000 (401 characters) is too "
+                  "large for a float"),
+    (f"xc-{BIG}/3", "constant 1000000000...00000000/3 (403 characters)"),
+    (f"max(xc,{BIG})", "constant 1000000000...0000000000"),
+    # constants that fit a float, in values that the routes cannot square
+    (f"1{'0' * 200}*xc", "magnitudes above 2^510"),
+    (f"1{'0' * 100}*1{'0' * 100}*xc-1/2", "magnitudes above 2^510"),
+    (f"{2 ** 510 + 1}", "magnitudes above 2^510")])
+def test_parser_refuses_values_too_large_for_floats(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_observable(text)
+
+
+def test_parser_takes_values_at_the_magnitude_limit():
+    # x_c from -2^510 to 2^510, and a constant that underflows to 0.0
+    obs = parse_observable(f"{2 ** 511}*xc-{2 ** 510}")
+    assert obs.holder_norm == 2.0 ** 510 + 2.0 ** 511
+    for numeric in ("rational", "double"):
+        series = hb.exact_reduced_correlation(obs, obs, 3, numeric=numeric)
+        assert all(0 < rec.value < math.inf for rec in series)
+    assert parse_observable(f"1/{BIG}").xc_affine == (0, F(1, 10 ** 400))
 
 
 def test_import_leaves_scipy_out():
