@@ -174,6 +174,7 @@ def _observable(text: str, flag: str):
 
 
 def _n_values(args) -> list[int]:
+    """The n a corr run writes, once each and in increasing order."""
     if args.n_list is None:
         return list(range(_at_least(args.n_max, 0, "--n-max") + 1))
     bad = ValueError("--n-list must be comma-separated integers >= 0, "
@@ -184,7 +185,7 @@ def _n_values(args) -> list[int]:
         raise bad from None
     if min(ns) < 0:
         raise bad
-    return ns
+    return sorted(set(ns))
 
 
 def cmd_corr(args) -> int:
@@ -203,8 +204,8 @@ def cmd_corr(args) -> int:
         op = ReducedOp.from_params(params)
         try:
             series = exact_reduced_correlation(
-                phi, psi, max(ns), op=op, mode=args.method,
-                numeric=args.numeric, truncation_level=args.truncation_level)
+                phi, psi, max(ns), op=op, mode=args.method, numeric="double",
+                truncation_level=args.truncation_level)
         except TruncationBudgetExceeded as exc:
             # the library names its parameters; name the flags that set them
             n_flag = "--n-max" if args.n_list is None else "--n-list maximum"
@@ -381,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True)
     p.add_argument("--method", choices=["squarewave", "haar", "mc"],
                    default="squarewave")
-    p.add_argument("--numeric", choices=["rational", "double"],
-                   default="double")
     p.add_argument("--truncation-level", type=int,
                    help="dyadic projection level for haar mode on non-PC "
                         "observables")
@@ -416,6 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse drops the value of "--flag=--" and leaves an empty list
+    dropped = [dest for dest, value in vars(args).items() if value == []]
+    if dropped:
+        flag = {"infile": "in"}.get(dropped[0], dropped[0]).replace("_", "-")
+        print(f"error: --{flag}: expected a value, got '--'", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

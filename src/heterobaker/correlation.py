@@ -2,24 +2,14 @@
 
 The exact reduced routes compute <P0^n phi, psi> for observables of the
 center coordinate.  On the square-wave span the coefficient vector obeys
-the absorbed-walk recursion (`ruin.walk_step`), distinct levels are
-orthonormal, and the pairing is a dot product.  In rational mode the state
-is a vector of Python ints with one Fraction scale: a step runs the walk
-with (up, down) = (wp, wq - wp) for w = wp/wq and divides the scale by wq,
-and a pairing is one integer dot product times the two scales.
-
-Geometric tails (affine observables project to a_l = c r^l with r = 1/2)
-are handled in closed form: as long as the truncation level L satisfies
-L >= n, walkers starting above L never feel the wall, so the
-truncated-tail contribution is exactly
-
-    c_phi c_psi kappa^n r^(2(L+1)) / (1 - r^2),   kappa = w r + (1-w)/r.
-
-In double mode the same step runs on floats with (w, 1 - w), on a window
-of the state only: up to its last nonzero level, and below the levels that
-can no longer reach psi's support; the state is truncated at a fixed depth
-and the discarded tail is bounded through the L2 contraction of the
-reduced operator.
+the absorbed walk a'_l = w a_(l-1) + (1-w) a_(l+1), level 0 absorbed, and
+distinct levels are orthonormal.  The mass the walk loses to the wall at
+each step (its flux) fixes every pairing, so the square-wave route streams
+that flux as integers, from the ruin-time law for a finite profile and
+from a Catalan recurrence for the geometric profile c 2^-l of an affine
+observable, and pairs it in O(1) or O(depth of psi) integer operations
+per n.  Each value is one correctly rounded int / int, the same float in
+both numeric modes; rational mode also keeps the Fraction.
 
 Monte Carlo samples the exact joint law of (x, f^n x) for x ~ Lebesgue:
 branch symbols of the expanding coordinate are i.i.d., the expanding
@@ -47,6 +37,8 @@ batch-means errors are byte-identical for any worker count.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,7 +50,6 @@ import numpy as np
 from .baker import BakerParams, check_seed, symbol_law
 from .observables import Observable3D
 from .pcfun import ZERO
-from .ruin import walk_step
 from .transfer import (NotInSquareWaveSpan, ReducedOp, p0_haar_step,
                        square_wave_levels)
 
@@ -114,55 +105,94 @@ def _squarewave_profile(obs: Observable3D):
         if sw is None:
             raise NotInSquareWaveSpan(
                 f"{obs.name}: per-level Haar coefficients are not constant in k")
-        # over the lcm of the levels' reduced denominators, as in
-        # `_to_int_vector`, so the exact kernels see the same integers
-        nums = [int(c) * scale.numerator for c in sw]
-        g = math.gcd(scale.denominator, *nums)
-        return [c // g for c in nums], scale.denominator // g, ZERO
+        return [int(c) * scale.numerator for c in sw], scale.denominator, ZERO
     raise NotInSquareWaveSpan(f"{obs.name} is not an exact x_c observable")
 
 
-def _materialize(nums, den: int, c_tail, L: int) -> tuple[np.ndarray, int]:
-    """The first L level coefficients as integer numerators over one
-    denominator: the profile nums / den, then past it the geometric tail
-    c 2^-l, which is c's numerator times 2^(L-l) over c's denominator
-    times 2^L."""
-    p = min(len(nums), L)
-    out = np.zeros(L, dtype=object)
-    out[:p] = nums[:p]
-    if c_tail:
-        tail_denom = c_tail.denominator << L
-        common = math.lcm(den, tail_denom)
-        out[:p] *= common // den
-        scale = c_tail.numerator * (common // tail_denom)
-        out[p:] = [scale << (L - l) for l in range(p + 1, L + 1)]
-        den = common
-    return out, den
+def _pc_flux(nums, p: int, q: int):
+    """(2q)^m times the mass the profile nums (level l is nums[l - 1]) loses
+    to the wall at step m = 1, 2, ..., for w = p/q.
 
-
-def _double_levels(nums, den: int, c_tail, L: int) -> tuple[np.ndarray, Fraction]:
-    """The levels of `_materialize(nums, den, c_tail, L)` as floats, and the
-    exact sum of their squares.
-
-    Every entry is a correctly rounded int / int, the same float as that of
-    the Fraction.  A tail entry c 2^-l is num / (den << l); once one
-    underflows to (signed) zero the rest do too.  The tail's squares sum to
-    c^2 (4^-p - 4^-L) / 3 past the p = len(nums) intrinsic levels.
+    From level l the walk is absorbed at step m with probability
+    f_l(m) = (l/m) C(m, j) w^j (1-w)^(j+l), j = (m - l)/2 (Feller XIV), so
+    (2q)^m f_l(m) is an integer, (2(q - p))^l at m = l, and from m to m + 2
+    it gains the factor m (m + 1) 4p(q - p) / ((j + 1)(j + l + 1)).
     """
-    p = min(len(nums), L)
-    out = np.zeros(L)
-    out[:p] = [c / den for c in nums[:p]]
-    l2 = Fraction(sum(c * c for c in nums[:p]), den * den)
-    if c_tail:
-        num, tden = c_tail.numerator, c_tail.denominator
-        for l in range(p + 1, L + 1):
-            v = num / (tden << l)
-            if v == 0.0:
-                out[l - 1:] = v
-                break
-            out[l - 1] = v
-        l2 += c_tail * c_tail * (Fraction(1, 4 ** p) - Fraction(1, 4 ** L)) / 3
-    return out, l2
+    term = {}                    # (2q)^m f_l(m) at the last m of l's parity
+    for m in itertools.count(1):
+        x = 0
+        for l in range(2 - m % 2, min(m, len(nums)) + 1, 2):
+            j = (m - l) // 2
+            term[l] = (2 * (q - p)) ** l if j == 0 else \
+                term[l] * (m - 2) * (m - 1) * 4 * p * (q - p) // (j * (j + l))
+            x += nums[l - 1] * term[l]
+        yield x
+
+
+def _geometric_flux(p: int, q: int):
+    """(2q)^m times the mass the profile 2^-l loses to the wall at step
+    m = 1, 2, ..., for w = p/q: its generating function E(t) solves
+    E(t) (1 - (2w + (1-w)/2) t) = (1-w) t/2 - (1 - sqrt(1 - 4w(1-w)t^2))/2,
+    whose root has the coefficients -2 Cat_(k-1) (w(1-w))^k at t^2k."""
+    u = 4 * p * (q - p)
+    y, cat = 0, u                # cat = Cat_(k-1) u^k for the next m = 2k
+    for m in itertools.count(1):
+        y = (3 * p + q) * y + (q - p if m == 1 else 0)
+        if m % 2 == 0:
+            y -= cat
+            cat = cat * (2 * m - 2) * u // (m // 2 + 1)
+        yield y
+
+
+def _squarewave_series(prof_phi, prof_psi, n_max: int, w: Fraction):
+    """(numerator, positive denominator) of <P0^n phi, psi>, n = 0..n_max.
+
+    The walk's flux into the wall, fl_m = X_m / (D (2q)^m), fixes every
+    pairing.  Against psi = c 2^-l, C_(n+1) = kappa C_n - c fl_(n+1) with
+    kappa = w/2 + 2(1 - w).  Against psi of depth Q the levels 1..Q of the
+    state are read off the flux: level 1 at time n is fl_(n+1) / (1-w),
+    and the walk step read backwards, a_(k+1) = (a'_k - w a_(k-1)) / (1-w)
+    with a' the next state, gives the levels above, one anti-diagonal
+    (time + level = d) per flux value.  Scaled by D q^n 2^(n+k) the levels
+    are integers and each division is exact.
+    """
+    p, q = w.numerator, w.denominator
+    nums, den, c = prof_phi
+    if c:
+        flux = (c.numerator * y for y in _geometric_flux(p, q))
+        den = c.denominator
+    else:
+        flux = _pc_flux(nums, p, q)
+    b_nums, b_den, c_psi = prof_psi
+    if c_psi or not b_nums:
+        # <a^(n), 2^-l> = z / (den t (2q)^n)
+        g = sum((Fraction(a, 1 << l) for l, a in enumerate(nums, 1)),
+                Fraction(c.numerator, 3))
+        t, z = g.denominator, g.numerator
+        scale = c_psi.denominator * den * t
+        yield c_psi.numerator * z, scale
+        for _, x in zip(range(n_max), flux):
+            z = (4 * q - 3 * p) * z - t * x
+            scale *= 2 * q
+            yield c_psi.numerator * z, scale
+        return
+    depth = len(b_nums)
+    weights = [b << (depth - k) for k, b in enumerate(b_nums, 1)]
+    scale = den * b_den << depth
+    diags = collections.deque(maxlen=max(depth, 2))
+    for d, x in enumerate(flux, 1):
+        # diag[k] is level k + 1 at time d - 1 - k
+        below = [0, *diags[-2]] if len(diags) > 1 else [0]
+        diag = [x // (q - p)]
+        for k in range(1, min(depth, d)):
+            diag.append((diag[k - 1] - 4 * p * below[k - 1]) // (q - p))
+        diags.append(diag)
+        if d >= depth:           # time d - depth has all its levels
+            yield sum(b * diags[k - depth][k]
+                      for k, b in enumerate(weights)), scale
+            if d - depth == n_max:
+                return
+            scale *= 2 * q
 
 
 def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
@@ -172,93 +202,27 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
                               truncation_level: int | None = None) -> list:
     """Series <P0^n phi, psi> for n = 0..n_max, exact per mode.
 
-    squarewave: both observables must lie in the span of s_l; rational
-    numeric is exact including geometric tails, double numeric attaches an
-    L2 truncation bound.  haar: both observables must be PC in x_c; the
-    Haar-level route (exact, no truncation), refused when an observable's
-    dyadic depth plus n_max would pass level 20.
+    squarewave: both observables must lie in the span of s_l.  Every value
+    is the correctly rounded exact value and its error is 0.0; rational
+    numeric also attaches the exact Fraction.  haar: both observables must
+    be PC in x_c; the Haar-level route (exact, no truncation), refused when
+    an observable's dyadic depth plus n_max would pass level 20;
+    truncation_level projects an affine observable for it.
     """
     op = op or ReducedOp.neutral(2)
     if mode == "haar":
         return _haar_series(phi, psi, n_max, op, truncation_level)
     if mode != "squarewave":
         raise ValueError("mode must be 'squarewave' or 'haar'")
-    op.require_m2("square-wave subspace")
-    prof_phi = _squarewave_profile(phi)     # (nums, den, c_tail)
-    prof_psi = _squarewave_profile(psi)
-    c_phi, c_psi = prof_phi[2], prof_psi[2]
-    pc_depth = max(len(prof_phi[0]), len(prof_psi[0]))
-    if numeric == "rational":
-        # with L >= n_max + PC depth, the discarded geometric tail evolves as
-        # a free walk and can only pair against geometric coefficients; its
-        # contribution is the closed form below and the series is exact
-        L = n_max + 2 + pc_depth
-        state, den_a = _materialize(*prof_phi, L)
-        b, den_b = _materialize(*prof_psi, L + n_max + 1)
-        scale = Fraction(1, den_a * den_b)
-        wp, wq = op.w.numerator, op.w.denominator
-        r = HALF
-        kappa = op.w * r + (1 - op.w) / r
-        tail = c_phi * c_psi * r ** (2 * (L + 1)) / (1 - r * r)  # at n = 0
-        out = []
-        for n in range(n_max + 1):
-            val = int(state @ b[:state.size]) * scale + tail
-            out.append(CorrelationRecord(n, float(val), "exact-squarewave",
-                                         0.0, val))
-            if n < n_max:
-                state = walk_step(state, wp, wq - wp)
-                scale /= wq
-                tail *= kappa
-        return out
-    if numeric != "double":
+    if numeric not in ("rational", "double"):
         raise ValueError("numeric must be 'rational' or 'double'")
-    L = max(64, truncation_level or 0, pc_depth)
-    depth = L + n_max + 1
-    arr, _ = _double_levels(*prof_phi, L)
-    brr, b_l2 = _double_levels(*prof_psi, depth)
-    # discarded-tail bound: ||tail of phi||_2 ||psi||_2 via L2 contraction
-    tail_l2 = abs(float(c_phi)) * 0.5 ** (L + 1) / math.sqrt(0.75)
-    psi_l2 = math.sqrt(float(b_l2) +
-                       float(c_psi) ** 2 * 0.25 ** (depth + 1) / 0.75)
-    up, down = float(op.w), 1 - float(op.w)
-    # `walk_step` on the levels [0, top) only, in two buffers of the final
-    # length.  `live` is one past the state's last nonzero level; with k
-    # steps left, a level at or above blive + k (blive: one past psi's last
-    # nonzero level) can no longer reach psi's support, so it is zeroed,
-    # not stepped.  A state so differs from the whole state of `walk_step`
-    # only in levels that pair with psi's zeros and in the sign of zeros,
-    # which changes no sum that is not zero: each value is the whole
-    # state's bit for bit.  The dot runs at full length so that BLAS blocks
-    # the sum as it would the whole state's.  `dirty[k]` is the prefix of
-    # buffer k a step may have left nonzero.
-    nz = np.flatnonzero(brr)
-    blive = int(nz[-1]) + 1 if nz.size else 0
-    bufs = [np.zeros(depth - 1), np.zeros(depth - 1)]
-    bufs[0][:L] = arr
-    down_part = np.empty(depth - 1)
-    dirty = [L, 0]
-    live = L
-    vals = []
-    for n in range(n_max + 1):
-        cur, nxt = bufs[n % 2], bufs[1 - n % 2]
-        vals.append(float(cur[:L + n] @ brr[:L + n]))
-        if n == n_max:
-            break
-        while live and cur[live - 1] == 0:
-            live -= 1
-        # the next state's levels [0, top): up from below, down from above
-        top = max(min(live + 1, blive + n_max - n - 1), 1)
-        nxt[0] = 0.0
-        np.multiply(cur[:top - 1], up, out=nxt[1:top])
-        low = min(max(live - 1, 0), top)
-        np.multiply(cur[1:low + 1], down, out=down_part[:low])
-        nxt[:low] += down_part[:low]
-        k = 1 - n % 2
-        nxt[top:dirty[k]] = 0.0
-        dirty[k] = live = top
-    errs = tail_l2 * psi_l2 + 1e-15 * (np.arange(n_max + 1) + 1) * np.abs(vals)
-    return [CorrelationRecord(n, val, "exact-squarewave", err)
-            for n, (val, err) in enumerate(zip(vals, errs.tolist()))]
+    op.require_m2("square-wave subspace")
+    series = _squarewave_series(_squarewave_profile(phi),
+                                _squarewave_profile(psi), n_max, op.w)
+    return [CorrelationRecord(n, num / den, "exact-squarewave", 0.0,
+                              Fraction(num, den) if numeric == "rational"
+                              else None)
+            for n, (num, den) in enumerate(series)]
 
 
 def _haar_pc_of(obs: Observable3D, level: int | None, n_max: int):
@@ -515,7 +479,7 @@ def mc_correlation_series(params: BakerParams, phi: Observable3D,
     counter generator and reduced shard by shard in shard order, so results
     are byte-identical for a given (config, seed) regardless of worker
     count.  Common random numbers: every n in n_list is read off the same
-    orbit.
+    orbit.  Sums or errors past the float range are refused (ValueError).
     """
     if not params.is_measure_preserving:
         raise NotMeasurePreserving("Monte Carlo pairing assumes a + b = 1/M")
@@ -530,7 +494,10 @@ def mc_correlation_series(params: BakerParams, phi: Observable3D,
                           law[2].itemsize)
 
     def run(batch):
-        return _simulate_batch(params, law, batch, seed, n_list, phi, psi)[0]
+        # numpy's errors are per thread; an overflow is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _simulate_batch(params, law, batch, seed, n_list, phi,
+                                   psi)[0]
 
     results = [shard for sums in _run_batches(run, batches, workers)
                for shard in sums]
@@ -546,8 +513,14 @@ def mc_correlation_series(params: BakerParams, phi: Observable3D,
         vals = np.asarray([per_n[n] / size - (sphi / size) * (spsi0 / size)
                            for size, sphi, spsi0, per_n in results
                            if size == full])
-        stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 \
-            else float("nan")
+        with np.errstate(over="ignore", invalid="ignore"):
+            stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) \
+                if vals.size > 1 else float("nan")
+        if not math.isfinite(estimate) or (vals.size > 1 and
+                                           not math.isfinite(stderr)):
+            raise ValueError(f"the Monte Carlo sums at n = {n} or their "
+                             "batch-means error overflow the float range; "
+                             "scale the observables down")
         out[n] = CorrelationRecord(n, estimate, "monte-carlo", stderr)
     return out
 

@@ -4,9 +4,9 @@ The level dynamics of the reduced transfer operator are compared against
 this chain: mass at level l splits evenly to l-1 and l+1, and whatever
 reaches 0 is absorbed.  `walk_step` is the one implementation of that
 recursion, a'_l = up a_{l-1} + down a_{l+1} with level 0 absorbed, for
-every route that runs it: the walk itself, the square-wave coefficients of
-the reduced operator (up : down = w : 1-w), and the integer kernels of the
-exact routes.  Exact states are Python-int object arrays with one rational
+every route that steps it: the walk itself and the square-wave
+coefficients of the reduced operator (up : down = w : 1-w) in the oracle
+report.  Exact states are Python-int object arrays with one rational
 scale kept beside them, so a step is integer arithmetic plus one division
 of the scale.  The closed-form transition probability comes from
 the reflection principle,

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -50,8 +51,7 @@ def test_ruin_csv(capsys):
 
 def test_corr_squarewave(capsys):
     code, out = run(capsys, "corr", "--phi", "xc-1/2", "--psi", "xc-1/2",
-                    "--method", "squarewave", "--numeric", "rational",
-                    "--n-max", "2")
+                    "--method", "squarewave", "--n-max", "2")
     assert code == 0
     rows = [r.split(",") for r in out.strip().splitlines()[1:]
             if not r.startswith("#")]
@@ -234,8 +234,9 @@ _FRACTION_TEXT = st.one_of(
                      "x", ""]),
     st.fractions(-1, 1, max_denominator=12).map(str))
 # (M, a, b): preserving presets, so that runs get past the checks, or anything
-_PARAMS = st.one_of(
-    st.sampled_from([(2, "1/4", "1/4"), (2, "1/5", "3/10"), (2, "3/10", "1/5")]),
+_PRESETS = [(2, "1/4", "1/4"), (2, "1/5", "3/10"), (2, "3/10", "1/5")]
+_PARAMS = st.integers(0, 3).flatmap(
+    lambda i: st.just(_PRESETS[i]) if i < 3 else
     st.tuples(st.integers(-1, 4), _FRACTION_TEXT, _FRACTION_TEXT))
 # up to 400 digits, uniform in the number of digits
 _DIGITS = st.builds(lambda lead, k: str(lead) + "0" * k, st.integers(1, 99),
@@ -255,24 +256,37 @@ _OBSERVABLE_TEXT = st.one_of(
               st.sampled_from(["xc", "1/2", "xc-1/2"]),
               st.sampled_from(["", ")", "+xc", ",1)"])))
 _N_LIST_TEXT = st.one_of(
-    st.lists(st.integers(-1, 8), min_size=1, max_size=4).map(
+    st.lists(st.integers(-1, 6), min_size=1, max_size=4).map(
         lambda ns: ",".join(map(str, ns))),
     st.text(alphabet="0123456789,- x", max_size=2))
 
 
-@settings(max_examples=150, deadline=None)
-@given(phi=_OBSERVABLE_TEXT, psi=_OBSERVABLE_TEXT, params=_PARAMS,
+@settings(max_examples=200, deadline=None)
+@given(phi=_OBSERVABLE_TEXT, psi=st.none() | _OBSERVABLE_TEXT, params=_PARAMS,
        n_max=st.integers(-2, 6), n_list=st.none() | _N_LIST_TEXT,
-       numeric=st.sampled_from(["rational", "double"]))
-def test_corr_input_fuzz(phi, psi, params, n_max, n_list, numeric):
-    # any input either runs or is refused with one named error line
+       method=st.sampled_from(["squarewave", "haar", "mc"]),
+       level=st.none() | st.integers(-1, 8), seed=st.integers(0, 2 ** 64 - 1),
+       scale=st.sampled_from(range(510)))
+def test_corr_input_fuzz(phi, psi, params, n_max, n_list, method, level,
+                         seed, scale):
+    # any input either runs or is refused with one named error line, and
+    # no warning is raised on the way.  psi None pairs phi with itself, and
+    # both are scaled by 2^scale, up to the parser's limit of 2^510: past
+    # 2^258 the Monte Carlo sums overflow
     M, a, b = params
+    psi = phi if psi is None else psi
+    phi, psi = (f"{2 ** scale}*({text})" for text in (phi, psi))
     argv = ["corr", f"--phi={phi}", f"--psi={psi}", f"--M={M}", f"--a={a}",
-            f"--b={b}", f"--n-max={n_max}", f"--numeric={numeric}"]
+            f"--b={b}", f"--n-max={n_max}", f"--method={method}",
+            "--samples=10000", f"--seed={seed}"]
     if n_list is not None:
         argv.append(f"--n-list={n_list}")
+    if level is not None:
+        argv.append(f"--truncation-level={level}")
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(argv)
     assert code in (0, 2)
     if code == 2:
@@ -281,6 +295,60 @@ def test_corr_input_fuzz(phi, psi, params, n_max, n_list, numeric):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
         assert out.getvalue().startswith("n,value,method,err\n")
+
+
+@pytest.mark.parametrize("method,obs", [
+    ("squarewave", "xc-1/2"), ("haar", "staircase-4"), ("mc", "xc-1/2")])
+def test_n_list_is_sorted_and_deduplicated(capsys, method, obs):
+    # mc wrote n = 3, 1, 1 for --n-list 3,1,1; the exact methods n = 1, 3
+    argv = ["corr", "--method", method, "--phi", obs, "--psi", obs,
+            "--samples", "10000", "--seed", "1"]
+    _, out = run(capsys, *argv, "--n-list", "3,1,1")
+    _, want = run(capsys, *argv, "--n-list", "1,3")
+    rows = out.splitlines()[1:-1]
+    assert [row.split(",")[0] for row in rows] == ["1", "3"]
+    assert rows == want.splitlines()[1:-1]
+
+
+def test_mc_overflow_is_refused_without_warnings(capsys):
+    # wrote 1,inf,monte-carlo,nan and exited 0, after numpy RuntimeWarnings
+    big = f"{2 ** 509}*xc"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["corr", "--method", "mc", "--phi", big, "--psi", big,
+                     "--n-list", "1", "--samples", "10000", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, caught) == (2, "", [])
+    assert captured.err.startswith("error: the Monte Carlo sums at n = 1 ")
+    assert captured.err.count("\n") == 1
+
+
+def test_small_weight_rows_are_the_rounded_exact_values(capsys):
+    # w = 1/10: the truncated double loop wrote 2.29e-40 at n = 200 and
+    # 3.06e-83 at n = 400, inside an error bar of 4.5e-21
+    code, out = run(capsys, "corr", "--a", "1/20", "--b", "9/20", "--phi",
+                    "xc-1/2", "--psi", "xc-1/2", "--n-list", "200,400")
+    assert code == 0
+    exact = hb.exact_reduced_correlation(
+        hb.affine_center(), hb.affine_center(), 400,
+        op=hb.ReducedOp(2, F(1, 10)), numeric="rational")
+    assert out.splitlines()[1:3] == [
+        f"{n},{float(exact[n].exact)!r},exact-squarewave,0.0"
+        for n in (200, 400)]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["corr", "--phi", "xc", "--psi", "xc", "--n-list=--"], "--n-list"),
+    (["corr", "--phi=--", "--psi", "xc"], "--phi"),
+    (["corr", "--phi", "xc", "--psi", "xc", "--n-max=--"], "--n-max"),
+    (["apply-op", "--op", "p0", "--in=--"], "--in")])
+def test_a_lone_double_dash_value_names_the_flag(capsys, argv, flag):
+    # argparse reads "--flag=--" as an empty list: --n-list died with an
+    # AttributeError traceback, --n-max with a TypeError
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {flag}: expected a value, got '--'\n"
 
 
 def test_huge_constants_name_the_flag(capsys):

@@ -94,117 +94,106 @@ def test_haar_projection_bound():
         hb.exact_reduced_correlation(PHI, PHI, 2, mode="haar")
 
 
-@pytest.mark.parametrize("w,level", [
-    (F(1, 2), None), (F(1, 10), 1200), (F(3, 5), 300)])
-def test_double_mode_steps_its_live_window_bit_for_bit(w, level):
-    # the whole state, stepped by walk_step and paired as it grows; at
-    # level 1200 the initial tail underflows to -0.0
-    from heterobaker.correlation import _double_levels
-    from heterobaker.ruin import walk_step
-    n_max = 400
-    L = max(64, level or 0)
-    state, _ = _double_levels([], 1, F(-1, 2), L)
-    b, _ = _double_levels([], 1, F(-1, 2), L + n_max + 1)
-    want = []
-    for n in range(n_max + 1):
-        want.append(float(state @ b[:state.size]).hex())
-        state = walk_step(state, float(w), 1 - float(w))
-    got = hb.exact_reduced_correlation(PHI, PHI, n_max, op=hb.ReducedOp(2, w),
-                                       numeric="double",
-                                       truncation_level=level)
-    assert [rec.value.hex() for rec in got] == want
+def _sw(*coefs):
+    f = hb.PCFun1D.zero()
+    for level, c in coefs:
+        f = f + hb.square_wave(level) * c
+    return f
 
 
-def test_double_mode_tracks_rational():
-    # w = 1/2 steps are exact in doubles, w = 2/5 and 3/5 steps round
-    sw = pc_center(hb.square_wave(1) * F(1, 2) - hb.square_wave(2) * F(1, 4)
-                   + hb.square_wave(3) * F(1, 8))
-    for w in (F(1, 2), F(2, 5), F(3, 5)):
-        op = hb.ReducedOp(2, w)
-        for phi in (PHI, sw):
-            sr = hb.exact_reduced_correlation(phi, phi, 12, op=op,
-                                              numeric="rational")
-            sd = hb.exact_reduced_correlation(phi, phi, 12, op=op,
-                                              numeric="double")
-            for a, b in zip(sr, sd):
-                assert b.value == pytest.approx(float(a.exact), rel=1e-12)
-                assert abs(b.value - float(a.exact)) <= b.error + 1e-15
-
-
-# the observables of the double-loop guard: affine, two PC profiles, and
-# zero (the sign of a zero pairing shows in repr)
-GUARD_OBSERVABLES = [
-    PHI, hb.staircase4(),
-    pc_center(hb.square_wave(1) * F(1, 2) - hb.square_wave(2) * F(1, 4)
-              + hb.square_wave(3) * F(1, 8), "sw-depth-3"),
+# affine, PC profiles of depth 2 to 9 with a gap, and zero
+SIZING = [
+    PHI, parse_observable("3*xc-1"), hb.staircase4(),
+    pc_center(_sw((1, F(1, 2)), (2, F(-1, 4)), (3, F(1, 8))), "sw-depth-3"),
+    pc_center(_sw((1, F(3, 8)), (2, F(-1, 8)), (3, F(5, 16)), (4, F(-7, 32))),
+              "sw-depth-4"),
+    pc_center(_sw((1, F(1, 2)), (6, F(1, 64)), (9, F(-1, 512))), "sw-1-6-9"),
     parse_observable("0*xc")]
 
 
-def _plain_double_series(phi, psi, w, n_max):
-    """The double series stepped the plain way: the whole state, a
-    zero-filled next state, += of temporaries, and the full-length dot."""
-    from heterobaker.correlation import _double_levels, _squarewave_profile
+def _walk_series(phi, psi, w, n_max):
+    """<P0^n phi, psi> by stepping the whole integer level vector with
+    `ruin.walk_step`: phi materialised to depth n_max + 2 + its PC depth,
+    psi to that depth plus n_max + 1.  Past that depth a geometric phi
+    tail never meets the wall within n_max steps, so against a geometric
+    psi it contributes c_phi c_psi kappa^n 4^-(L+1) / (1 - 1/4), with
+    kappa = w/2 + 2(1 - w)."""
+    from heterobaker.correlation import _squarewave_profile
+    from heterobaker.ruin import walk_step
+
+    def levels(profile, depth):
+        nums, den, c = profile
+        vals = [F(a, den) for a in nums] + [c / 2 ** l for l in
+                                            range(len(nums) + 1, depth + 1)]
+        den = math.lcm(*(v.denominator for v in vals))
+        return np.array([int(v * den) for v in vals], dtype=object), den
+
     prof_phi, prof_psi = _squarewave_profile(phi), _squarewave_profile(psi)
-    L = max(64, len(prof_phi[0]), len(prof_psi[0]))
-    state, _ = _double_levels(*prof_phi, L)
-    b, _ = _double_levels(*prof_psi, L + n_max + 1)
-    up, down = float(w), 1 - float(w)
+    L = n_max + 2 + max(len(prof_phi[0]), len(prof_psi[0]))
+    state, den_a = levels(prof_phi, L)
+    b, den_b = levels(prof_psi, L + n_max + 1)
+    scale = F(1, den_a * den_b)
+    tail = prof_phi[2] * prof_psi[2] * F(1, 4) ** (L + 1) / F(3, 4)
     out = []
     for n in range(n_max + 1):
-        out.append(float(state @ b[:state.size]))
-        nxt = np.zeros(state.size + 1)
-        nxt[1:] += up * state
-        nxt[:-2] += down * state[1:]
-        state = nxt
+        out.append(int(state @ b[:state.size]) * scale + tail)
+        state = walk_step(state, w.numerator, w.denominator - w.numerator)
+        scale /= w.denominator
+        tail *= w / 2 + 2 * (1 - w)
     return out
 
 
-@pytest.mark.parametrize("w", [F(1, 10), F(2, 5), F(1, 2), F(3, 5),
-                               F(9, 10)])
-def test_double_loop_matches_the_plain_loop_bit_for_bit(w):
-    # the double loop steps a window of the state and stops stepping the
-    # levels that cannot reach psi's support; each value must still be the
-    # plain loop's, zeros and their signs included
+@pytest.mark.parametrize("w", [F(1, 10), F(2, 5), F(1, 2), F(3, 5), F(9, 10),
+                               F(7, 13)])
+def test_flux_series_matches_the_walk_loop(w):
+    # the flux kernel against the whole walk, every pair of SIZING to
+    # n = 40, and the affine pair to n = 400
     op = hb.ReducedOp(2, w)
-    for phi in GUARD_OBSERVABLES:
-        for psi in GUARD_OBSERVABLES:
-            plain = _plain_double_series(phi, psi, w, 2000)
-            for n_max in (0, 1, 2, 300, 2000):
-                got = [rec.value for rec in hb.exact_reduced_correlation(
-                    phi, psi, n_max, op=op, numeric="double")]
-                want = plain[:n_max + 1]
-                assert [repr(v) for v in got] == [repr(v) for v in want]
-                assert [v.hex() for v in got] == [v.hex() for v in want]
+    for phi in SIZING:
+        for psi in SIZING:
+            got = hb.exact_reduced_correlation(phi, psi, 40, op=op,
+                                               numeric="rational")
+            assert [rec.exact for rec in got] == _walk_series(phi, psi, w, 40)
+    if w != F(7, 13):
+        got = hb.exact_reduced_correlation(PHI, PHI, 400, op=op,
+                                           numeric="rational")
+        assert [rec.exact for rec in got] == _walk_series(PHI, PHI, w, 400)
 
 
-@pytest.mark.parametrize("e", [1000, 1030, 1060])
-def test_double_loop_matches_the_plain_loop_as_states_underflow(e):
-    # at scale 2^-e the front of the walk underflows, the window shrinks,
-    # and the levels it leaves behind must pair as zeros
-    phi = parse_observable(f"1/{2 ** e}*xc-1/{2 ** (e + 1)}")
-    for w in (F(1, 10), F(1, 2)):
-        for psi in GUARD_OBSERVABLES:
-            want = _plain_double_series(phi, psi, w, 300)
-            got = hb.exact_reduced_correlation(phi, psi, 300,
-                                               op=hb.ReducedOp(2, w),
-                                               numeric="double")
-            assert [rec.value.hex() for rec in got] == [v.hex() for v in want]
+def test_double_mode_tracks_rational():
+    # every double is the correctly rounded exact value, down to the
+    # subnormal range of a phi at scale 2^-1060
+    tiny = parse_observable(f"1/{2 ** 1060}*xc-1/{2 ** 1061}")
+    for w in (F(1, 10), F(1, 2), F(3, 5), F(9, 10)):
+        op = hb.ReducedOp(2, w)
+        for phi in (*SIZING, tiny):
+            for psi in SIZING[:4]:
+                sr = hb.exact_reduced_correlation(phi, psi, 40, op=op,
+                                                  numeric="rational")
+                sd = hb.exact_reduced_correlation(phi, psi, 40, op=op,
+                                                  numeric="double")
+                assert [b.value.hex() for b in sd] == \
+                    [float(a.exact).hex() for a in sr]
+                assert [a.value.hex() for a in sr] == \
+                    [b.value.hex() for b in sd]
+                assert all(b.error == 0.0 and b.exact is None for b in sd)
 
 
 @pytest.fixture(scope="module")
 def exact_affine_512():
-    """The exact affine series to n = 512 at w = 1/2 and w = 3/5."""
+    """The exact affine series to n = 512 at four weights."""
     return {w: hb.exact_reduced_correlation(PHI, PHI, 512, op=hb.ReducedOp(2, w),
                                             numeric="rational")
-            for w in (F(1, 2), F(3, 5))}
+            for w in (F(1, 10), F(1, 2), F(3, 5), F(9, 10))}
 
 
-@pytest.mark.parametrize("w", [F(1, 2), F(3, 5)])
+@pytest.mark.parametrize("w", [F(1, 10), F(1, 2), F(3, 5), F(9, 10)])
 def test_double_mode_error_bar_is_a_bound(w, exact_affine_512):
+    # the bar is 0.0: each value is float(exact), bit for bit
     sd = hb.exact_reduced_correlation(PHI, PHI, 512, op=hb.ReducedOp(2, w),
                                       numeric="double")
     for a, b in zip(exact_affine_512[w], sd):
-        assert abs(b.value - float(a.exact)) <= b.error
+        assert b.value.hex() == float(a.exact).hex() and b.error == 0.0
 
 
 def test_exact_series_satisfies_recurrence(exact_affine_512):
@@ -247,6 +236,30 @@ def test_mc_reproducible_across_workers():
     for n in (1, 5):
         assert out1[n].value == out2[n].value
         assert out1[n].error == out2[n].error
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_refuses_sums_that_overflow(workers):
+    # each product of 2^509 x_c with itself fits a float, a shard's sum does
+    # not: the estimate came out inf, after numpy RuntimeWarnings
+    import warnings
+    big = parse_observable(f"{2 ** 509}*xc")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the Monte Carlo sums at n = 1 or "
+                                             r"their batch-means error "
+                                             r"overflow the float range"):
+            hb.mc_correlation_series(NEUTRAL, big, big, [1], 10 ** 4, seed=1,
+                                     workers=workers)
+        # the batch-means error squares the products: at 2^500 they
+        # overflow too, at 2^250 nothing does
+        with pytest.raises(ValueError, match="overflow the float range"):
+            hb.mc_correlation_series(NEUTRAL, *[parse_observable(
+                f"{2 ** 500}*xc")] * 2, [1], 10 ** 4, seed=1, workers=workers)
+        small = parse_observable(f"{2 ** 250}*xc")
+        out = hb.mc_correlation_series(NEUTRAL, small, small, [1], 10 ** 4,
+                                       seed=1, workers=workers)
+    assert math.isfinite(out[1].value) and math.isfinite(out[1].error)
 
 
 def test_mc_requires_preservation():
@@ -461,23 +474,6 @@ def test_draws_refuse_an_a_past_64_bits():
         hb.measure_invariance_chisq(params, n=1, samples=10, seed=1)
     with pytest.raises(ValueError, match=name):
         hb.itinerary_stats(params, n=10, seed=1)
-
-
-@pytest.mark.parametrize("prof,c_tail,L", [
-    ([], F(-1, 2), 1200), ([], F(1, 7), 1100), ([], F(2, 3), 40),
-    ([F(3, 8), F(-1, 8)], F(0), 70), ([F(1, 3)] * 5, F(0), 3)])
-def test_double_levels_match_fractions(prof, c_tail, L):
-    from heterobaker.correlation import _double_levels, _materialize
-    from heterobaker.pcfun import _to_int_vector
-    profile = (*_to_int_vector(prof), c_tail)
-    arr, l2 = _double_levels(*profile, L)
-    nums, denom = _materialize(*profile, L)
-    ref = [F(n, denom) for n in nums]
-    expect = np.array([float(x) for x in ref])
-    # same floats, including the sign of the zeros past the underflow
-    assert np.array_equal(arr, expect)
-    assert np.array_equal(np.signbit(arr), np.signbit(expect))
-    assert l2 == sum((x * x for x in ref), F(0))
 
 
 @pytest.mark.parametrize("text,reads", [
