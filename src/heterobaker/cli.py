@@ -2,8 +2,8 @@
 
 Subcommands: orbit, apply-op, ruin, ruin-transition, corr, slope,
 verify-identities, verify-all.  CSV outputs carry a header row and a
-trailing comment line with a hash of the invocation and the package
-version, so runs are auditably reproducible.  Exit codes: 0 success,
+trailing comment line with a hash of the settings that set the rows and
+the package version, so runs are auditably reproducible.  Exit codes: 0 success,
 1 verification failure, 2 usage error.
 """
 
@@ -57,12 +57,24 @@ def _params_from(args) -> BakerParams:
     return BakerParams(args.M, _frac(args.a, "--a"), _frac(args.b, "--b"))
 
 
+def _preserving_params_from(args) -> BakerParams:
+    """The parameters, refused off a + b = 1/M, where the reduced operator
+    and the Monte Carlo law are defined."""
+    params = _params_from(args)
+    if not params.is_measure_preserving:
+        raise ValueError(
+            f"--a {args.a} and --b {args.b} do not preserve Lebesgue "
+            f"measure: {args.command} needs a + b = 1/M = 1/{params.M}, "
+            f"got {params.a + params.b}")
+    return params
+
+
 # arguments that do not change the numbers a run writes
 _UNHASHED = frozenset(("func", "out", "workers"))
 
 
-def _config_hash(args) -> str:
-    blob = json.dumps({k: str(v) for k, v in sorted(vars(args).items())
+def _config_hash(config: dict) -> str:
+    blob = json.dumps({k: str(v) for k, v in sorted(config.items())
                        if k not in _UNHASHED}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -77,14 +89,15 @@ def _output(path):
             yield fh
 
 
-def _write_csv(path, header, rows, args):
+def _write_csv(path, header, rows, config):
     """The header, then each row of the iterable `rows` as it comes, then
-    the footer; no row is held once written."""
+    the footer, which hashes the settings in `config`; no row is held once
+    written."""
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(str, row)) + "\n")
-        fh.write(f"# config={_config_hash(args)} version={__version__}\n")
+        fh.write(f"# config={_config_hash(config)} version={__version__}\n")
 
 
 def _write_json(path, obj):
@@ -100,7 +113,7 @@ def cmd_orbit(args) -> int:
     pts = orbit(params, tuple(point), args.n, exact=args.mode == "exact")
     rows = ((i, *(str(c) if args.mode == "exact" else repr(float(c))
                   for c in p)) for i, p in enumerate(pts))
-    _write_csv(args.out, ["n", "xu", "xc", "xs"], rows, args)
+    _write_csv(args.out, ["n", "xu", "xc", "xs"], rows, vars(args))
     return 0
 
 
@@ -118,7 +131,7 @@ def cmd_apply_op(args) -> int:
     _at_least(args.n, 0, "--n")
     if args.op in ("p0", "palpha", "pbeta"):
         f = _read_pcfun(args.infile, pcfun1d_from_json, "breakpoints, values")
-        op = ReducedOp(args.M, args.M * _frac(args.a, "--a"))
+        op = ReducedOp.from_params(_preserving_params_from(args))
         if args.op == "p0":
             g = p0_apply(op, f, args.n)
         else:
@@ -152,7 +165,7 @@ def cmd_ruin(args) -> int:
             if n < args.n:
                 state = step(state)
 
-    _write_csv(args.out, ["n", "l", "q"], rows(state), args)
+    _write_csv(args.out, ["n", "l", "q"], rows(state), vars(args))
     return 0
 
 
@@ -162,7 +175,7 @@ def cmd_ruin_transition(args) -> int:
         p = transition_prob(args.l, args.lp, n)
         ratio = float(p) * n ** 1.5 / (args.l * args.lp)
         rows.append((n, args.l, args.lp, float(p), ratio))
-    _write_csv(args.out, ["n", "l", "lp", "p", "ratio"], rows, args)
+    _write_csv(args.out, ["n", "l", "lp", "p", "ratio"], rows, vars(args))
     return 0
 
 
@@ -191,26 +204,17 @@ def _n_values(args) -> list[int]:
 def cmd_corr(args) -> int:
     phi = _observable(args.phi, "--phi")
     psi = _observable(args.psi, "--psi")
-    params = _params_from(args)
-    if not params.is_measure_preserving:
-        raise ValueError(
-            f"--a {args.a} and --b {args.b} do not preserve Lebesgue "
-            f"measure: corr needs a + b = 1/M = 1/{params.M}, "
-            f"got {params.a + params.b}")
+    params = _preserving_params_from(args)
     ns = _n_values(args)
-    if args.truncation_level is not None:
-        _at_least(args.truncation_level, 0, "--truncation-level")
     if args.method in ("squarewave", "haar"):
         op = ReducedOp.from_params(params)
         try:
             series = exact_reduced_correlation(
-                phi, psi, max(ns), op=op, mode=args.method, numeric="double",
-                truncation_level=args.truncation_level)
+                phi, psi, max(ns), op=op, mode=args.method, numeric="double")
         except TruncationBudgetExceeded as exc:
-            # the library names its parameters; name the flags that set them
+            # the library names its parameter; name the flag that sets it
             n_flag = "--n-max" if args.n_list is None else "--n-list maximum"
-            raise ValueError(str(exc).replace("n_max", n_flag).replace(
-                "truncation_level", "--truncation-level")) from None
+            raise ValueError(str(exc).replace("n_max", n_flag)) from None
         wanted = set(ns)
         records = (rec for rec in series if rec.n in wanted)
     else:  # mc
@@ -222,7 +226,13 @@ def cmd_corr(args) -> int:
         records = (out[n] for n in ns)
     rows = ((rec.n, repr(rec.value), rec.method, repr(rec.error))
             for rec in records)
-    _write_csv(args.out, ["n", "value", "method", "err"], rows, args)
+    # the footer hashes what sets the rows: the n written, however they
+    # were listed, and the sampling flags only where they are read
+    unread = {"n_list", "n_max"} | \
+        (set() if args.method == "mc" else {"samples", "seed"})
+    config = {k: v for k, v in vars(args).items() if k not in unread}
+    config["n"] = ns
+    _write_csv(args.out, ["n", "value", "method", "err"], rows, config)
     return 0
 
 
@@ -382,9 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True)
     p.add_argument("--method", choices=["squarewave", "haar", "mc"],
                    default="squarewave")
-    p.add_argument("--truncation-level", type=int,
-                   help="dyadic projection level for haar mode on non-PC "
-                        "observables")
     p.add_argument("--n-max", type=int, default=64)
     p.add_argument("--n-list", help="explicit comma-separated n values")
     p.add_argument("--samples", type=int, default=10 ** 6)

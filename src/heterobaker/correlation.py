@@ -78,7 +78,7 @@ class CorrelationRecord:
     n: int
     value: float
     method: str                      # exact-squarewave | exact-haar | monte-carlo
-    error: float                     # truncation bound / standard error
+    error: float                     # Monte Carlo standard error; 0.0 if exact
     exact: Fraction | None = None    # rational value when the route is exact
 
 
@@ -198,20 +198,19 @@ def _squarewave_series(prof_phi, prof_psi, n_max: int, w: Fraction):
 def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
                               n_max: int, op: ReducedOp | None = None,
                               mode: str = "squarewave",
-                              numeric: str = "rational",
-                              truncation_level: int | None = None) -> list:
-    """Series <P0^n phi, psi> for n = 0..n_max, exact per mode.
+                              numeric: str = "rational") -> list:
+    """Series <P0^n phi, psi> for n = 0..n_max, exact in either mode, each
+    record with error 0.0.
 
     squarewave: both observables must lie in the span of s_l.  Every value
-    is the correctly rounded exact value and its error is 0.0; rational
-    numeric also attaches the exact Fraction.  haar: both observables must
-    be PC in x_c; the Haar-level route (exact, no truncation), refused when
-    an observable's dyadic depth plus n_max would pass level 20;
-    truncation_level projects an affine observable for it.
+    is the correctly rounded exact value; rational numeric also attaches
+    the exact Fraction.  haar: both observables must be PC in x_c; the
+    Haar-level route attaches the Fraction too, and is refused when an
+    observable's dyadic depth plus n_max would pass level 20.
     """
     op = op or ReducedOp.neutral(2)
     if mode == "haar":
-        return _haar_series(phi, psi, n_max, op, truncation_level)
+        return _haar_series(phi, psi, n_max, op)
     if mode != "squarewave":
         raise ValueError("mode must be 'squarewave' or 'haar'")
     if numeric not in ("rational", "double"):
@@ -225,63 +224,41 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
             for n, (num, den) in enumerate(series)]
 
 
-def _haar_pc_of(obs: Observable3D, level: int | None, n_max: int):
-    """(PC representative, L2 norm of the discarded tail) for the haar route.
-
-    PC observables are exact.  Affine observables are projected onto the
-    dyadic level-L cell averages; the tail phi - phi_L has the closed-form
-    L2 norm |m| 2^-L / sqrt(12), and pairings against it are bounded via
-    the L2 contraction of the reduced operator.  Refused before anything
-    is built when the observable's depth plus n_max passes level 20.
-    """
+def _haar_pc_of(obs: Observable3D, n_max: int):
+    """The zero-mean PC function of x_c that the haar route steps, refused
+    before anything is built when its dyadic depth plus n_max passes
+    level 20."""
     from .haar import dyadic_level
-    from .pcfun import from_affine, project_zero_mean
-    if obs.xc_pc is not None:
-        depth = dyadic_level(obs.xc_pc)
-    elif obs.xc_affine is not None:
-        if level is None:
-            raise TruncationBudgetExceeded(
-                f"{obs.name}: the haar route needs an explicit "
-                "truncation_level for non-PC observables")
-        depth = level
-    else:
-        raise ValueError(f"{obs.name} is not an exact x_c observable")
+    from .pcfun import project_zero_mean
+    if obs.xc_pc is None:
+        hint = "; use the square-wave route for an affine one" \
+            if obs.xc_affine is not None else ""
+        raise ValueError(f"{obs.name}: the haar route takes PC observables "
+                         f"of x_c only{hint}")
+    depth = dyadic_level(obs.xc_pc)
     if depth + n_max > _HAAR_MAX_LEVEL:
         # each step doubles the state; level 20 alone is 2^19 Python ints
-        hint = "n_max" if obs.xc_pc is not None else "n_max or truncation_level"
         raise TruncationBudgetExceeded(
             f"{obs.name}: n_max = {n_max} on depth {depth} would take the "
             f"haar route to level {depth + n_max}, past its limit of "
-            f"{_HAAR_MAX_LEVEL}; lower {hint} or use the square-wave route")
-    if obs.xc_pc is not None:
-        return project_zero_mean(obs.xc_pc), 0.0
-    m, _ = obs.xc_affine
-    tail = abs(float(m)) * 2.0 ** (-level) / math.sqrt(12.0)
-    return from_affine(m, -m * HALF, level), tail
+            f"{_HAAR_MAX_LEVEL}; lower n_max or use the square-wave route")
+    return project_zero_mean(obs.xc_pc)
 
 
 def _haar_series(phi: Observable3D, psi: Observable3D, n_max: int,
-                 op: ReducedOp, truncation_level: int | None) -> list:
+                 op: ReducedOp) -> list:
     """Step the Haar levels of phi and pair them with those of psi as
     sum_l (a_l . b_l) 2^(1-l) times the two scales."""
     from .haar import analyze_levels
-    from .pcfun import inner_product
-    f, tail_f = _haar_pc_of(phi, truncation_level, n_max)
-    g, tail_g = _haar_pc_of(psi, truncation_level, n_max)
-    a, scale = analyze_levels(f)
-    b, scale_b = analyze_levels(g)
-    norm_f = math.sqrt(float(inner_product(f, f))) + tail_f
-    norm_g = math.sqrt(float(inner_product(g, g))) + tail_g
-    err = tail_f * norm_g + norm_f * tail_g
-    exact_route = err == 0.0
+    a, scale = analyze_levels(_haar_pc_of(phi, n_max))
+    b, scale_b = analyze_levels(_haar_pc_of(psi, n_max))
     scale *= scale_b
     out = []
     for n in range(n_max + 1):
         # level l = i + 1 pairs with weight 2^(1-l)
         val = scale * sum((Fraction(int(x @ y), 1 << i)
                            for i, (x, y) in enumerate(zip(a[1:], b[1:]))), ZERO)
-        out.append(CorrelationRecord(n, float(val), "exact-haar", err,
-                                     val if exact_route else None))
+        out.append(CorrelationRecord(n, float(val), "exact-haar", 0.0, val))
         if n < n_max:
             a = p0_haar_step(a, op)
             scale /= 2 * op.w.denominator
@@ -673,21 +650,23 @@ def lower_bound_check(phi: Observable3D, psi: Observable3D, n_max: int,
     """Constant-sign and inf n^(3/2)|<P0^n phi, psi>| report for strictly
     monotone center observables.
 
-    Monotonicity is certified through the coefficient signs of a dyadic
-    projection: strictly increasing functions have all-negative raw Haar
+    An affine observable is increasing for a positive slope and decreasing
+    for a negative one.  A PC one is certified through its coefficient
+    signs: strictly increasing functions have all-negative raw Haar
     coefficients, decreasing all-positive.
     """
     from .haar import monotone_sign_report
-    from .pcfun import from_affine, project_zero_mean
+    from .pcfun import project_zero_mean
 
     def signature(obs: Observable3D) -> int:
         if obs.xc_affine is not None:
-            pc = from_affine(*obs.xc_affine, level=8)
-        elif obs.xc_pc is not None:
-            pc = obs.xc_pc
-        else:
+            slope = obs.xc_affine[0]
+            if slope == 0:
+                raise NotMonotone(f"{obs.name}: slope 0 is not monotone")
+            return 1 if slope > 0 else -1
+        if obs.xc_pc is None:
             raise NotMonotone(f"{obs.name} is not an x_c observable")
-        signs = monotone_sign_report(project_zero_mean(pc))
+        signs = monotone_sign_report(project_zero_mean(obs.xc_pc))
         if signs["all_negative"]:
             return 1     # increasing
         if signs["all_positive"]:

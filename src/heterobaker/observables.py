@@ -36,7 +36,7 @@ class Observable3D:
     `fn` evaluates on numpy arrays.  `xc_affine` is (slope, intercept) when
     the observable is an affine function of x_c alone; `xc_pc` holds an
     exact piecewise-constant representative when it is a PC function of
-    x_c alone.  Hoelder data, when known, feeds decay bounds.
+    x_c alone.
 
     `reads` names the coordinates ("xu", "xc", "xs") whose values `fn`
     looks at; the default is all three.  Monte Carlo computes only the
@@ -49,8 +49,6 @@ class Observable3D:
     fn: Callable
     xc_affine: tuple[Fraction, Fraction] | None = None
     xc_pc: PCFun1D | None = None
-    theta: float | None = None
-    holder_norm: float | None = None
     reads: frozenset = COORDINATES
 
     def __post_init__(self):
@@ -65,22 +63,14 @@ class Observable3D:
 
 
 def affine_center() -> Observable3D:
-    # C^1 norm of x - 1/2 on [0,1]: sup 1/2, Lipschitz 1
     return Observable3D("affine-center",
                         lambda xu, xc, xs: xc - 0.5,
-                        xc_affine=(Fraction(1), Fraction(-1, 2)),
-                        theta=1.0, holder_norm=1.5, reads=_XC)
+                        xc_affine=(Fraction(1), Fraction(-1, 2)), reads=_XC)
 
 
 def staircase4() -> Observable3D:
-    pc = PCFun1D.uniform(["-3/4", "-1/4", "1/4", "3/4"])
-
-    def fn(xu, xc, xs):
-        idx = np.minimum((np.asarray(xc) * 4).astype(np.int64), 3)
-        table = np.array([-0.75, -0.25, 0.25, 0.75])
-        return table[idx]
-
-    return Observable3D("staircase-4", fn, xc_pc=pc, reads=_XC)
+    return pc_center(PCFun1D.uniform(["-3/4", "-1/4", "1/4", "3/4"]),
+                     "staircase-4")
 
 
 def pc_center(pc: PCFun1D, name: str = "pc-observable") -> Observable3D:
@@ -306,19 +296,13 @@ def parse_observable(text: str) -> Observable3D:
 
     aff = _affine_form(tree)
     xc_affine = None
-    theta = holder = None
     if aff is not None:
         c0, cu, cc, cs = aff
         if cu == 0 and cs == 0:
             xc_affine = (cc, c0)
-        theta = 1.0
         sup = max(abs(c0 + cu * x + cc * y + cs * z)
                   for x in (0, 1) for y in (0, 1) for z in (0, 1))
         if sup > MAX_MAGNITUDE:
             raise ParseError("expression reaches magnitudes above 2^510, "
                              "too large for the float routes to square")
-        lip = float(np.sqrt(float(cu) ** 2 + float(cc) ** 2 + float(cs) ** 2))
-        holder = float(sup) + lip
-    return Observable3D(text, fn, xc_affine=xc_affine,
-                        theta=theta, holder_norm=holder,
-                        reads=_variables(tree))
+    return Observable3D(text, fn, xc_affine=xc_affine, reads=_variables(tree))

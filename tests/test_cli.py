@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -169,8 +170,9 @@ def test_corr_refuses_non_preserving_parameters(capsys, method):
 @pytest.mark.parametrize("obs,extra", [
     # depth 2 + 64 steps: refuse instead of doubling the state 64 times
     ("staircase-4", ["--n-max", "64"]),
-    # depth 19 + 2 steps: refuse before building the 2^19-cell projection
-    ("xc-1/2", ["--n-max", "2", "--truncation-level", "19"]),
+    # an affine observable has no finite depth: the Haar route refuses it
+    # and names the route that takes it
+    ("xc-1/2", []),
 ])
 def test_haar_refuses_deep_levels(capsys, obs, extra):
     code = main(["corr", "--method", "haar", "--phi", obs, "--psi", obs,
@@ -265,10 +267,9 @@ _N_LIST_TEXT = st.one_of(
 @given(phi=_OBSERVABLE_TEXT, psi=st.none() | _OBSERVABLE_TEXT, params=_PARAMS,
        n_max=st.integers(-2, 6), n_list=st.none() | _N_LIST_TEXT,
        method=st.sampled_from(["squarewave", "haar", "mc"]),
-       level=st.none() | st.integers(-1, 8), seed=st.integers(0, 2 ** 64 - 1),
-       scale=st.sampled_from(range(510)))
-def test_corr_input_fuzz(phi, psi, params, n_max, n_list, method, level,
-                         seed, scale):
+       seed=st.integers(0, 2 ** 64 - 1), scale=st.sampled_from(range(510)))
+def test_corr_input_fuzz(phi, psi, params, n_max, n_list, method, seed,
+                         scale):
     # any input either runs or is refused with one named error line, and
     # no warning is raised on the way.  psi None pairs phi with itself, and
     # both are scaled by 2^scale, up to the parser's limit of 2^510: past
@@ -281,8 +282,6 @@ def test_corr_input_fuzz(phi, psi, params, n_max, n_list, method, level,
             "--samples=10000", f"--seed={seed}"]
     if n_list is not None:
         argv.append(f"--n-list={n_list}")
-    if level is not None:
-        argv.append(f"--truncation-level={level}")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), \
             warnings.catch_warnings():
@@ -300,14 +299,24 @@ def test_corr_input_fuzz(phi, psi, params, n_max, n_list, method, level,
 @pytest.mark.parametrize("method,obs", [
     ("squarewave", "xc-1/2"), ("haar", "staircase-4"), ("mc", "xc-1/2")])
 def test_n_list_is_sorted_and_deduplicated(capsys, method, obs):
-    # mc wrote n = 3, 1, 1 for --n-list 3,1,1; the exact methods n = 1, 3
+    # mc wrote n = 3, 1, 1 for --n-list 3,1,1; the exact methods n = 1, 3.
+    # The footer hashed --n-list as typed, so the same rows got two hashes
     argv = ["corr", "--method", method, "--phi", obs, "--psi", obs,
             "--samples", "10000", "--seed", "1"]
     _, out = run(capsys, *argv, "--n-list", "3,1,1")
     _, want = run(capsys, *argv, "--n-list", "1,3")
-    rows = out.splitlines()[1:-1]
-    assert [row.split(",")[0] for row in rows] == ["1", "3"]
-    assert rows == want.splitlines()[1:-1]
+    assert [row.split(",")[0] for row in out.splitlines()[1:-1]] == ["1", "3"]
+    assert out == want
+
+
+def test_exact_footer_hashes_only_what_sets_the_rows(capsys):
+    # the exact methods read neither --samples nor --seed, and --n-max 3
+    # writes the rows of --n-list 3,2,1,0
+    argv = ("corr", "--phi", "xc-1/2", "--psi", "xc-1/2")
+    _, want = run(capsys, *argv, "--n-max", "3")
+    for extra in (("--n-max", "3", "--seed", "5", "--samples", "20000"),
+                  ("--n-list", "3,2,1,0")):
+        assert run(capsys, *argv, *extra)[1] == want
 
 
 def test_mc_overflow_is_refused_without_warnings(capsys):
@@ -419,6 +428,28 @@ def test_slope_input_fuzz(header, rows, bad_row, at, window, model):
 
 HEADLINE = ("corr", "--M", "2", "--a", "1/4", "--b", "1/4", "--phi", "xc-1/2",
             "--psi", "xc-1/2", "--method", "squarewave", "--n-max", "8192")
+# sha256 of the headline's header and rows, without the footer line: the
+# numbers, whatever the footer's hash of the settings and version
+HEADLINE_ROWS_SHA256 = \
+    "b324af52126e9f9bfc5d5c51f7c44ee3192c09d31e85430753882c41e3a598dc"
+
+
+def test_headline_rows_are_pinned(capsys):
+    assert main(list(HEADLINE)) == 0
+    out = capsys.readouterr().out
+    rows = out[:out.rindex("# config=")]
+    assert hashlib.sha256(rows.encode()).hexdigest() == HEADLINE_ROWS_SHA256
+
+
+def test_headline_has_the_readme_sha256(capsys):
+    # the CI check: the first 64-hex value in backquotes in the README is
+    # the sha256 of the headline's whole output
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        expected = re.search(r"`([0-9a-f]{64})`", fh.read()).group(1)
+    assert main(list(HEADLINE)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        expected
 
 
 def test_headline_csv_streams(tmp_path):
@@ -455,9 +486,8 @@ def test_headline_stdout_is_the_file(tmp_path, capsys):
     (["slope", "--in", "{csv}", "--window", "a:b"], "--window"),
     (["ruin", "--delta", "0"], "--delta"),
     (["ruin", "--n", "-3"], "--n"),
-    # died in from_affine with a TypeError
-    (["corr", "--method", "haar", "--phi", "xc-1/2", "--psi", "xc-1/2",
-      "--truncation-level", "-3", "--n-max", "4"], "--truncation-level"),
+    # ran as w = M a whatever --b said: a + b = 9/20 at M = 2
+    (["apply-op", "--op", "p0", "--a", "1/5", "--in", "{pc1}"], "--a"),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
     pc1 = tmp_path / "chi.json"
@@ -469,6 +499,17 @@ def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag}")
+
+
+def test_truncation_level_is_an_unknown_flag(capsys):
+    # it set the projection of an affine observable onto the Haar route,
+    # which now takes PC observables only
+    with pytest.raises(SystemExit) as exc:
+        main(["corr", "--method", "haar", "--phi", "xc-1/2", "--psi",
+              "xc-1/2", "--truncation-level", "-3", "--n-max", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --truncation-level" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("op,payload", [
@@ -563,10 +604,11 @@ def test_slope_names_the_input_it_cannot_read(tmp_path, capsys, text, cause):
 PINNED_FILES = {
     ("verify-all", "--seed", "7"):
         "5c38ce50ff23b4faf8927b5621f0c69c86986299407581f838a3c80165125fc4",
-    ("apply-op", "--op", "p0", "--a", "1/5", "--n", "6", "--in", "f1"):
+    ("apply-op", "--op", "p0", "--a", "1/5", "--b", "3/10", "--n", "6",
+     "--in", "f1"):
         "ab8e4fccb77138c930979496723f1cbbc655da4ef296d8c94cb6db3a82292b25",
-    ("apply-op", "--op", "p0", "--M", "3", "--a", "1/6", "--n", "3",
-     "--in", "g1"):
+    ("apply-op", "--op", "p0", "--M", "3", "--a", "1/6", "--b", "1/6",
+     "--n", "3", "--in", "g1"):
         "9e91f0b488c0f3a843bf590095ed38cd6d6d771113360c82e4f84b2c6be1369f",
     ("apply-op", "--op", "pfull3d", "--a", "1/5", "--b", "3/10", "--n", "3",
      "--in", "f3"):

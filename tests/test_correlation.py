@@ -83,15 +83,22 @@ def test_mixed_geometric_pc_exactness():
         assert sw[n].exact == direct
 
 
-def test_haar_projection_bound():
+def test_exact_routes_carry_no_error_bar():
+    # the Haar route projected an affine observable onto a dyadic grid and
+    # wrote the L2 bar of the tail it dropped; it takes PC ones only now
     from heterobaker.correlation import TruncationBudgetExceeded
-    ha = hb.exact_reduced_correlation(PHI, PHI, 5, mode="haar",
-                                      truncation_level=8)
-    sw = hb.exact_reduced_correlation(PHI, PHI, 5, numeric="rational")
-    for a, b in zip(ha, sw):
-        assert abs(a.value - float(b.exact)) <= a.error
-    with pytest.raises(TruncationBudgetExceeded):
+    stair = hb.staircase4()
+    with pytest.raises(ValueError, match="use the square-wave route"):
         hb.exact_reduced_correlation(PHI, PHI, 2, mode="haar")
+    with pytest.raises(TruncationBudgetExceeded, match="past its limit of 20"):
+        hb.exact_reduced_correlation(stair, stair, 19, mode="haar")
+    ha = hb.exact_reduced_correlation(stair, stair, 6, mode="haar")
+    assert all(rec.exact is not None for rec in ha)
+    for numeric in ("rational", "double"):
+        for phi, psi in ((PHI, PHI), (PHI, stair), (stair, stair)):
+            sw = hb.exact_reduced_correlation(phi, psi, 6, numeric=numeric)
+            assert all(rec.error == 0.0 for rec in sw)
+    assert all(rec.error == 0.0 for rec in ha)
 
 
 def _sw(*coefs):
@@ -629,6 +636,8 @@ def test_lower_bound_check():
     bump = pc_center(hb.PCFun1D.uniform([1, -1, -1, 1]))
     with pytest.raises(hb.NotMonotone):
         hb.lower_bound_check(bump, PHI, 8)
+    with pytest.raises(hb.NotMonotone, match="slope 0"):
+        hb.lower_bound_check(PHI, parse_observable("0*xc+1/3"), 8)
 
 
 def test_parse_observable_structure():
@@ -689,7 +698,7 @@ def test_parser_refuses_values_too_large_for_floats(text, message):
 def test_parser_takes_values_at_the_magnitude_limit():
     # x_c from -2^510 to 2^510, and a constant that underflows to 0.0
     obs = parse_observable(f"{2 ** 511}*xc-{2 ** 510}")
-    assert obs.holder_norm == 2.0 ** 510 + 2.0 ** 511
+    assert obs.xc_affine == (2 ** 511, -2 ** 510)
     for numeric in ("rational", "double"):
         series = hb.exact_reduced_correlation(obs, obs, 3, numeric=numeric)
         assert all(0 < rec.value < math.inf for rec in series)
