@@ -11,6 +11,9 @@ Branch strips are half-open on the left, with the last strip closed at 1,
 which makes classification total and deterministic.  All branch maps are
 orientation-preserving and diagonal, so exact rational arithmetic commutes
 with the geometry.
+
+`domain_box` and `branch_affine` state that geometry once; the exact maps,
+image boxes, inverse and tiling check read them.
 """
 
 from __future__ import annotations
@@ -116,6 +119,55 @@ def _check_in_cube(p) -> None:
                              "in [0, 1]")
 
 
+# ---------------------------------------------------------------------------
+# branch geometry: the one table, `domain_box` and `branch_affine`
+
+Box = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction],
+            tuple[Fraction, Fraction]]
+
+
+def all_symbols(params: BakerParams) -> list[Symbol]:
+    return ([Symbol(Kind.ALPHA, k) for k in range(1, params.M + 1)] +
+            [Symbol(Kind.BETA, k) for k in range(1, params.M + 1)])
+
+
+def domain_box(params: BakerParams, sym: Symbol) -> Box:
+    """The box of the cube on which the branch acts, per axis (lo, hi)."""
+    M, a = params.M, params.a
+    if sym.kind is Kind.ALPHA:
+        return (((sym.k - 1) * a, sym.k * a), (ZERO, ONE), (ZERO, ONE))
+    return ((M * a, ONE),
+            (Fraction(sym.k - 1, M), Fraction(sym.k, M)),
+            (ZERO, ONE))
+
+
+def image_box(params: BakerParams, sym: Symbol) -> Box:
+    """The branch's domain box mapped by its affine maps; all slopes are
+    positive, so the ends stay in order."""
+    return tuple((m * lo + c, m * hi + c) for (lo, hi), (m, c) in
+                 zip(domain_box(params, sym), branch_affine(params, sym)))
+
+
+def branch_affine(params: BakerParams, sym: Symbol):
+    """Per-axis (slope, offset) of the branch map; all slopes positive."""
+    M, a, b = params.M, params.a, params.b
+    if sym.kind is Kind.ALPHA:
+        return ((1 / a, -(sym.k - 1)),                     # x_u
+                (Fraction(1, M), Fraction(sym.k - 1, M)),  # x_c
+                (1 - M * b, ZERO))                         # x_s
+    return ((1 / (1 - M * a), -(M * a) / (1 - M * a)),
+            (Fraction(M), Fraction(1 - sym.k)),
+            (b, 1 + b * (sym.k - M - 1)))
+
+
+@lru_cache(maxsize=64)
+def branch_affines(params: BakerParams) -> MappingProxyType:
+    """{(kind, k): branch_affine(params, symbol)} for every branch, built
+    once per parameter set; read-only, since every caller shares it."""
+    return MappingProxyType({(s.kind, s.k): branch_affine(params, s)
+                             for s in all_symbols(params)})
+
+
 def classify(params: BakerParams, p) -> Symbol:
     """The unique branch symbol whose domain contains p in [0,1]^3."""
     xu, xc, xs = frac(p[0]), frac(p[1]), frac(p[2])
@@ -127,64 +179,47 @@ def classify(params: BakerParams, p) -> Symbol:
     return Symbol(Kind.BETA, k)
 
 
-def apply_tau(params: BakerParams, xu):
-    """The piecewise-affine expanding factor map on [0,1]."""
-    xu = frac(xu)
-    M, a = params.M, params.a
-    if xu < M * a:
-        k = int(xu / a) + 1
-        return (xu - (k - 1) * a) / a
-    return (xu - M * a) / (1 - M * a)
+def apply_f3(params: BakerParams, p):
+    """One step of the 3D map on (x_u, x_c, x_s): x -> m x + c per axis,
+    with the (m, c) of the branch whose domain holds p."""
+    p = tuple(map(frac, p))
+    return tuple(m * x + c for x, (m, c) in
+                 zip(p, branch_affine(params, classify(params, p))))
 
 
 def apply_f2(params: BakerParams, p):
-    """One step of the 2D map on (x_u, x_c)."""
-    xu, xc = frac(p[0]), frac(p[1])
-    M = params.M
-    sym = classify(params, (xu, xc, ZERO))
-    if sym.kind is Kind.ALPHA:
-        return (apply_tau(params, xu), xc / M + Fraction(sym.k - 1, M))
-    return (apply_tau(params, xu), M * xc - sym.k + 1)
+    """One step of the 2D map on (x_u, x_c): the first two coordinates of
+    the 3D map, which do not depend on x_s."""
+    return apply_f3(params, (p[0], p[1], ZERO))[:2]
 
 
-def apply_f3(params: BakerParams, p):
-    """One step of the 3D map on (x_u, x_c, x_s)."""
-    xu, xc, xs = frac(p[0]), frac(p[1]), frac(p[2])
-    M, b = params.M, params.b
-    sym = classify(params, (xu, xc, xs))
-    yu, yc = apply_f2(params, (xu, xc))
-    if sym.kind is Kind.ALPHA:
-        return (yu, yc, (1 - M * b) * xs)
-    return (yu, yc, b * xs + 1 + b * (sym.k - M - 1))
+def apply_tau(params: BakerParams, xu):
+    """The piecewise-affine expanding factor map on [0,1]: the first
+    coordinate of the 3D map."""
+    return apply_f3(params, (xu, ZERO, ZERO))[0]
 
 
 def apply_f3_inverse(params: BakerParams, p):
     """The a.e. inverse of the 3D map (requires a + b = 1/M).
 
-    The branch is read off the image partition: x_s < 1 - Mb comes from an
-    alpha branch (index from the x_c strip), otherwise from the beta branch
-    whose x_s slab contains the point.  Raises BoundaryPoint on internal
-    image-cell boundaries, where two preimages collide.
+    The branch is the one whose closed image box holds the point, and each
+    axis is mapped back by y -> (y - c) / m.  Raises BoundaryPoint where
+    more than one closed image box holds it: on an internal boundary of
+    the image tiling, where two preimages collide.  Scans all 2M branches.
     """
     if not params.is_measure_preserving:
         raise ValueError("inverse is defined for measure-preserving parameters")
-    xu, xc, xs = frac(p[0]), frac(p[1]), frac(p[2])
-    M, a, b = params.M, params.a, params.b
-    cut = 1 - M * b  # = Ma
-    if xs < cut:
-        # alpha_k with k from the x_c strip
-        kf = xc * M
-        if kf.denominator == 1 and 0 < kf < M:
-            raise BoundaryPoint(f"x_c = {xc} lies on an alpha image seam")
-        k = min(int(kf) + 1, M)
-        return (a * xu + (k - 1) * a, M * xc - (k - 1), xs / (1 - M * b))
-    off = (xs - cut) / b
-    if off.denominator == 1 and 0 <= off < M:
-        raise BoundaryPoint(f"x_s = {xs} lies on a beta slab seam")
-    k = min(int(off) + 1, M)
-    return ((1 - M * a) * xu + M * a,
-            (xc + k - 1) / M,
-            (xs - 1 - b * (k - M - 1)) / b)
+    p = tuple(map(frac, p))
+    _check_in_cube(p)
+    hits = [s for s in all_symbols(params)
+            if all(lo <= y <= hi for y, (lo, hi) in
+                   zip(p, image_box(params, s)))]
+    if len(hits) > 1:
+        raise BoundaryPoint(f"({', '.join(map(str, p))}) lies on the "
+                            f"boundary of the images of "
+                            f"{' and '.join(map(str, hits))}")
+    return tuple((y - c) / m for y, (m, c) in
+                 zip(p, branch_affine(params, hits[0])))
 
 
 def orbit(params: BakerParams, p, n: int, exact: bool = False) -> list:
@@ -207,8 +242,8 @@ def orbit(params: BakerParams, p, n: int, exact: bool = False) -> list:
     M = params.M
     a, b = float(params.a), float(params.b)
     Ma, Mb = M * a, M * b
+    _check_in_cube(p)  # before float(), which overflows past 2^1024
     xu, xc, xs = float(p[0]), float(p[1]), float(p[2])
-    _check_in_cube((xu, xc, xs))
     pts = [(xu, xc, xs)]
     for _ in range(n):
         if xu < Ma:
@@ -263,55 +298,7 @@ def itinerary_stats(params: BakerParams, p=None, n: int = 10 ** 6,
 
 
 # ---------------------------------------------------------------------------
-# branch geometry: domains, images, exact tiling check
-
-Box = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction],
-            tuple[Fraction, Fraction]]
-
-
-def all_symbols(params: BakerParams) -> list[Symbol]:
-    return ([Symbol(Kind.ALPHA, k) for k in range(1, params.M + 1)] +
-            [Symbol(Kind.BETA, k) for k in range(1, params.M + 1)])
-
-
-def domain_box(params: BakerParams, sym: Symbol) -> Box:
-    M, a = params.M, params.a
-    if sym.kind is Kind.ALPHA:
-        return (((sym.k - 1) * a, sym.k * a), (ZERO, ONE), (ZERO, ONE))
-    return ((M * a, ONE),
-            (Fraction(sym.k - 1, M), Fraction(sym.k, M)),
-            (ZERO, ONE))
-
-
-def image_box(params: BakerParams, sym: Symbol) -> Box:
-    M, b = params.M, params.b
-    if sym.kind is Kind.ALPHA:
-        return ((ZERO, ONE),
-                (Fraction(sym.k - 1, M), Fraction(sym.k, M)),
-                (ZERO, 1 - M * b))
-    lo = 1 + b * (sym.k - M - 1)
-    return ((ZERO, ONE), (ZERO, ONE), (lo, lo + b))
-
-
-def branch_affine(params: BakerParams, sym: Symbol):
-    """Per-axis (slope, offset) of the branch map; all slopes positive."""
-    M, a, b = params.M, params.a, params.b
-    if sym.kind is Kind.ALPHA:
-        return ((1 / a, -(sym.k - 1)),                     # x_u
-                (Fraction(1, M), Fraction(sym.k - 1, M)),  # x_c
-                (1 - M * b, ZERO))                         # x_s
-    return ((1 / (1 - M * a), -(M * a) / (1 - M * a)),
-            (Fraction(M), Fraction(1 - sym.k)),
-            (b, 1 + b * (sym.k - M - 1)))
-
-
-@lru_cache(maxsize=64)
-def branch_affines(params: BakerParams) -> MappingProxyType:
-    """{(kind, k): branch_affine(params, symbol)} for every branch, built
-    once per parameter set; read-only, since every caller shares it."""
-    return MappingProxyType({(s.kind, s.k): branch_affine(params, s)
-                             for s in all_symbols(params)})
-
+# exact tiling check
 
 def _box_volume(box: Box) -> Fraction:
     v = ONE
@@ -337,8 +324,8 @@ def tiling_report(params: BakerParams) -> dict:
 
     disjoint = not any(overlap(images[i], images[j])
                        for i in range(len(images)) for j in range(i + 1, len(images)))
-    volume_match = all(_box_volume(image_box(params, s)) ==
-                       _box_volume(domain_box(params, s)) for s in syms)
+    volume_match = all(_box_volume(img) == _box_volume(domain_box(params, s))
+                       for s, img in zip(syms, images))
     return {
         "images_disjoint": disjoint,
         "total_image_volume": total,

@@ -113,7 +113,10 @@ def cmd_orbit(args) -> int:
     pts = orbit(params, tuple(point), args.n, exact=args.mode == "exact")
     rows = ((i, *(str(c) if args.mode == "exact" else repr(float(c))
                   for c in p)) for i, p in enumerate(pts))
-    _write_csv(args.out, ["n", "xu", "xc", "xs"], rows, vars(args))
+    # the footer hashes the fractions in lowest terms, however spelled
+    config = {**vars(args), "a": params.a, "b": params.b,
+              "point": ",".join(map(str, point))}
+    _write_csv(args.out, ["n", "xu", "xc", "xs"], rows, config)
     return 0
 
 
@@ -122,7 +125,8 @@ def _read_pcfun(path: str, parse, keys: str):
         payload = fh.read()
     try:
         return parse(payload)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, RecursionError, TypeError, ValueError,
+            ZeroDivisionError) as exc:    # RecursionError: deep nesting
         raise ValueError(f"--in: {path} is not a PC function in JSON with keys "
                          f"{keys} ({type(exc).__name__}: {exc})") from None
 
@@ -151,9 +155,13 @@ def cmd_apply_op(args) -> int:
 
 def cmd_ruin(args) -> int:
     _at_least(args.n, 0, "--n")
-    if args.init:
+    if args.init is not None:
         profile = [_frac(x, "--init") for x in args.init.split(",")]
         state = RuinState.from_profile(profile)
+        # every later mass is at most the total
+        if args.mode == "double" and state.survival() > sys.float_info.max:
+            raise ValueError("--init: the masses sum past the float range "
+                             "of --mode double")
     else:
         state = RuinState.delta(_at_least(args.delta, 1, "--delta"))
 
@@ -165,15 +173,22 @@ def cmd_ruin(args) -> int:
             if n < args.n:
                 state = step(state)
 
-    _write_csv(args.out, ["n", "l", "q"], rows(state), vars(args))
+    # --init replaces --delta, which then sets nothing
+    config = {k: v for k, v in vars(args).items()
+              if k != "delta" or args.init is None}
+    _write_csv(args.out, ["n", "l", "q"], rows(state), config)
     return 0
 
 
 def cmd_ruin_transition(args) -> int:
     rows = []
     for n in args.n:
-        p = transition_prob(args.l, args.lp, n)
-        ratio = float(p) * n ** 1.5 / (args.l * args.lp)
+        try:
+            p = transition_prob(args.l, args.lp, n)
+            ratio = float(p) * n ** 1.5 / (args.l * args.lp)
+        except OverflowError:
+            raise ValueError("--l, --lp and --n: the ratio p n^1.5 / (l lp) "
+                             "needs them inside the float range") from None
         rows.append((n, args.l, args.lp, float(p), ratio))
     _write_csv(args.out, ["n", "l", "lp", "p", "ratio"], rows, vars(args))
     return 0
@@ -227,11 +242,12 @@ def cmd_corr(args) -> int:
     rows = ((rec.n, repr(rec.value), rec.method, repr(rec.error))
             for rec in records)
     # the footer hashes what sets the rows: the n written, however they
-    # were listed, and the sampling flags only where they are read
+    # were listed, the parameters in lowest terms, however spelled, and
+    # the sampling flags only where they are read
     unread = {"n_list", "n_max"} | \
         (set() if args.method == "mc" else {"samples", "seed"})
     config = {k: v for k, v in vars(args).items() if k not in unread}
-    config["n"] = ns
+    config.update(a=params.a, b=params.b, n=ns)
     _write_csv(args.out, ["n", "value", "method", "err"], rows, config)
     return 0
 

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .baker import BakerParams, Kind, branch_affines
+from .baker import BakerParams, Kind, Symbol, branch_affines, domain_box
 from .haar import _grid_levels
 from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D,
                     _contract_lattice, _fractions, _moments, _pa_lattice,
@@ -356,25 +356,19 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
 @lru_cache(maxsize=64)
 def _branch_tables(params: BakerParams) -> tuple:
     """What a pushforward takes from the parameters alone, built once per
-    parameter set and read-only, since every call shares it: the x_u and
-    x_c breakpoints of the branch domains as lattices, and per axis (x_u,
-    x_c, x_s) the map of every branch, in `branch_affines` order, as
-    (m, c, lo, hi): x -> m x + c on the breakpoints from lo to hi."""
-    M, a = params.M, params.a
+    parameter set from `domain_box` and `branch_affines`, and read-only,
+    since every call shares it: per axis (x_u, x_c, x_s) the ends of the
+    branch domains as a lattice, and the map of every branch, in
+    `branch_affines` order, as (m, c, lo, hi): x -> m x + c on the
+    breakpoints from lo to hi."""
+    branches = [(domain_box(params, Symbol(kind, k)), affine)
+                for (kind, k), affine in branch_affines(params).items()]
     edges = tuple((_readonly(nums), denom) for nums, denom in (
-        _to_int_vector([k * a for k in range(M + 1)] + [ONE]),
-        _to_int_vector([Fraction(k, M) for k in range(M + 1)])))
-    maps = ([], [], [])
-    for (kind, k), ((mu, cu), (mc, cc), (ms, cs)) in \
-            branch_affines(params).items():
-        if kind is Kind.ALPHA:
-            maps[0].append((mu, cu, (k - 1) * a, k * a))
-            maps[1].append((mc, cc, ZERO, ONE))
-        else:
-            maps[0].append((mu, cu, M * a, ONE))
-            maps[1].append((mc, cc, Fraction(k - 1, M), Fraction(k, M)))
-        maps[2].append((ms, cs, ZERO, ONE))
-    return edges, tuple(map(tuple, maps))
+        _to_int_vector(sorted({x for box, _ in branches for x in box[axis]}))
+        for axis in range(3)))
+    maps = tuple(tuple((*affine[axis], *box[axis]) for box, affine in branches)
+                 for axis in range(3))
+    return edges, maps
 
 
 @lru_cache(maxsize=64)
@@ -397,8 +391,8 @@ def _push_plan(params: BakerParams, axes: tuple) -> tuple:
     those grids shares it.  `axes` holds the input grids (x_u, x_c and
     possibly x_s) as lattices with the numerators as tuples.
 
-    Per axis the grid is refined by the branch edges (x_u and x_c only),
-    and a branch maps its breakpoints from lo to hi by x -> m x + c; over
+    Per axis the grid is refined by the ends of the branch domains, and a
+    branch maps its breakpoints from lo to hi by x -> m x + c; over
     the grid's denominator times the lcm of the branches' m and c
     denominators every image is an integer.  The output grid is the sorted
     union of the images, and refined cell i covers the output cells from
@@ -410,7 +404,7 @@ def _push_plan(params: BakerParams, axes: tuple) -> tuple:
     grids, moves = [], []
     for axis, (nums, denom) in enumerate(axes):
         own = (np.array(nums, dtype=object), denom)
-        refined = _union([own, edges[axis]]) if axis < 2 else own
+        refined = _union([own, edges[axis]])
         cell = np.array(_refinement_index(own, refined, "refined"),
                         dtype=np.intp)
         nums, denom = refined[0].tolist(), refined[1]
@@ -562,18 +556,12 @@ def _require_neutral2(params: BakerParams) -> None:
         raise ValueError("tensor-component formulas are the M = 2 neutral case")
 
 
-def _pull_alpha(u: PCFun2D) -> tuple[PCFun2D, PCFun2D]:
-    # inverse branch factors on (x_u, x_s): (x_u/4, 2 x_s) and ((x_u+1)/4, 2 x_s)
-    q = Fraction(1, 4)
-    return (_pullback_2d(u, q, ZERO, Fraction(2), ZERO),
-            _pullback_2d(u, q, q, Fraction(2), ZERO))
-
-
-def _pull_beta(u: PCFun2D) -> tuple[PCFun2D, PCFun2D]:
-    # ((x_u+1)/2, 4 x_s - 2) and ((x_u+1)/2, 4 x_s - 3)
-    h = HALF
-    return (_pullback_2d(u, h, h, Fraction(4), Fraction(-2)),
-            _pullback_2d(u, h, h, Fraction(4), Fraction(-3)))
+def _pull(params: BakerParams, kind: Kind, u: PCFun2D) -> tuple:
+    """u pulled back by the inverse (x_u, x_s) factors y -> (y - c) / m of
+    each branch of `kind`, in branch order."""
+    return tuple(_pullback_2d(u, 1 / mu, -cu / mu, 1 / ms, -cs / ms)
+                 for (knd, _), ((mu, cu), _, (ms, cs)) in
+                 branch_affines(params).items() if knd is kind)
 
 
 def _tc_add(waves: dict, key, u: PCFun2D) -> None:
@@ -591,12 +579,12 @@ def p_hat_alpha(params: BakerParams, comp) -> "TensorComponents":
     _require_neutral2(params)
     waves: dict = {}
     for (l, k), u in comp.waves.items():
-        a1, a2 = _pull_alpha(u)
+        a1, a2 = _pull(params, Kind.ALPHA, u)
         _tc_add(waves, (l + 1, k), a1)
         _tc_add(waves, (l + 1, k + 2 ** (l - 1)), a2)
     zero00 = PCFun2D.constant(0)
     if not comp.component00.is_zero():
-        a1, a2 = _pull_alpha(comp.component00)
+        a1, a2 = _pull(params, Kind.ALPHA, comp.component00)
         _tc_add(waves, (1, 0), (a1 - a2) * HALF)
     waves = {key: u for key, u in waves.items() if not u.is_zero()}
     return TensorComponents(zero00, waves)
@@ -612,7 +600,7 @@ def p_hat_beta(params: BakerParams, comp) -> "TensorComponents":
     waves: dict = {}
     comp00 = PCFun2D.constant(0)
     for (l, k), u in comp.waves.items():
-        b1, b2 = _pull_beta(u)
+        b1, b2 = _pull(params, Kind.BETA, u)
         if l == 1:
             comp00 = comp00 + b1 - b2
         elif k < 2 ** (l - 2):
@@ -620,8 +608,8 @@ def p_hat_beta(params: BakerParams, comp) -> "TensorComponents":
         else:
             _tc_add(waves, (l - 1, k - 2 ** (l - 2)), b2)
     if not comp.component00.is_zero():
-        b1, b2 = _pull_beta(comp.component00)
-        a1, a2 = _pull_alpha(comp.component00)
+        b1, b2 = _pull(params, Kind.BETA, comp.component00)
+        a1, a2 = _pull(params, Kind.ALPHA, comp.component00)
         comp00 = comp00 + b1 + b2 + (a1 + a2) * HALF
     waves = {key: u for key, u in waves.items() if not u.is_zero()}
     return TensorComponents(comp00, waves)
@@ -671,8 +659,8 @@ def fiber_average_decay_check(params: BakerParams, u: PCFun3D,
     if not xs_fiber_averages_zero(u):
         raise FiberAverageNonZero("stable-fiber averages of u must vanish")
     c0, cu, cc, cs = map(frac, v_affine)
-    M, b = params.M, params.b
-    sigma = (1 - M * b, b)  # stable slope on alpha / beta regions
+    # the x_s slope of the alpha and beta regions, shared by their branches
+    sigma = tuple(branch_affines(params)[kind, 1][2][0] for kind in Kind)
 
     u_l1 = float(u.l1_norm())
     # Euclidean Lipschitz constant of the affine map; float is fine for a bound

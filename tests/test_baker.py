@@ -96,12 +96,36 @@ def test_inverse_boundary():
         hb.apply_f3_inverse(hb.BakerParams(2, F(1, 5), F(1, 5)), (0, 0, 0))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 256), st.integers(1, 256), st.integers(1, 256))
-def test_round_trip(i, j, k):
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([NEUTRAL, hb.BakerParams(2, F(1, 5), F(3, 10)),
+                        hb.BakerParams.neutral(3), hb.BakerParams.neutral(4)]),
+       st.integers(1, 256), st.integers(1, 256), st.integers(1, 256))
+def test_round_trip(params, i, j, k):
     # denominator 257 is prime, so no coordinate lands on a branch seam
     p = (F(i, 257), F(j, 257), F(k, 257))
-    assert hb.apply_f3_inverse(NEUTRAL, hb.apply_f3(NEUTRAL, p)) == p
+    assert hb.apply_f3_inverse(params, hb.apply_f3(params, p)) == p
+
+
+@pytest.mark.parametrize("point", [
+    (F(1, 3), F(1, 3), F(1, 4)),    # interior x_c seam, x_s below 1 - Mb
+    (F(1, 3), F(2, 3), F(1, 4)),
+    (F(1, 3), F(1, 5), F(1, 2)),    # the face x_s = 1 - Mb
+    (F(1, 3), F(1, 5), F(2, 3)),    # interior beta slab seams
+    (F(1, 3), F(1, 5), F(5, 6)),
+])
+def test_inverse_boundary_at_m3(point):
+    # at M = 3 the alpha images meet at x_c = 1/3, 2/3 below x_s = 1/2,
+    # and the beta slabs [1/2, 2/3], [2/3, 5/6], [5/6, 1] above it
+    with pytest.raises(hb.BoundaryPoint):
+        hb.apply_f3_inverse(hb.BakerParams.neutral(3), point)
+
+
+def test_inverse_on_the_outer_faces_at_m3():
+    # a point on a face of the cube lies in one closed image box only
+    params = hb.BakerParams.neutral(3)
+    for p in [(0, 0, 0), (1, 1, 1), (F(1, 3), 0, F(1, 4)), (F(1, 3), 1, 1)]:
+        p = tuple(map(F, p))
+        assert hb.apply_f3(params, hb.apply_f3_inverse(params, p)) == p
 
 
 @pytest.mark.parametrize("M,a,b", [

@@ -263,6 +263,24 @@ _N_LIST_TEXT = st.one_of(
     st.text(alphabet="0123456789,- x", max_size=2))
 
 
+def _runs_or_refuses(argv, head):
+    """Run argv with warnings raised as errors: it either exits 0 with
+    stdout starting with `head`, or exits 2 with empty stdout and one
+    `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert out.getvalue().startswith(head)
+
+
 @settings(max_examples=200, deadline=None)
 @given(phi=_OBSERVABLE_TEXT, psi=st.none() | _OBSERVABLE_TEXT, params=_PARAMS,
        n_max=st.integers(-2, 6), n_list=st.none() | _N_LIST_TEXT,
@@ -282,18 +300,7 @@ def test_corr_input_fuzz(phi, psi, params, n_max, n_list, method, seed,
             "--samples=10000", f"--seed={seed}"]
     if n_list is not None:
         argv.append(f"--n-list={n_list}")
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(argv)
-    assert code in (0, 2)
-    if code == 2:
-        assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-    else:
-        assert out.getvalue().startswith("n,value,method,err\n")
+    _runs_or_refuses(argv, "n,value,method,err\n")
 
 
 @pytest.mark.parametrize("method,obs", [
@@ -616,6 +623,14 @@ PINNED_FILES = {
     ("apply-op", "--op", "pfull3d", "--M", "3", "--a", "1/6", "--b", "1/6",
      "--n", "2", "--in", "f3"):
         "18eb349b59a4c0061737abccb03e66fdbfd687e919465ffd0165400d3d0eea11",
+    # orbit --mode exact runs apply_f3 on every step, --mode float the float
+    # loop; a ruin run without --init keeps --delta in its footer's hash
+    ("orbit", "--point", "1/10,3/10,1/2", "--n", "40", "--mode", "exact"):
+        "028b2421d91cb7eb90a1630b78d29516dfb6950b39bbc50034f4e1c5a2267950",
+    ("orbit", "--point", "1/10,3/10,1/2", "--n", "40", "--mode", "float"):
+        "d5d22eccd210840db97ed4be473b70b764e67cc63ac8526b6ce7e1456eb024ed",
+    ("ruin", "--delta", "3", "--n", "12"):
+        "f9537c963d11a1789f8b91ae2cbed0e5d54ab24ef716cbda1e66fdef3950c6d8",
 }
 
 
@@ -650,3 +665,144 @@ def test_mc_takes_a_constant_observable(capsys):
     assert (n, method) == ("1", "monte-carlo")
     # a constant has no correlation with anything
     assert abs(float(value)) <= 5 * float(err)
+
+
+# fractions past the float range, unreduced and negative ones on top of
+# _FRACTION_TEXT
+_WIDE_FRACTION_TEXT = _FRACTION_TEXT | st.sampled_from(
+    ["2/8", "-1/2", "1e400", f"1/{10 ** 400}", "1/2/3", "1.5"])
+
+
+def _comma_list(elements, max_size):
+    return st.lists(elements, max_size=max_size).map(",".join) | \
+        st.text(alphabet="0123456789/,-e. ", max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=_PARAMS, point=_comma_list(_WIDE_FRACTION_TEXT, 4),
+       n=st.integers(-3, 200), mode=st.sampled_from(["exact", "float"]))
+def test_orbit_input_fuzz(params, point, n, mode):
+    # any input either runs or is refused with one named error line
+    M, a, b = params
+    _runs_or_refuses(["orbit", f"--M={M}", f"--a={a}", f"--b={b}",
+                      f"--point={point}", f"--n={n}", f"--mode={mode}"],
+                     "n,xu,xc,xs\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(delta=st.integers(-3, 60) | st.just(10 ** 3),
+       init=st.none() | _comma_list(_WIDE_FRACTION_TEXT, 6),
+       n=st.integers(-3, 40), mode=st.sampled_from(["rational", "double"]),
+       dense=st.booleans())
+def test_ruin_input_fuzz(delta, init, n, mode, dense):
+    argv = ["ruin", f"--delta={delta}", f"--n={n}", f"--mode={mode}"]
+    if init is not None:
+        argv.append(f"--init={init}")
+    _runs_or_refuses(argv + ["--dense"] * dense, "n,l,q\n")
+
+
+# the closed form loops lp times once n >= l + lp, so lp stays small
+@settings(max_examples=150, deadline=None)
+@given(l=st.integers(-2, 70) | st.sampled_from([10 ** 30, 10 ** 400]),
+       lp=st.integers(-2, 70),
+       ns=st.lists(st.integers(-2, 200) |
+                   st.sampled_from([10 ** 210, 10 ** 400]),
+                   min_size=1, max_size=4))
+def test_ruin_transition_input_fuzz(l, lp, ns):
+    _runs_or_refuses(["ruin-transition", f"--l={l}", f"--lp={lp}", "--n",
+                      *map(str, ns)], "n,l,lp,p,ratio\n")
+
+
+_JSON_LEAF = st.none() | st.booleans() | st.integers(-3, 3) | \
+    st.floats(allow_nan=True, allow_infinity=True) | _WIDE_FRACTION_TEXT
+_JSON = st.recursive(_JSON_LEAF, lambda inner: st.lists(inner, max_size=4) | (
+    st.dictionaries(st.sampled_from(["breakpoints", "values", "xu", "xc",
+                                     "xs"]), inner, max_size=5)),
+    max_leaves=12)
+# a grid from 0 to 1 with its values, as the writer spells them, so that
+# most inputs get past the parser
+_GRID = st.lists(st.fractions(0, 1, max_denominator=12), max_size=3).map(
+    lambda xs: ["0", *sorted({str(x) for x in xs} - {"0", "1"}), "1"])
+
+
+def _pc1_json(grid, values):
+    return json.dumps({"breakpoints": grid, "values": values[:len(grid) - 1]})
+
+
+def _pc3_json(grids, values):
+    shape = [len(g) - 1 for g in grids]
+    cells = np.resize(np.array(values or ["0"], dtype=object), shape)
+    return json.dumps({"xu": grids[0], "xc": grids[1], "xs": grids[2],
+                       "values": cells.tolist()})
+
+
+_VALUES = st.lists(st.integers(-5, 5).map(str) | _WIDE_FRACTION_TEXT,
+                   min_size=1, max_size=27)
+_PC_TEXT = st.one_of(
+    st.builds(_pc1_json, _GRID, _VALUES),
+    st.builds(_pc3_json, st.tuples(_GRID, _GRID, _GRID), _VALUES),
+    _JSON.map(json.dumps),
+    st.text(max_size=12),
+    st.integers(1, 5000).map(lambda k: "[" * k + "]" * k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=st.sampled_from(["p0", "palpha", "pbeta", "pfull3d"]),
+       params=st.sampled_from(_PRESETS + [(3, "1/6", "1/6")]) | _PARAMS,
+       n=st.integers(-2, 3), text=_PC_TEXT)
+def test_apply_op_input_fuzz(op, params, n, text):
+    M, a, b = params
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        _runs_or_refuses(["apply-op", f"--op={op}", f"--M={M}", f"--a={a}",
+                          f"--b={b}", f"--n={n}", f"--in={path}"], "{")
+
+
+@pytest.mark.parametrize("argv,named", [
+    # each raised a Python error (OverflowError) or, for --init "", ran
+    # --delta 1 instead
+    (["orbit", "--point=1e400,1/2,1/2", "--mode=float"], "x_u = "),
+    (["ruin", "--init=1e400", "--mode=double"], "--init"),
+    (["ruin", "--init="], "--init"),
+    (["ruin-transition", "--l=1", "--lp=1", "--n", str(10 ** 210)], "--n"),
+    (["ruin-transition", "--l=1", "--lp=1", "--n", str(10 ** 400)], "--n"),
+])
+def test_out_of_range_input_is_refused(capsys, argv, named):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+def test_apply_op_refuses_deeply_nested_json(tmp_path, capsys):
+    # json raised RecursionError past about 1000 levels
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code = main(["apply-op", "--op", "p0", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: --in") and \
+        "RecursionError" in captured.err
+
+
+def test_ruin_init_footer_does_not_hash_delta(capsys):
+    # --init replaces --delta, so the two runs wrote the same rows under
+    # the footers config=2287047fa868 and config=c7ec6917a39e
+    argv = ("ruin", "--init", "1/2,1/2", "--n", "2")
+    assert run(capsys, *argv, "--delta", "1") == \
+        run(capsys, *argv, "--delta", "5")
+
+
+@pytest.mark.parametrize("argv", [
+    ("corr", "--phi", "xc-1/2", "--psi", "xc-1/2", "--n-max", "4"),
+    ("orbit", "--point", "1/10,3/10,1/2", "--n", "4"),
+])
+def test_fractions_hash_in_lowest_terms(capsys, argv):
+    # --a 1/4 and --a 2/8 wrote the same rows under two footers
+    want = run(capsys, *argv, "--a", "1/4", "--b", "1/4")
+    assert run(capsys, *argv, "--a", "2/8", "--b", "0.25") == want
+    if argv[0] == "orbit":
+        assert run(capsys, "orbit", "--point", "2/20,0.3,2/4", "--n", "4",
+                   "--a", "1/4", "--b", "1/4") == want
