@@ -30,11 +30,19 @@ from .verify import run_identity_suite
 
 
 def _frac(text: str, flag: str) -> Fraction:
+    """The fraction `text`, refused unless `str` can write its numerator
+    and denominator, which the exact outputs do."""
     try:
-        return frac(text)
+        value = frac(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{flag}: expected a fraction p/q with q != 0, "
                          f"got {text!r}") from None
+    # Python before 3.10.7 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        raise ValueError(f"{flag}: {text!r} has a numerator or denominator "
+                         f"of more than {limit} digits")
+    return value
 
 
 def _at_least(value: int, low: int, flag: str) -> int:
@@ -181,11 +189,16 @@ def cmd_ruin(args) -> int:
 
 
 def cmd_ruin_transition(args) -> int:
+    _at_least(args.l, 1, "--l")
+    _at_least(args.lp, 1, "--lp")
     rows = []
     for n in args.n:
         try:
+            # n^1.5 first, so that an n past the float range is refused
+            # before the float route loops min(l, lp) <= n/2 times
+            n_pow = _at_least(n, 1, "--n") ** 1.5
             p = transition_prob(args.l, args.lp, n)
-            ratio = float(p) * n ** 1.5 / (args.l * args.lp)
+            ratio = float(p) * n_pow / (args.l * args.lp)
         except OverflowError:
             raise ValueError("--l, --lp and --n: the ratio p n^1.5 / (l lp) "
                              "needs them inside the float range") from None

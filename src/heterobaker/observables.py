@@ -11,10 +11,11 @@ anything richer belongs to the library API.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,9 +64,7 @@ class Observable3D:
 
 
 def affine_center() -> Observable3D:
-    return Observable3D("affine-center",
-                        lambda xu, xc, xs: xc - 0.5,
-                        xc_affine=(Fraction(1), Fraction(-1, 2)), reads=_XC)
+    return replace(parse_observable("xc-1/2"), name="affine-center")
 
 
 def staircase4() -> Observable3D:
@@ -134,10 +133,67 @@ def _too_deep() -> ParseError:
     return ParseError(f"expression nests deeper than {MAX_DEPTH} levels")
 
 
+class _Node(NamedTuple):
+    """A finished subexpression: its evaluator on float arrays, its affine
+    form (c0, cu, cc, cs) or None, the coordinates it mentions (whatever
+    cancels in its value) and its depth, in nodes from root to deepest leaf."""
+
+    fn: Callable
+    affine: tuple | None
+    reads: frozenset
+    depth: int
+
+
+def _const(value: Fraction) -> _Node:
+    x = float(value)
+    return _Node(lambda *_: x, (value, *[Fraction(0)] * 3), frozenset(), 1)
+
+
+def _var(name: str) -> _Node:
+    i = ("xu", "xc", "xs").index(name)
+    form = [Fraction(0)] * 4
+    form[1 + i] = Fraction(1)
+    return _Node(lambda *coords: coords[i], tuple(form), frozenset((name,)), 1)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "min": np.minimum, "max": np.maximum}
+
+
+def _binary(op: str, a: _Node, b: _Node) -> _Node:
+    """The node `a op b`, refused past MAX_DEPTH as it is built:
+    evaluation recurses once per level."""
+    depth = 1 + max(a.depth, b.depth)
+    if depth > MAX_DEPTH:
+        raise _too_deep()
+    f, g, apply = a.fn, b.fn, _OPS[op]
+    return _Node(lambda xu, xc, xs: apply(f(xu, xc, xs), g(xu, xc, xs)),
+                 _binary_affine(op, a.affine, b.affine), a.reads | b.reads,
+                 depth)
+
+
+def _binary_affine(op: str, a, b):
+    """The affine form of `a op b` from those of a and b, else None."""
+    if a is None or b is None or op in ("min", "max"):
+        return None
+    if op == "+":
+        return tuple(x + y for x, y in zip(a, b))
+    if op == "-":
+        return tuple(x - y for x, y in zip(a, b))
+    # product: affine only when one side is constant
+    if not any(a[1:]):
+        return tuple(a[0] * y for y in b)
+    if not any(b[1:]):
+        return tuple(b[0] * x for x in a)
+    return None
+
+
 class _Parser:
-    """Recursive descent.  Every nesting (parenthesis, unary minus, min,
-    max) recurses through `factor`, which refuses more than MAX_DEPTH open
-    factors, so the recursion stays far from Python's limit."""
+    """Recursive descent whose productions build finished nodes.  Every
+    nesting (parenthesis, unary minus, min, max) recurses through `factor`,
+    which refuses more than MAX_DEPTH open factors, so the recursion stays
+    far from Python's limit; parentheses make no node, and the nodes refuse
+    a tree deeper than MAX_DEPTH themselves."""
 
     def __init__(self, tokens):
         self.toks = tokens
@@ -153,21 +209,18 @@ class _Parser:
             raise ParseError(
                 f"expected {value or kind!r}, got {_describe(k, v)}")
         self.i += 1
-        return v
+        return k, v
 
     def expr(self):
         node = self.term()
-        while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
-            opsym = self.take("sym")
-            rhs = self.term()
-            node = ("add" if opsym == "+" else "sub", node, rhs)
+        while self.peek() in (("sym", "+"), ("sym", "-")):
+            node = _binary(self.take()[1], node, self.term())
         return node
 
     def term(self):
         node = self.factor()
         while self.peek() == ("sym", "*"):
-            self.take("sym", "*")
-            node = ("mul", node, self.factor())
+            node = _binary(self.take()[1], node, self.factor())
         return node
 
     def factor(self):
@@ -175,26 +228,21 @@ class _Parser:
         if self.nesting > MAX_DEPTH:
             raise _too_deep()
         try:
-            k, v = self.peek()
-            if k == "sym" and v == "-":
-                self.take()
-                return ("neg", self.factor())
+            k, v = self.take()
+            if (k, v) == ("sym", "-"):     # -a as (-1) * a, exact in floats
+                return _binary("*", _const(Fraction(-1)), self.factor())
             if k == "num":
-                self.take()
-                return ("const", v)
-            if k == "word" and v in ("xu", "xc", "xs"):
-                self.take()
-                return ("var", v)
-            if k == "word" and v in ("min", "max"):
-                self.take()
+                return _const(v)
+            if k == "word" and v in COORDINATES:
+                return _var(v)
+            if k == "word":         # min or max
                 self.take("sym", "(")
                 a = self.expr()
                 self.take("sym", ",")
                 b = self.expr()
                 self.take("sym", ")")
-                return (v, a, b)
-            if k == "sym" and v == "(":
-                self.take()
+                return _binary(v, a, b)
+            if (k, v) == ("sym", "("):
                 node = self.expr()
                 self.take("sym", ")")
                 return node
@@ -207,97 +255,23 @@ def _describe(kind, value) -> str:
     return "end of input" if kind == "end" else repr(value)
 
 
-def _depth(tree) -> int:
-    """The number of nodes on the longest root-to-leaf path, without
-    recursion."""
-    deepest, stack = 0, [(tree, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack.extend((child, depth + 1) for child in node[1:]
-                     if isinstance(child, tuple))
-    return deepest
-
-
-def _eval_node(node, xu, xc, xs):
-    op = node[0]
-    if op == "const":
-        return float(node[1])
-    if op == "var":
-        return {"xu": xu, "xc": xc, "xs": xs}[node[1]]
-    if op == "neg":
-        return -_eval_node(node[1], xu, xc, xs)
-    a = _eval_node(node[1], xu, xc, xs)
-    b = _eval_node(node[2], xu, xc, xs)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "min":
-        return np.minimum(a, b)
-    return np.maximum(a, b)
-
-
-def _variables(node) -> frozenset:
-    """The coordinates the tree mentions, whatever cancels in its value."""
-    if node[0] == "var":
-        return frozenset((node[1],))
-    return frozenset().union(*(_variables(child) for child in node[1:]
-                               if isinstance(child, tuple)))
-
-
-def _affine_form(node):
-    """(c0, cu, cc, cs) if the node is affine in the coordinates, else None."""
-    op = node[0]
-    if op == "const":
-        return (node[1], Fraction(0), Fraction(0), Fraction(0))
-    if op == "var":
-        unit = {"xu": 1, "xc": 2, "xs": 3}[node[1]]
-        out = [Fraction(0)] * 4
-        out[unit] = Fraction(1)
-        return tuple(out)
-    if op == "neg":
-        a = _affine_form(node[1])
-        return None if a is None else tuple(-x for x in a)
-    if op in ("min", "max"):
-        return None
-    a, b = _affine_form(node[1]), _affine_form(node[2])
-    if a is None or b is None:
-        return None
-    if op == "add":
-        return tuple(x + y for x, y in zip(a, b))
-    if op == "sub":
-        return tuple(x - y for x, y in zip(a, b))
-    # product: affine only when one side is constant
-    if all(x == 0 for x in a[1:]):
-        return tuple(a[0] * y for y in b)
-    if all(x == 0 for x in b[1:]):
-        return tuple(b[0] * x for x in a)
-    return None
-
-
 def parse_observable(text: str) -> Observable3D:
     text = text.strip()
     if text in PRESETS:
         return PRESETS[text]()
     parser = _Parser(_tokenize(text))
-    tree = parser.expr()
+    root = parser.expr()
     if parser.peek()[0] != "end":
         raise ParseError("trailing input")
-    if _depth(tree) > MAX_DEPTH:     # the evaluators below recurse per level
-        raise _too_deep()
 
     def fn(xu, xc, xs):
-        return _eval_node(tree, np.asarray(xu, dtype=float),
-                          np.asarray(xc, dtype=float),
-                          np.asarray(xs, dtype=float))
+        return root.fn(np.asarray(xu, dtype=float),
+                       np.asarray(xc, dtype=float),
+                       np.asarray(xs, dtype=float))
 
-    aff = _affine_form(tree)
     xc_affine = None
-    if aff is not None:
-        c0, cu, cc, cs = aff
+    if root.affine is not None:
+        c0, cu, cc, cs = root.affine
         if cu == 0 and cs == 0:
             xc_affine = (cc, c0)
         sup = max(abs(c0 + cu * x + cc * y + cs * z)
@@ -305,4 +279,4 @@ def parse_observable(text: str) -> Observable3D:
         if sup > MAX_MAGNITUDE:
             raise ParseError("expression reaches magnitudes above 2^510, "
                              "too large for the float routes to square")
-    return Observable3D(text, fn, xc_affine=xc_affine, reads=_variables(tree))
+    return Observable3D(text, fn, xc_affine=xc_affine, reads=root.reads)

@@ -110,29 +110,30 @@ def transition_prob_exact(l: int, lp: int, n: int) -> Fraction:
 
 
 def transition_prob_float(l: int, lp: int, n: int) -> float:
-    """Stable double-precision evaluation via log-gamma.
+    """Stable double-precision evaluation in logarithms.
 
-    The binomial difference is rewritten as C(n,k2) * (ratio - 1) with the
-    ratio computed as the exact product prod (n+l+lp-2k)/(n-l+lp-2k), which
-    avoids the cancellation of two nearly equal huge terms.
+    p is symmetric in l and l', so let l' <= l; then k1 <= n/2 and the
+    binomial difference is 2^-n C(n,k1) (1 - r) with r = C(n,k2)/C(n,k1)
+    = prod_(j<l') (k1-j)/(n-k1+1+j), a product of l' factors below 1.  Its
+    logarithm is a sum of log1p terms, and p = exp(log 2^-n C(n,k1) +
+    log(1 - r)): no term overflows, and 1 - r = -expm1(log r) does not
+    cancel.
     """
     if min(l, lp) < 1 or n < 1:
         raise ValueError("need l, l' >= 1 and n >= 1")
     if (n - l + lp) % 2:
         return 0.0
+    l, lp = max(l, lp), min(l, lp)
     k1 = (n - l + lp) // 2
-    if k1 < 0 or k1 > n:
+    if k1 < 0:
         return 0.0
-    k2 = (n - l - lp) // 2
-    ln2 = math.log(2.0)
-    if k2 < 0:
-        logp = math.lgamma(n + 1) - math.lgamma(k1 + 1) - math.lgamma(n - k1 + 1)
-        return math.exp(logp - n * ln2)
-    logp2 = math.lgamma(n + 1) - math.lgamma(k2 + 1) - math.lgamma(n - k2 + 1)
-    ratio = 1.0
-    for k in range(lp):
-        ratio *= (n + l + lp - 2 * k) / (n - l + lp - 2 * k)
-    return math.exp(logp2 - n * ln2) * (ratio - 1.0)
+    log_pmf = math.lgamma(n + 1) - math.lgamma(k1 + 1) - \
+        math.lgamma(n - k1 + 1) - n * math.log(2.0)
+    if k1 < lp:     # k2 < 0: C(n, k2) = 0
+        return math.exp(log_pmf)
+    log_r = math.fsum(math.log1p(-(n - 2 * k1 + 1 + 2 * j) / (n - k1 + 1 + j))
+                      for j in range(lp))
+    return math.exp(log_pmf + math.log(-math.expm1(log_r)))
 
 
 def transition_prob(l: int, lp: int, n: int):
@@ -176,14 +177,13 @@ def surviving_path_histogram(l: int, n: int) -> dict[int, int]:
     return hist
 
 
-def asymptotic_ratio_report(n_list: Sequence[int], l_max: int | None = None) -> dict:
+def asymptotic_ratio_report(n_list: Sequence[int]) -> dict:
     """Ratios p^(n)_{l,l'} * n^(3/2) / (l*l') for parity-matching pairs with
-    l, l' <= n^(1/4) (or the given cap).  Diagnostic for the n^(-3/2)
-    two-sided bound; the interval is reported, not asserted."""
+    l, l' <= n^(1/4).  Diagnostic for the n^(-3/2) two-sided bound; the
+    interval is reported, not asserted."""
     rows = []
     for n in n_list:
-        cap = l_max if l_max is not None else max(1, int(n ** 0.25))
-        cap = min(cap, max(1, int(n ** 0.25)))
+        cap = max(1, int(n ** 0.25))
         for l in range(1, cap + 1):
             for lp in range(1, cap + 1):
                 if (n - l + lp) % 2:

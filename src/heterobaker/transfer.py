@@ -642,10 +642,10 @@ def xs_first_moment(u: PCFun3D) -> PCFun2D:
 
 def fiber_average_decay_check(params: BakerParams, u: PCFun3D,
                               v_affine: tuple, n_max: int,
-                              theta: float = 1.0,
-                              holder_norm: float | None = None) -> list[dict]:
+                              theta: float = 1.0) -> list[dict]:
     """Exact series <P^n u, v> for u with vanishing stable-fiber averages
-    and v affine, with the bound 2^(-theta n) ||u||_L1 ||v||_Ctheta attached.
+    and v affine, with the bound 2^(-theta n) ||u||_L1 ||v||_Ctheta attached,
+    ||v||_Ctheta taken as sup |v| plus the Lipschitz constant of v.
 
     For such u only the x_s-linear part of v survives the pairing, and the
     x_s coordinate of f^n is affine along each (x_u, x_c) cylinder with a
@@ -667,7 +667,7 @@ def fiber_average_decay_check(params: BakerParams, u: PCFun3D,
     lip = float(np.sqrt(float(cu) ** 2 + float(cc) ** 2 + float(cs) ** 2))
     vmax = max(abs(float(c0 + cu * x + cc * y + cs * z))
                for x in (0, 1) for y in (0, 1) for z in (0, 1))
-    v_norm = holder_norm if holder_norm is not None else vmax + lip
+    v_norm = vmax + lip
 
     h = xs_first_moment(u)
     rows = []

@@ -174,21 +174,22 @@ def check_duality(params: BakerParams, F: PCFun3D, G: PCFun3D,
     return lhs == pair_with_pullback(params, F, G, n)
 
 
-def run_identity_suite(seed: int = 7, n_functions: int = 3,
-                       n_compose: int = 2, n_reduce: int = 3) -> dict:
-    """Quick exact-identity sweep used by `heterobaker verify-identities`."""
+def run_identity_suite(seed: int = 7) -> dict:
+    """Quick exact-identity sweep used by `heterobaker verify-identities`:
+    three random functions through the P-hat sum and the compositions at
+    n = 2, two through the reduction at n = 3."""
     params = BakerParams.neutral(2)
     rng = np.random.Generator(np.random.Philox(key=seed))
     results = {"phat_sum": [], "formula_first": [], "formula_second": [],
                "reduction": []}
-    for _ in range(n_functions):
+    for _ in range(3):
         F = random_pc3(rng)
         results["phat_sum"].append(check_phat_sum(params, F))
-        ok1, ok2 = check_formula_compositions(params, F, n_compose)
+        ok1, ok2 = check_formula_compositions(params, F, 2)
         results["formula_first"].append(ok1)
         results["formula_second"].append(ok2)
     for level in (1, 2):
         f = random_pc1(rng, level)
-        results["reduction"].append(check_reduction(params, f, n_reduce))
+        results["reduction"].append(check_reduction(params, f, 3))
     results["passed"] = all(all(v) for v in results.values())
     return results

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heterobaker as hb
@@ -40,6 +40,17 @@ def test_ruin_transition_value(capsys):
     assert code == 0
     row = out.strip().splitlines()[1].split(",")
     assert float(row[3]) == 0.3125
+
+
+@pytest.mark.parametrize("l,lp,n", [(1000, 1000, 2000), (100, 2000, 3000)])
+def test_ruin_transition_past_the_exact_route(capsys, l, lp, n):
+    # the float route wrote p = nan, then p = 0.0 for 7.8e-285
+    code, out = run(capsys, "ruin-transition", f"--l={l}", f"--lp={lp}",
+                    "--n", str(n))
+    p, ratio = map(float, out.splitlines()[1].split(",")[3:])
+    exact = float(hb.transition_prob_exact(l, lp, n))
+    assert code == 0 and abs(p - exact) <= 1e-10 * exact
+    assert ratio == p * n ** 1.5 / (l * lp)
 
 
 def test_ruin_csv(capsys):
@@ -495,6 +506,10 @@ def test_headline_stdout_is_the_file(tmp_path, capsys):
     (["ruin", "--n", "-3"], "--n"),
     # ran as w = M a whatever --b said: a + b = 9/20 at M = 2
     (["apply-op", "--op", "p0", "--a", "1/5", "--in", "{pc1}"], "--a"),
+    # each exited 2 with "need l, l' >= 1 and n >= 1"
+    (["ruin-transition", "--l", "0", "--lp", "1", "--n", "3"], "--l"),
+    (["ruin-transition", "--l", "1", "--lp", "0", "--n", "3"], "--lp"),
+    (["ruin-transition", "--l", "1", "--lp", "1", "--n", "3", "0"], "--n"),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
     pc1 = tmp_path / "chi.json"
@@ -679,6 +694,7 @@ def _comma_list(elements, max_size):
 
 
 @settings(max_examples=150, deadline=None)
+@example(params=_PRESETS[0], point="1e-5000,0,0", n=1, mode="exact")
 @given(params=_PARAMS, point=_comma_list(_WIDE_FRACTION_TEXT, 4),
        n=st.integers(-3, 200), mode=st.sampled_from(["exact", "float"]))
 def test_orbit_input_fuzz(params, point, n, mode):
@@ -690,6 +706,9 @@ def test_orbit_input_fuzz(params, point, n, mode):
 
 
 @settings(max_examples=150, deadline=None)
+# past the digits that str writes: the header went out before the error
+@example(delta=1, init="1e5000", n=1, mode="rational", dense=False)
+@example(delta=1, init="1e-5000", n=1, mode="rational", dense=False)
 @given(delta=st.integers(-3, 60) | st.just(10 ** 3),
        init=st.none() | _comma_list(_WIDE_FRACTION_TEXT, 6),
        n=st.integers(-3, 40), mode=st.sampled_from(["rational", "double"]),
@@ -701,10 +720,12 @@ def test_ruin_input_fuzz(delta, init, n, mode, dense):
     _runs_or_refuses(argv + ["--dense"] * dense, "n,l,q\n")
 
 
-# the closed form loops lp times once n >= l + lp, so lp stays small
+# the float route loops min(l, lp) times, and n^1.5 is checked first, so
+# both levels may be large
 @settings(max_examples=150, deadline=None)
 @given(l=st.integers(-2, 70) | st.sampled_from([10 ** 30, 10 ** 400]),
-       lp=st.integers(-2, 70),
+       lp=st.integers(-2, 70) | st.integers(71, 10 ** 6) |
+       st.sampled_from([10 ** 30, 10 ** 400]),
        ns=st.lists(st.integers(-2, 200) |
                    st.sampled_from([10 ** 210, 10 ** 400]),
                    min_size=1, max_size=4))
@@ -768,6 +789,11 @@ def test_apply_op_input_fuzz(op, params, n, text):
     (["ruin", "--init="], "--init"),
     (["ruin-transition", "--l=1", "--lp=1", "--n", str(10 ** 210)], "--n"),
     (["ruin-transition", "--l=1", "--lp=1", "--n", str(10 ** 400)], "--n"),
+    # each wrote what came before its value, then the error of str past
+    # 4300 digits, which named no flag
+    (["ruin", "--init=1e5000", "--n=1"], "--init"),
+    (["ruin", "--init=1e-5000", "--n=1"], "--init"),
+    (["orbit", "--point=1e-5000,0,0", "--n=1"], "--point"),
 ])
 def test_out_of_range_input_is_refused(capsys, argv, named):
     code = main(argv)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -39,6 +40,19 @@ def test_float_route_matches_exact():
         exact = float(hb.transition_prob_exact(l, lp, n))
         assert hb.transition_prob_float(l, lp, n) == pytest.approx(
             exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [65, 66, 127, 500, 1001, 1999, 2000, 3000])
+def test_float_route_matches_exact_on_a_grid(n):
+    # (1000, 1000, 2000) gave nan, (100, 2000, 3000) 0.0 for 7.8e-285
+    levels = (1, 2, 3, 7, 50, 99, 100, 101, 500, 999, 1000, 1500, 2000)
+    for l in levels:
+        for lp in levels:
+            exact = float(hb.transition_prob_exact(l, lp, n))
+            got = hb.transition_prob_float(l, lp, n)
+            assert (got == 0) == (exact == 0), (l, lp, n)
+            if exact >= sys.float_info.min:
+                assert abs(got - exact) <= 1e-10 * exact, (l, lp, n)
 
 
 def test_recursion_vs_closed_form():
