@@ -22,11 +22,17 @@ from .correlation import (TruncationBudgetExceeded, _exp_fit, _plateau,
                           _power_fit, _window_arrays,
                           exact_reduced_correlation, mc_correlation_series)
 from .observables import ParseError, parse_observable
-from .pcfun import frac, pcfun1d_from_json, pcfun1d_to_json, \
-    pcfun3d_from_json, pcfun3d_to_json
+from .pcfun import _to_int_vector, frac, pcfun1d_from_json, \
+    pcfun1d_to_json, pcfun3d_from_json, pcfun3d_to_json
 from .ruin import RuinState, evolve_from, step, transition_prob
 from .transfer import ReducedOp, p0_apply, p_alpha, p_beta, p_full_3d_n
 from .verify import run_identity_suite
+
+
+def _digit_limit() -> int:
+    """The most digits `str` writes of an integer; 0 for no limit, as in
+    Python before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _frac(text: str, flag: str) -> Fraction:
@@ -37,8 +43,7 @@ def _frac(text: str, flag: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{flag}: expected a fraction p/q with q != 0, "
                          f"got {text!r}") from None
-    # Python before 3.10.7 has no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and max(abs(value.numerator), value.denominator) >= 10 ** limit:
         raise ValueError(f"{flag}: {text!r} has a numerator or denominator "
                          f"of more than {limit} digits")
@@ -119,6 +124,15 @@ def cmd_orbit(args) -> int:
     if len(point) != 3:
         raise ValueError(f"--point needs three coordinates, got {len(point)}")
     pts = orbit(params, tuple(point), args.n, exact=args.mode == "exact")
+    limit = _digit_limit()
+    if args.mode == "exact" and limit:
+        bound = 10 ** limit
+        for i, p in enumerate(pts):
+            if any(max(abs(c.numerator), c.denominator) >= bound for c in p):
+                raise ValueError(
+                    f"--n: step {i} of the exact orbit has a coordinate whose "
+                    f"numerator or denominator has more than {limit} digits; "
+                    f"--n {i - 1} is the longest orbit that can be written")
     rows = ((i, *(str(c) if args.mode == "exact" else repr(float(c))
                   for c in p)) for i, p in enumerate(pts))
     # the footer hashes the fractions in lowest terms, however spelled
@@ -172,6 +186,18 @@ def cmd_ruin(args) -> int:
                              "of --mode double")
     else:
         state = RuinState.delta(_at_least(args.delta, 1, "--delta"))
+    limit = _digit_limit()
+    if args.mode == "rational" and limit and args.n:
+        # step 0 writes the checked masses; a step halves the scale and at
+        # most doubles the largest numerator, so step m writes masses up to
+        # max(nums) 2^m over denom 2^m
+        nums, denom = _to_int_vector(state.q)
+        top, bound = max(*nums, denom), 10 ** limit
+        if args.n >= bound.bit_length() or top << args.n >= bound:
+            flag = "--delta" if args.init is None else "--init"
+            raise ValueError(
+                f"{flag} and --n: by step {args.n} the masses may have a "
+                f"numerator or denominator of more than {limit} digits")
 
     def rows(state):
         for n in range(args.n + 1):

@@ -4,7 +4,9 @@ Three exact representations of the reduced operator on functions of the
 center coordinate are implemented and cross-checked:
 
 * a grid route acting on piecewise-constant (and piecewise-affine)
-  functions, straight from the branch formulas;
+  functions, straight from the branch formulas: `p0_apply` steps
+  `p_alpha` + `p_beta` on the integer lattice of any rational grid
+  (breakpoints over one denominator, values over another);
 * a Haar-level route (M = 2): the alpha part copies a level-l
   coefficient to two level-(l+1) slots with weight w, the beta part folds a
   level-l coefficient down to level l-1 with weight (1-w)/2 and annihilates
@@ -14,15 +16,17 @@ center coordinate are implemented and cross-checked:
   `ruin.walk_step` with (up, down) = (w, 1-w).
 
 Every exact state holds Python ints in object arrays with one rational
-scale kept beside them: for w = wp/wq a grid step on a uniform M-adic grid
-(any M) divides the scale by M wq, a Haar step (M = 2) by 2 wq and a
-square-wave step by wq.  The Haar state is the level list of
-`haar.analyze_levels` (levels[l] holds the 2^(l-1) numerators of level l),
-and `p0_haar_step` is the one Haar step.  The oracle report runs the grid
-step, the Haar step and `walk_step` side by side and compares the grid's
-analysis with the stepped levels.  These kernels keep their input's dtype,
-so the report runs them on int64 for as long as a bound on each step's
-outputs stays below 2^63, and on Python ints from then on.
+scale kept beside them: for w = wp/wq the uniform integer step
+`_p0_step_int` on a uniform M-adic grid (any M) divides the scale by M wq,
+a Haar step (M = 2) by 2 wq and a square-wave step by wq.  The Haar state
+is the level list of `haar.analyze_levels` (levels[l] holds the 2^(l-1)
+numerators of level l), and `p0_haar_step` is the one Haar step.  The
+oracle report runs the uniform integer step, the Haar step and
+`walk_step` side by side and compares the grid's analysis with the
+stepped levels; the uniform step is written apart from `p_alpha` and
+`p_beta`, and the tests tie it to `p0_apply`.  These kernels keep their
+input's dtype, so the report runs them on int64 for as long as a bound on
+each step's outputs stays below 2^63, and on Python ints from then on.
 
 The general weight w = M*a is derived from averaging the full 3D operator
 over (x_u, x_s): the alpha branches carry total mass w = 1 - M*b and the
@@ -51,7 +55,7 @@ import numpy as np
 
 from .baker import BakerParams, Kind, Symbol, branch_affines, domain_box
 from .haar import _grid_levels
-from .pcfun import (ONE, ZERO, PAFun1D, PCFun1D, PCFun2D, PCFun3D,
+from .pcfun import (ONE, PAFun1D, PCFun1D, PCFun2D, PCFun3D,
                     _contract_lattice, _fractions, _moments, _pa_lattice,
                     _readonly, _reduced, _refinement_index, _to_int_vector,
                     _uniform_lattice, _union, _widths, frac)
@@ -107,33 +111,29 @@ class ReducedOp:
 # grid route (PC and piecewise-affine)
 
 def p_alpha(op: ReducedOp, f: PCFun1D) -> PCFun1D:
-    """Alpha part: w * u(Mx - k + 1) on the k-th strip [(k-1)/M, k/M)."""
-    M, w = op.M, op.w
-    bps: list[Fraction] = [ZERO]
-    vals: list[Fraction] = []
-    for k in range(M):
-        for b0, v in zip(f.breakpoints[1:], f.values):
-            bps.append((b0 + k) / M)
-            vals.append(w * v)
-    return PCFun1D(tuple(bps), tuple(vals))
+    """Alpha part: w u(Mx - k) on the k-th strip [k/M, (k+1)/M).  On f's
+    lattice (breakpoints x over d, values over denom) strip k has the
+    breakpoints (x + k d)/(M d) and the values times wp over denom wq."""
+    M, wp, wq = op.M, op.w.numerator, op.w.denominator
+    (x, d), (nums, denom) = f.axis_lattices[0], f.lattice
+    grid = np.concatenate([x[:1]] + [x[1:] + k * d for k in range(M)])
+    return PCFun1D._from_lattice(np.tile(wp * nums, M), denom * wq,
+                                 (_reduced(grid, M * d),))
 
 
 def p_beta(op: ReducedOp, f: PCFun1D) -> PCFun1D:
-    """Beta part: ((1-w)/M) * sum_j u((x+j)/M)."""
-    M, w = op.M, op.w
-    pieces = set()
-    for j in range(M):
-        lo, hi = Fraction(j, M), Fraction(j + 1, M)
-        for b in f.breakpoints:
-            if lo <= b <= hi:
-                pieces.add(M * b - j)
-    bps = tuple(sorted(pieces | {ZERO, ONE}))
-    coeff = (1 - w) / M
-    vals = []
-    for a0, a1 in zip(bps, bps[1:]):
-        mid = (a0 + a1) / 2
-        vals.append(coeff * sum((f((mid + j) / M) for j in range(M)), ZERO))
-    return PCFun1D(bps, tuple(vals))
+    """Beta part: ((1-w)/M) sum_j u((x+j)/M).  On f's lattice its
+    breakpoints over d are M x mod d and d; branch j reads each cell's left
+    end lo in the cell of M x that holds lo + j d, and the M values sum
+    times wq - wp over denom wq M."""
+    M, wp, wq = op.M, op.w.numerator, op.w.denominator
+    (x, d), (nums, denom) = f.axis_lattices[0], f.lattice
+    source = M * x
+    y = np.array(sorted({d, *(source % d).tolist()}), dtype=object)
+    total = sum(nums[np.searchsorted(source, y[:-1] + j * d, side="right") - 1]
+                for j in range(M))
+    return PCFun1D._from_lattice((wq - wp) * total, denom * wq * M,
+                                 (_reduced(y, d),))
 
 
 def _check_steps(n: int) -> None:
@@ -194,23 +194,9 @@ def _pa_step(x: np.ndarray, d: int, slopes: np.ndarray, icpts: np.ndarray,
 
 
 def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
-    """Exact P0^n f on piecewise-constant functions.
-
-    Uniform M-adic grids of level >= 1 take the integer kernel
-    `_p0_step_int` (numerators over a common denominator); anything else
-    runs the generic rational path.
-    """
+    """Exact P0^n f on piecewise-constant functions: n steps of
+    `p_alpha` + `p_beta` on the lattice of any rational grid."""
     _check_steps(n)
-    if n == 0:
-        return f
-    L = f.is_uniform_level(op.M)
-    if L is not None and L >= 1:
-        nums, denom = f.lattice
-        for _ in range(n):
-            nums = _p0_step_int(nums, op)
-        denom *= (op.M * op.w.denominator) ** n
-        return PCFun1D._from_lattice(nums, denom,
-                                     (_uniform_lattice(len(nums)),))
     for _ in range(n):
         f = p_alpha(op, f) + p_beta(op, f)
     return f

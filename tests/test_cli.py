@@ -510,6 +510,12 @@ def test_headline_stdout_is_the_file(tmp_path, capsys):
     (["ruin-transition", "--l", "0", "--lp", "1", "--n", "3"], "--l"),
     (["ruin-transition", "--l", "1", "--lp", "0", "--n", "3"], "--lp"),
     (["ruin-transition", "--l", "1", "--lp", "1", "--n", "3", "0"], "--n"),
+    # each wrote its first rows, then Python's message on the digits str
+    # writes; 2^14285 has 4301 digits
+    (["ruin", "--init", "1e4299,0,1e-4299", "--n", "1"], "--init"),
+    (["ruin", "--n", "14285"], "--delta"),
+    (["orbit", "--a", "1/1000", "--b", "1/1000", "--point", "1/3,1/3,1/3",
+      "--n", "3000", "--mode", "exact"], "--n"),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
     pc1 = tmp_path / "chi.json"
@@ -521,6 +527,20 @@ def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag}")
+
+
+def test_runs_within_the_digit_limit_are_written(capsys):
+    # the orbit refusal names the longest --n that str can write, and a
+    # ruin run of no steps writes the masses --init gave it
+    argv = ["orbit", "--a", "1/1000", "--b", "1/1000", "--point",
+            "1/3,1/3,1/3", "--mode", "exact", "--n"]
+    assert main([*argv, "3000"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "--n 1433 is the longest orbit that can be written\n")
+    code, out = run(capsys, *argv, "1433")
+    assert code == 0 and len(out.splitlines()) == 1436
+    code, out = run(capsys, "ruin", "--init", "1e4299,0,1e-4299", "--n", "0")
+    assert code == 0 and len(out.splitlines()) == 4
 
 
 def test_truncation_level_is_an_unknown_flag(capsys):
@@ -632,6 +652,13 @@ PINNED_FILES = {
     ("apply-op", "--op", "p0", "--M", "3", "--a", "1/6", "--b", "1/6",
      "--n", "3", "--in", "g1"):
         "9e91f0b488c0f3a843bf590095ed38cd6d6d771113360c82e4f84b2c6be1369f",
+    # the grid route's two parts, on a grid with non-dyadic breakpoints
+    ("apply-op", "--op", "palpha", "--M", "3", "--a", "1/6", "--b", "1/6",
+     "--n", "2", "--in", "g1"):
+        "54eac7a4e091a830ce7c54b0e004085a04fb779af7a31d76b0e1473a539a73f9",
+    ("apply-op", "--op", "pbeta", "--a", "1/5", "--b", "3/10", "--n", "1",
+     "--in", "g1"):
+        "2aac1df07e02c9edfc2a31938e48277ba1e85a555d59388b624fc7c74f9cc2c1",
     ("apply-op", "--op", "pfull3d", "--a", "1/5", "--b", "3/10", "--n", "3",
      "--in", "f3"):
         "cc297f1b9aec1acffaf856c8322829a2b338741e4324aece0a9d670ee2240b70",
@@ -709,6 +736,9 @@ def test_orbit_input_fuzz(params, point, n, mode):
 # past the digits that str writes: the header went out before the error
 @example(delta=1, init="1e5000", n=1, mode="rational", dense=False)
 @example(delta=1, init="1e-5000", n=1, mode="rational", dense=False)
+# each mass fits, but their sum does not: the header and the n = 0 rows
+# went out before the error
+@example(delta=1, init="1e4299,0,1e-4299", n=1, mode="rational", dense=False)
 @given(delta=st.integers(-3, 60) | st.just(10 ** 3),
        init=st.none() | _comma_list(_WIDE_FRACTION_TEXT, 6),
        n=st.integers(-3, 40), mode=st.sampled_from(["rational", "double"]),

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import heterobaker as hb
 from heterobaker import transfer
 from heterobaker.haar import _expansion
-from heterobaker.pcfun import _same, inner_product_3d
+from heterobaker.pcfun import _same, _uniform_lattice, inner_product_3d
 from heterobaker.transfer import (_p0_step_int, _pullback_2d, _to_int_vector,
                                   square_wave_levels, xs_fiber_averages_zero)
 from heterobaker.verify import (check_duality, check_formula_compositions,
@@ -69,12 +70,14 @@ def test_p0_haar_step_examples():
 
 
 def test_fast_path_matches_generic():
-    # the uniform-grid integer kernel and the generic rational path are the
-    # same operator; force the generic route via a redundant breakpoint
+    # a redundant breakpoint leaves the operator unchanged: the grid route
+    # on a uniform grid and on its refinement by a non-dyadic point agree
+    # (the uniform integer step is checked in
+    # test_grid_route_matches_the_uniform_integer_step)
     rng = np.random.Generator(np.random.Philox(key=77))
     for _ in range(4):
         f = random_pc1(rng, int(rng.integers(1, 5)))
-        bumped = f.refine([F(1, 3)])  # non-dyadic grid disables the kernel
+        bumped = f.refine([F(1, 3)])
         for n in (1, 3, 5):
             assert hb.p0_apply(OP, f, n).equals(hb.p0_apply(OP, bumped, n))
     # and for a non-neutral weight
@@ -90,6 +93,72 @@ def test_fast_path_matches_generic():
         for n in (1, 3):
             assert hb.p0_apply(op3, g, n).equals(
                 hb.p0_apply(op3, g.refine([F(1, 2)]), n))
+
+
+def _grid_route_cases():
+    """Seeded (operator, function, n): M in {2, 3, 4}, breakpoint
+    denominators from 2 to 16 (most of them non-dyadic), and every fourth
+    function on a uniform M-adic grid."""
+    rng = np.random.Generator(np.random.Philox(key=2024))
+    cases = []
+    for i in range(36):
+        M = (2, 3, 4)[i % 3]
+        op = hb.ReducedOp(M, (F(1, 2), F(2, 5), F(3, 7), F(5, 6))[i % 4])
+        if i % 4 == 3:
+            size = M ** int(rng.integers(1, 4 - M // 2))
+            f = hb.PCFun1D.uniform(
+                [F(int(v), 12) for v in rng.integers(-12, 13, size=size)])
+        else:
+            q = int(rng.integers(2, 17))
+            inner = {F(int(k), q) for k in rng.integers(1, q, size=3)}
+            bps = [0, *sorted(inner), 1]
+            f = hb.PCFun1D(bps, [F(int(v), int(rng.integers(1, 10))) for v
+                                 in rng.integers(-9, 10, size=len(bps) - 1)])
+        cases.append((op, f, 1 + i % 4))
+    return cases
+
+
+def test_grid_route_is_pinned():
+    # recorded while non-uniform grids ran per-cell Fraction loops and
+    # uniform ones the integer step: the lattice route keeps both outputs
+    outs = []
+    for op, f, n in _grid_route_cases():
+        outs += [hb.p_alpha(op, f), hb.p_beta(op, f), hb.p0_apply(op, f, n)]
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == \
+        "7d1f9ebe11332c74be88ea0781065163afed98038db874f16e223b8496a12da0"
+
+
+@pytest.mark.parametrize("w", [F(1, 2), F(2, 5), F(3, 5)])
+@pytest.mark.parametrize("M", [2, 3])
+def test_grid_route_matches_the_uniform_integer_step(M, w):
+    # _p0_step_int, the oracle report's grid step, is written apart from
+    # p_alpha and p_beta: n integer steps over denom (M wq)^n
+    rng = np.random.Generator(np.random.Philox(key=31))
+    op = hb.ReducedOp(M, w)
+    for L in (1, 2, 3):
+        f = hb.PCFun1D.uniform(
+            [F(int(v), 7) for v in rng.integers(-7, 8, size=M ** L)])
+        nums, denom = f.lattice
+        for n in range(1, 6):
+            nums = _p0_step_int(nums, op)
+            want = hb.PCFun1D._from_lattice(
+                nums, denom * (M * w.denominator) ** n,
+                (_uniform_lattice(len(nums)),))
+            assert hb.p0_apply(op, f, n) == want
+
+
+def test_grid_route_matches_the_pa_oracle():
+    # p0_apply_pa shares no step with the PC route; on f's zero-slope copy
+    # its slopes stay zero and its intercepts are P0^n f
+    cases = [(op, f, n) for op, f, n in _grid_route_cases()
+             if f.axis_lattices[0][1] & (f.axis_lattices[0][1] - 1)]
+    assert len(cases) >= 20
+    for op, f, n in cases:
+        zeros = (F(0),) * len(f.values)
+        pa = hb.p0_apply_pa(op, hb.PAFun1D(f.breakpoints, zeros, f.values), n)
+        assert not any(pa.slopes)
+        assert hb.p0_apply(op, f, n).equals(
+            hb.PCFun1D(pa.breakpoints, pa.intercepts))
 
 
 def test_haar_matches_grid():
@@ -112,8 +181,9 @@ def test_subspace_invariance():
         if level >= 2:
             expect = expect + hb.square_wave(level - 1) * F(1, 2)
         assert out.equals(expect)
-    # deeper levels through the integer kernel (the public route would
-    # materialize millions of Fractions for nothing)
+    # deeper levels through the uniform integer step, which the oracle
+    # report runs (and which test_grid_route_matches_the_uniform_integer_step
+    # ties to p0_apply), compared on numerators without building functions
     for level in range(9, 21):
         nums, _ = _to_int_vector(hb.square_wave(level).values)
         out = _p0_step_int(nums, OP)  # scale 1/4, unit denominator
