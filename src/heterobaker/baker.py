@@ -27,11 +27,15 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .pcfun import ONE, ZERO, frac
+from .pcfun import ONE, ZERO, _at_least, frac
 
 
 class BoundaryPoint(ValueError):
     """Raised by the inverse map on image-cell boundaries (a null set)."""
+
+
+class NotMeasurePreserving(ValueError):
+    """Raised by the routes defined only where a + b = 1/M."""
 
 
 def check_seed(seed) -> int:
@@ -84,8 +88,7 @@ class BakerParams:
     b: Fraction
 
     def __post_init__(self):
-        if self.M < 2:
-            raise ValueError("M must be >= 2")
+        _at_least(self.M, 2, "M")
         object.__setattr__(self, "a", frac(self.a))
         object.__setattr__(self, "b", frac(self.b))
         lim = Fraction(1, self.M)
@@ -95,6 +98,12 @@ class BakerParams:
     @property
     def is_measure_preserving(self) -> bool:
         return self.a + self.b == Fraction(1, self.M)
+
+    def require_measure_preserving(self, what: str) -> None:
+        """Raise NotMeasurePreserving off a + b = 1/M, naming `what`."""
+        if not self.is_measure_preserving:
+            raise NotMeasurePreserving(f"{what} needs a + b = 1/M = 1/{self.M}"
+                                       f", got a + b = {self.a + self.b}")
 
     @property
     def center_type(self) -> CenterType:
@@ -200,15 +209,14 @@ def apply_tau(params: BakerParams, xu):
 
 
 def apply_f3_inverse(params: BakerParams, p):
-    """The a.e. inverse of the 3D map (requires a + b = 1/M).
+    """The a.e. inverse of the 3D map; refused off a + b = 1/M.
 
     The branch is the one whose closed image box holds the point, and each
     axis is mapped back by y -> (y - c) / m.  Raises BoundaryPoint where
     more than one closed image box holds it: on an internal boundary of
     the image tiling, where two preimages collide.  Scans all 2M branches.
     """
-    if not params.is_measure_preserving:
-        raise ValueError("inverse is defined for measure-preserving parameters")
+    params.require_measure_preserving("the inverse map")
     p = tuple(map(frac, p))
     _check_in_cube(p)
     hits = [s for s in all_symbols(params)
@@ -231,8 +239,7 @@ def orbit(params: BakerParams, p, n: int, exact: bool = False) -> list:
     coordinate sheds mantissa bits and long orbits degenerate; use the
     statistical samplers in `correlation` for distribution-level work.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _at_least(n, 0, "n")
     if exact:
         pts = [(frac(p[0]), frac(p[1]), frac(p[2]))]
         _check_in_cube(pts[0])
@@ -274,10 +281,9 @@ def itinerary_stats(params: BakerParams, p=None, n: int = 10 ** 6,
     itinerary, which for tau is an i.i.d. sequence (each alpha strip has
     probability a, the beta interval 1 - Ma, drawn by `symbol_law`); this
     is the faithful way to sample long orbits of maps whose float
-    iteration degenerates.
+    iteration degenerates.  n must be at least 1.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    _at_least(n, 1, "n")
     M, a = params.M, float(params.a)
     if p is None:
         key = 0 if seed is None else check_seed(seed)

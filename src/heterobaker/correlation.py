@@ -47,18 +47,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .baker import BakerParams, check_seed, symbol_law
+from .baker import BakerParams, NotMeasurePreserving, check_seed, symbol_law
 from .observables import Observable3D
-from .pcfun import ZERO
+from .pcfun import ZERO, _at_least
 from .transfer import (NotInSquareWaveSpan, ReducedOp, p0_haar_step,
                        square_wave_levels)
 
 HALF = Fraction(1, 2)
 _HAAR_MAX_LEVEL = 20      # deepest level the Haar route may reach
-
-
-class NotMeasurePreserving(ValueError):
-    pass
 
 
 class NonPositiveValue(ValueError):
@@ -200,7 +196,7 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
                               mode: str = "squarewave",
                               numeric: str = "rational") -> list:
     """Series <P0^n phi, psi> for n = 0..n_max, exact in either mode, each
-    record with error 0.0.
+    record with error 0.0; n_max must be at least 0.
 
     squarewave: both observables must lie in the span of s_l.  Every value
     is the correctly rounded exact value; rational numeric also attaches
@@ -208,6 +204,7 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
     Haar-level route attaches the Fraction too, and is refused when an
     observable's dyadic depth plus n_max would pass level 20.
     """
+    _at_least(n_max, 0, "n_max")
     op = op or ReducedOp.neutral(2)
     if mode == "haar":
         return _haar_series(phi, psi, n_max, op)
@@ -456,15 +453,16 @@ def mc_correlation_series(params: BakerParams, phi: Observable3D,
     counter generator and reduced shard by shard in shard order, so results
     are byte-identical for a given (config, seed) regardless of worker
     count.  Common random numbers: every n in n_list is read off the same
-    orbit.  Sums or errors past the float range are refused (ValueError).
+    orbit.  Refuses a + b != 1/M, samples < 10^4, workers < 1, an empty
+    n_list, an n that is not an integer >= 0, and float overflow.
     """
-    if not params.is_measure_preserving:
-        raise NotMeasurePreserving("Monte Carlo pairing assumes a + b = 1/M")
-    if samples < 10 ** 4:
-        raise ValueError("use at least 10^4 samples")
+    params.require_measure_preserving("the Monte Carlo pairing")
+    _at_least(samples, 10 ** 4, "samples")
+    _at_least(workers, 1, "workers")
+    n_list = sorted({_at_least(n, 0, "each n in n_list") for n in n_list})
+    _at_least(len(n_list), 1, "the length of n_list")
     seed = check_seed(seed)
     law = symbol_law(params)
-    n_list = sorted(set(int(n) for n in n_list))
     n_max = max(n_list)
     kept = len(n_list) if "xu" in psi.reads else 0
     batches = _batch_plan(_shard_plan(samples), n_max, kept, workers,
@@ -545,11 +543,11 @@ def measure_invariance_chisq(params: BakerParams, n: int = 50,
     Passes (p-value above threshold) iff the parameters preserve Lebesgue
     measure, up to the usual statistical caveats; the threshold is far in
     the tail so measure-preserving parameters essentially never fail.
+    Refuses n < 0, samples < 1, boxes < 2 and workers < 1.
     """
     for name, value, least in (("n", n, 0), ("samples", samples, 1),
-                               ("boxes", boxes, 2)):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value!r}")
+                               ("boxes", boxes, 2), ("workers", workers, 1)):
+        _at_least(value, least, name)
     seed = check_seed(seed)
     law = symbol_law(params)
     ident = Observable3D("one", lambda xu, xc, xs: np.ones_like(xc),
@@ -653,10 +651,11 @@ def lower_bound_check(phi: Observable3D, psi: Observable3D, n_max: int,
     An affine observable is increasing for a positive slope and decreasing
     for a negative one.  A PC one is certified through its coefficient
     signs: strictly increasing functions have all-negative raw Haar
-    coefficients, decreasing all-positive.
+    coefficients, decreasing all-positive.  n_max must be at least 1.
     """
     from .haar import monotone_sign_report
     from .pcfun import project_zero_mean
+    _at_least(n_max, 1, "n_max")
 
     def signature(obs: Observable3D) -> int:
         if obs.xc_affine is not None:

@@ -50,7 +50,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, sub
+from operator import add, index, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,6 +80,14 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
+
+
+def _at_least(value, low: int, name: str) -> int:
+    """The one count check: `value` as an int, refused below `low`."""
+    count = index(value)
+    if count < low:
+        raise ValueError(f"{name} must be at least {low}, got {count!r}")
+    return count
 
 
 def _cell_index(bps: Sequence[Fraction], x: Fraction) -> int:
@@ -495,10 +503,9 @@ def project_zero_mean(f: PCFun1D) -> PCFun1D:
 
 def from_affine(slope, intercept, level: int, base: int = 2) -> PCFun1D:
     """Cell averages of slope*x + intercept on the uniform base**level grid:
-    m (2i + 1)/2n + c on cell i of n."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    m, c, n = frac(slope), frac(intercept), base ** level
+    m (2i + 1)/2n + c on cell i of n; level must be at least 0."""
+    n = base ** _at_least(level, 0, "level")
+    m, c = frac(slope), frac(intercept)
     odd = np.arange(1, 2 * n, 2).astype(object)
     return PCFun1D._from_lattice(
         m.numerator * c.denominator * odd + 2 * n * c.numerator * m.denominator,
@@ -534,8 +541,7 @@ def restrict_to_m_adic(f: PCFun1D, base: int, level: int) -> tuple[Fraction, ...
 def _level_blocks(f: PCFun1D, M: int, level: int):
     """The value numerators of f on the uniform M**level grid, one row of M
     per level-(level-1) cell, and their denominator."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    _at_least(level, 1, "level")
     f, widths = _level_widths(f, M, level)
     nums, denom = f.lattice
     return np.repeat(nums, widths).reshape(-1, M), denom

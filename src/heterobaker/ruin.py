@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pcfun import ZERO, PCFun1D, _fractions, _to_int_vector, frac
+from .pcfun import ZERO, PCFun1D, _at_least, _fractions, _to_int_vector, frac
 
 EXACT_N_CUTOFF = 64
 
@@ -50,8 +50,7 @@ class RuinState:
 
     @staticmethod
     def delta(l: int) -> "RuinState":
-        if l < 1:
-            raise ValueError("levels start at 1")
+        _at_least(l, 1, "l")
         return RuinState(0, tuple([ZERO] * (l - 1) + [Fraction(1)]))
 
     @staticmethod
@@ -87,8 +86,9 @@ def step(state: RuinState) -> RuinState:
 
 
 def evolve_from(q0: RuinState, n: int) -> RuinState:
-    """n steps of `step`: `walk_step` on the integer numerators of q0, at
-    scale 1/2 per step, and one Fraction per level at the end."""
+    """n >= 0 steps of `step`: `walk_step` on the integer numerators of q0,
+    at scale 1/2 per step, and one Fraction per level at the end."""
+    _at_least(n, 0, "n")
     if n == 0:
         return q0
     nums, denom = _to_int_vector(q0.q)
@@ -98,8 +98,8 @@ def evolve_from(q0: RuinState, n: int) -> RuinState:
 
 
 def transition_prob_exact(l: int, lp: int, n: int) -> Fraction:
-    if min(l, lp) < 1 or n < 1:
-        raise ValueError("need l, l' >= 1 and n >= 1")
+    for value, name in ((l, "l"), (lp, "lp"), (n, "n")):
+        _at_least(value, 1, name)
     if (n - l + lp) % 2:
         return ZERO
     k1 = (n - l + lp) // 2
@@ -119,8 +119,8 @@ def transition_prob_float(l: int, lp: int, n: int) -> float:
     log(1 - r)): no term overflows, and 1 - r = -expm1(log r) does not
     cancel.
     """
-    if min(l, lp) < 1 or n < 1:
-        raise ValueError("need l, l' >= 1 and n >= 1")
+    for value, name in ((l, "l"), (lp, "lp"), (n, "n")):
+        _at_least(value, 1, name)
     if (n - l + lp) % 2:
         return 0.0
     l, lp = max(l, lp), min(l, lp)
@@ -144,7 +144,8 @@ def transition_prob(l: int, lp: int, n: int):
 
 
 def q_via_transition(q0: RuinState, n: int) -> RuinState:
-    """Closed-form superposition sum_{l'} q0_{l'} p^(n)_{l' l}; exact."""
+    """Closed-form superposition sum_{l'} q0_{l'} p^(n)_{l' l}, n >= 0."""
+    _at_least(n, 0, "n")
     if n == 0:
         return q0
     lmax = len(q0.q) + n
@@ -211,11 +212,13 @@ def initial_profile(f: PCFun1D) -> tuple[Fraction, RuinState]:
 def domination_check(f: PCFun1D, n_max: int, l_max: int | None = None) -> dict:
     """Verify ||f_l^(n)||_inf <= C_phi q_l^(n) for the neutral M=2 operator.
 
-    Rows record both sides exactly; equality rows are flagged.  Equality at
-    every (n, l) is the expected outcome for strictly monotone inputs.
+    Rows for n = 0..n_max >= 0 record both sides exactly; equality rows
+    are flagged.  Equality at every (n, l) is the expected outcome for
+    strictly monotone inputs.
     """
     from .haar import analyze, level_sup_norms
     from .transfer import ReducedOp, p0_apply
+    _at_least(n_max, 0, "n_max")
     c_phi, q = initial_profile(f)
     op = ReducedOp.neutral(2)
     rows = []

@@ -57,8 +57,8 @@ from .baker import BakerParams, Kind, Symbol, branch_affines, domain_box
 from .haar import _grid_levels
 from .pcfun import (ONE, PAFun1D, PCFun1D, PCFun2D, PCFun3D,
                     _contract_lattice, _fractions, _moments, _pa_lattice,
-                    _readonly, _reduced, _refinement_index, _to_int_vector,
-                    _uniform_lattice, _union, _widths, frac)
+                    _at_least, _readonly, _reduced, _refinement_index,
+                    _to_int_vector, _uniform_lattice, _union, _widths, frac)
 from .ruin import walk_step
 
 HALF = Fraction(1, 2)
@@ -81,8 +81,7 @@ class ReducedOp:
 
     def __post_init__(self):
         object.__setattr__(self, "w", frac(self.w))
-        if self.M < 2:
-            raise ValueError("M must be >= 2")
+        _at_least(self.M, 2, "M")
         if not 0 < self.w < 1:
             raise ValueError("weight must lie in (0,1)")
 
@@ -94,10 +93,7 @@ class ReducedOp:
     def from_params(params: BakerParams) -> "ReducedOp":
         """w = M a, for parameters that preserve Lebesgue measure; off
         a + b = 1/M, M a != 1 - M b and the weight is ambiguous."""
-        if not params.is_measure_preserving:
-            raise ValueError(
-                f"the reduced operator needs a + b = 1/M = 1/{params.M}, "
-                f"got a + b = {params.a + params.b}")
+        params.require_measure_preserving("the reduced operator")
         return ReducedOp(params.M, params.M * params.a)
 
     def require_m2(self, route: str) -> None:
@@ -136,18 +132,13 @@ def p_beta(op: ReducedOp, f: PCFun1D) -> PCFun1D:
                                  (_reduced(y, d),))
 
 
-def _check_steps(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-
-
 def p0_apply_pa(op: ReducedOp, f: PAFun1D, n: int = 1) -> PAFun1D:
     """Exact reduced operator on piecewise-affine functions (grid oracle).
 
     Each step is `_pa_step` on the lattice of f: breakpoints as integers
     over one denominator, slopes and intercepts as integers over another.
     """
-    _check_steps(n)
+    _at_least(n, 0, "n")
     if n == 0:
         return f
     x, x_denom = _to_int_vector(f.breakpoints)
@@ -194,9 +185,9 @@ def _pa_step(x: np.ndarray, d: int, slopes: np.ndarray, icpts: np.ndarray,
 
 
 def p0_apply(op: ReducedOp, f: PCFun1D, n: int = 1) -> PCFun1D:
-    """Exact P0^n f on piecewise-constant functions: n steps of
+    """Exact P0^n f on piecewise-constant functions: n >= 0 steps of
     `p_alpha` + `p_beta` on the lattice of any rational grid."""
-    _check_steps(n)
+    _at_least(n, 0, "n")
     for _ in range(n):
         f = p_alpha(op, f) + p_beta(op, f)
     return f
@@ -288,9 +279,10 @@ def oracle_equivalence_report(f: PCFun1D, op: ReducedOp, n_steps: int) -> dict:
     of 2^L cells by at most 2^L, and the comparison shifts the levels by n.
     When a bound could reach 2^63, the whole state becomes Python ints in
     object arrays, for the rest of the run; each step records the dtype it
-    ran in.
+    ran in.  Refused for M != 2 and n_steps < 0.
     """
     op.require_m2("oracle comparison")
+    _at_least(n_steps, 0, "n_steps")
     L0 = f.is_uniform_level(2)
     if L0 is None:
         raise ValueError("input must live on a uniform dyadic grid")
@@ -429,13 +421,12 @@ def _plan(params: BakerParams, f) -> tuple:
 def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
     """Exact pushforward u -> u o f^{-1} on a product grid.
 
-    Requires measure preservation (a + b = 1/M), where the 2M branch images
-    tile the cube and the operator is plain composition with the inverse:
-    each branch gathers its block of input cells onto its image box, on the
-    lattice of F.
+    Requires measure preservation (a + b = 1/M, else NotMeasurePreserving),
+    where the 2M branch images tile the cube and the operator is plain
+    composition with the inverse: each branch gathers its block of input
+    cells onto its image box, on the lattice of F.
     """
-    if not params.is_measure_preserving:
-        raise ValueError("p_full_3d requires a + b = 1/M")
+    params.require_measure_preserving("the 3D pushforward")
     grids, branches = _plan(params, F)
     nums, denom = F.lattice
     out = np.zeros([len(g) - 1 for g, _ in grids], dtype=object)
@@ -445,7 +436,7 @@ def p_full_3d(params: BakerParams, F: PCFun3D) -> PCFun3D:
 
 
 def p_full_3d_n(params: BakerParams, F: PCFun3D, n: int) -> PCFun3D:
-    _check_steps(n)
+    _at_least(n, 0, "n")
     for _ in range(n):
         F = p_full_3d(params, F)
     return F
@@ -639,9 +630,10 @@ def fiber_average_decay_check(params: BakerParams, u: PCFun3D,
     therefore collapses to iterating the slope-weighted 2D transfer
     operator against the first fiber moment of u.  Direct 3D iteration is
     cross-checked in the tests (its grids grow too fast for n this deep).
+    Refused off a + b = 1/M (NotMeasurePreserving) and for n_max < 0.
     """
-    if not params.is_measure_preserving:
-        raise ValueError("requires a + b = 1/M")
+    params.require_measure_preserving("the fiber-average decay check")
+    _at_least(n_max, 0, "n_max")
     if not xs_fiber_averages_zero(u):
         raise FiberAverageNonZero("stable-fiber averages of u must vanish")
     c0, cu, cc, cs = map(frac, v_affine)

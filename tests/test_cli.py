@@ -277,7 +277,7 @@ _N_LIST_TEXT = st.one_of(
 def _runs_or_refuses(argv, head):
     """Run argv with warnings raised as errors: it either exits 0 with
     stdout starting with `head`, or exits 2 with empty stdout and one
-    `error:` line."""
+    `error:` line.  Returns what it wrote to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), \
             warnings.catch_warnings():
@@ -290,28 +290,37 @@ def _runs_or_refuses(argv, head):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
         assert out.getvalue().startswith(head)
+    return err.getvalue()
 
 
 @settings(max_examples=200, deadline=None)
+# --workers 0 ran serially without a word
+@example(phi="xc-1/2", psi=None, params=_PRESETS[0], n_max=2, n_list=None,
+         method="mc", seed=1, scale=0, workers=0)
+# workers stop at 3: the pool may start a thread per batch
 @given(phi=_OBSERVABLE_TEXT, psi=st.none() | _OBSERVABLE_TEXT, params=_PARAMS,
        n_max=st.integers(-2, 6), n_list=st.none() | _N_LIST_TEXT,
        method=st.sampled_from(["squarewave", "haar", "mc"]),
-       seed=st.integers(0, 2 ** 64 - 1), scale=st.sampled_from(range(510)))
+       seed=st.integers(0, 2 ** 64 - 1), scale=st.sampled_from(range(510)),
+       workers=st.integers(-1, 3))
 def test_corr_input_fuzz(phi, psi, params, n_max, n_list, method, seed,
-                         scale):
+                         scale, workers):
     # any input either runs or is refused with one named error line, and
     # no warning is raised on the way.  psi None pairs phi with itself, and
     # both are scaled by 2^scale, up to the parser's limit of 2^510: past
-    # 2^258 the Monte Carlo sums overflow
+    # 2^258 the Monte Carlo sums overflow.  --workers below 1 is refused
+    # first, on every method
     M, a, b = params
     psi = phi if psi is None else psi
     phi, psi = (f"{2 ** scale}*({text})" for text in (phi, psi))
     argv = ["corr", f"--phi={phi}", f"--psi={psi}", f"--M={M}", f"--a={a}",
             f"--b={b}", f"--n-max={n_max}", f"--method={method}",
-            "--samples=10000", f"--seed={seed}"]
+            "--samples=10000", f"--seed={seed}", f"--workers={workers}"]
     if n_list is not None:
         argv.append(f"--n-list={n_list}")
-    _runs_or_refuses(argv, "n,value,method,err\n")
+    err = _runs_or_refuses(argv, "n,value,method,err\n")
+    if workers < 1:
+        assert err == f"error: --workers must be at least 1, got {workers}\n"
 
 
 @pytest.mark.parametrize("method,obs", [
@@ -516,6 +525,9 @@ def test_headline_stdout_is_the_file(tmp_path, capsys):
     (["ruin", "--n", "14285"], "--delta"),
     (["orbit", "--a", "1/1000", "--b", "1/1000", "--point", "1/3,1/3,1/3",
       "--n", "3000", "--mode", "exact"], "--n"),
+    # --n 0 wrote its input unchanged; --n 1 named no flag
+    (["apply-op", "--op", "pfull3d", "--a", "1/5", "--n", "0", "--in",
+      "{pc1}"], "--a"),
 ])
 def test_bad_input_names_the_flag(tmp_path, capsys, argv, flag):
     pc1 = tmp_path / "chi.json"

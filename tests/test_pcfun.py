@@ -80,7 +80,7 @@ def test_from_affine():
     assert hb.from_affine(0, F(2, 3), 3).equals(hb.PCFun1D.constant(F(2, 3)))
     for level in range(1, 6):
         assert hb.mean(hb.from_affine(1, F(-1, 2), level)) == 0
-    with pytest.raises(ValueError, match="level must be >= 0"):
+    with pytest.raises(ValueError, match="level must be at least 0"):
         hb.from_affine(1, F(-1, 2), -3)
 
 
