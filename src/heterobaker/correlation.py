@@ -4,12 +4,15 @@ The exact reduced routes compute <P0^n phi, psi> for observables of the
 center coordinate.  On the square-wave span the coefficient vector obeys
 the absorbed walk a'_l = w a_(l-1) + (1-w) a_(l+1), level 0 absorbed, and
 distinct levels are orthonormal.  The mass the walk loses to the wall at
-each step (its flux) fixes every pairing, so the square-wave route streams
-that flux as integers, from the ruin-time law for a finite profile and
-from a Catalan recurrence for the geometric profile c 2^-l of an affine
-observable, and pairs it in O(1) or O(depth of psi) integer operations
-per n.  Each value is one correctly rounded int / int, the same float in
-both numeric modes; rational mode also keeps the Fraction.
+each step (its flux) fixes every pairing.  A profile is a finite part plus
+one geometric tail c r^l (an affine observable's is c 2^-l, r = 1/2), and
+one generator streams its flux as integers at the scale (qR)^m, w = p/q,
+from the ruin-time law and a Catalan recurrence in kappa' = w/r + (1-w) r.
+One loop pairs it with psi's tail by a recurrence in kappa = w r' +
+(1-w)/r' and with psi's finite part by reading levels back off the flux,
+in O(1 + depth of psi) integer operations per n.  Each value is one
+correctly rounded int / int, the same float in both numeric modes;
+rational mode also keeps the Fraction.
 
 Monte Carlo samples the exact joint law of (x, f^n x) for x ~ Lebesgue:
 branch symbols of the expanding coordinate are i.i.d., the expanding
@@ -82,17 +85,16 @@ class CorrelationRecord:
 # exact reduced routes
 
 def _squarewave_profile(obs: Observable3D):
-    """(intrinsic level numerators, their denominator, geometric tail
-    coefficient c).
+    """(nums, den, c, r): the profile a_l = (nums[l - 1] + c r^l) / den of
+    levels l >= 1, nums[l - 1] = 0 past len(nums), with integer c.
 
-    Affine observables have a_l = c * (1/2)^l at every level (c = -m/2 for
-    slope m; the observable is centered first, correlations are mean-free),
-    returned as no levels plus the tail coefficient.  PC observables return
-    their finite profile, level l + 1 being nums[l] / den, and no tail.
+    An affine observable of slope m, centered first (correlations are
+    mean-free), is the tail c / den = -m/2 at r = 1/2; a PC one is a finite
+    part with c = 0.
     """
     if obs.xc_affine is not None:
-        m, _ = obs.xc_affine
-        return [], 1, -m * HALF
+        c = -obs.xc_affine[0] * HALF
+        return [], c.denominator, c.numerator, HALF
     if obs.xc_pc is not None:
         from .haar import analyze_levels
         from .pcfun import project_zero_mean
@@ -101,94 +103,91 @@ def _squarewave_profile(obs: Observable3D):
         if sw is None:
             raise NotInSquareWaveSpan(
                 f"{obs.name}: per-level Haar coefficients are not constant in k")
-        return [int(c) * scale.numerator for c in sw], scale.denominator, ZERO
+        return ([int(c) * scale.numerator for c in sw], scale.denominator,
+                0, HALF)
     raise NotInSquareWaveSpan(f"{obs.name} is not an exact x_c observable")
 
 
-def _pc_flux(nums, p: int, q: int):
-    """(2q)^m times the mass the profile nums (level l is nums[l - 1]) loses
-    to the wall at step m = 1, 2, ..., for w = p/q.
+def _flux(nums, c: int, r: Fraction, p: int, q: int, R: int):
+    """den (qR)^m times the mass the profile (nums, den, c, r) loses to the
+    wall at step m = 0, 1, ..., for w = p/q; r_n r_d divides R.
 
     From level l the walk is absorbed at step m with probability
     f_l(m) = (l/m) C(m, j) w^j (1-w)^(j+l), j = (m - l)/2 (Feller XIV), so
-    (2q)^m f_l(m) is an integer, (2(q - p))^l at m = l, and from m to m + 2
-    it gains the factor m (m + 1) 4p(q - p) / ((j + 1)(j + l + 1)).
+    (qR)^m f_l(m) is an integer, ((q - p) R)^l at m = l, and from m to m + 2
+    it gains the factor m (m + 1) p (q - p) R^2 / ((j + 1)(j + l + 1)).  The
+    tail r^l has a flux generating function E(t) with E(t) (1 - k' t) =
+    (1-w) r t - (1 - sqrt(1 - 4w(1-w)t^2))/2, k' = w/r + (1-w) r, whose
+    root has the coefficients Cat_(k-1) (w(1-w))^k at t^2k.
     """
-    term = {}                    # (2q)^m f_l(m) at the last m of l's parity
+    rn, rd = r.numerator, r.denominator
+    kappa = (p * rd * rd + (q - p) * rn * rn) * R // (rn * rd)      # k' q R
+    u = p * (q - p) * R * R
+    top = len(nums)
+    term = {}                    # (qR)^m f_l(m) at the last m of l's parity
+    y, cat = 0, c * u            # cat = c Cat_(k-1) u^k for the next m = 2k
+    yield 0
     for m in itertools.count(1):
-        x = 0
-        for l in range(2 - m % 2, min(m, len(nums)) + 1, 2):
-            j = (m - l) // 2
-            term[l] = (2 * (q - p)) ** l if j == 0 else \
-                term[l] * (m - 2) * (m - 1) * 4 * p * (q - p) // (j * (j + l))
-            x += nums[l - 1] * term[l]
-        yield x
-
-
-def _geometric_flux(p: int, q: int):
-    """(2q)^m times the mass the profile 2^-l loses to the wall at step
-    m = 1, 2, ..., for w = p/q: its generating function E(t) solves
-    E(t) (1 - (2w + (1-w)/2) t) = (1-w) t/2 - (1 - sqrt(1 - 4w(1-w)t^2))/2,
-    whose root has the coefficients -2 Cat_(k-1) (w(1-w))^k at t^2k."""
-    u = 4 * p * (q - p)
-    y, cat = 0, u                # cat = Cat_(k-1) u^k for the next m = 2k
-    for m in itertools.count(1):
-        y = (3 * p + q) * y + (q - p if m == 1 else 0)
+        y = kappa * y + (c * (q - p) * rn * R // rd if m == 1 else 0)
         if m % 2 == 0:
             y -= cat
             cat = cat * (2 * m - 2) * u // (m // 2 + 1)
-        yield y
+        x = y
+        for l in range(2 - m % 2, min(m, top) + 1, 2):
+            j = (m - l) // 2
+            term[l] = ((q - p) * R) ** l if j == 0 else \
+                term[l] * (m - 2) * (m - 1) * u // (j * (j + l))
+            x += nums[l - 1] * term[l]
+        yield x
 
 
 def _squarewave_series(prof_phi, prof_psi, n_max: int, w: Fraction):
     """(numerator, positive denominator) of <P0^n phi, psi>, n = 0..n_max.
 
-    The walk's flux into the wall, fl_m = X_m / (D (2q)^m), fixes every
-    pairing.  Against psi = c 2^-l, C_(n+1) = kappa C_n - c fl_(n+1) with
-    kappa = w/2 + 2(1 - w).  Against psi of depth Q the levels 1..Q of the
-    state are read off the flux: level 1 at time n is fl_(n+1) / (1-w),
-    and the walk step read backwards, a_(k+1) = (a'_k - w a_(k-1)) / (1-w)
-    with a' the next state, gives the levels above, one anti-diagonal
-    (time + level = d) per flux value.  Scaled by D q^n 2^(n+k) the levels
-    are integers and each division is exact.
+    The walk's flux into the wall, fl_m = X_m / (den (qR)^m), R the least
+    common multiple of r_n r_d over both tails, fixes every pairing.
+    Against psi's tail c' r'^l, C_(n+1) = kappa C_n - c' fl_(n+1) with
+    kappa = w r' + (1-w)/r'.  Against psi's finite part of depth Q the
+    levels 1..Q of the state are read off the flux: level 1 at time n is
+    fl_(n+1) / (1-w), and the walk step read backwards,
+    a_(k+1) = (a'_k - w a_(k-1)) / (1-w) with a' the next state, gives the
+    levels above, one anti-diagonal (time + level = d) per flux value.
+    Scaled by den q^n R^(n+k) the levels are integers and each division is
+    exact; the tail's numerator is brought to the same scale.
     """
     p, q = w.numerator, w.denominator
-    nums, den, c = prof_phi
-    if c:
-        flux = (c.numerator * y for y in _geometric_flux(p, q))
-        den = c.denominator
-    else:
-        flux = _pc_flux(nums, p, q)
-    b_nums, b_den, c_psi = prof_psi
-    if c_psi or not b_nums:
-        # <a^(n), 2^-l> = z / (den t (2q)^n)
-        g = sum((Fraction(a, 1 << l) for l, a in enumerate(nums, 1)),
-                Fraction(c.numerator, 3))
-        t, z = g.denominator, g.numerator
-        scale = c_psi.denominator * den * t
-        yield c_psi.numerator * z, scale
-        for _, x in zip(range(n_max), flux):
-            z = (4 * q - 3 * p) * z - t * x
-            scale *= 2 * q
-            yield c_psi.numerator * z, scale
-        return
+    nums, den, c, r = prof_phi
+    b_nums, b_den, c_psi, r_psi = prof_psi
+    rn, rd = r_psi.numerator, r_psi.denominator
+    R = math.lcm(r.numerator * r.denominator, rn * rd)
     depth = len(b_nums)
-    weights = [b << (depth - k) for k, b in enumerate(b_nums, 1)]
-    scale = den * b_den << depth
+    # c' <a^(n), r'^l> = z_n / (den t (qR)^n), times R^depth in zs
+    g = c_psi * (sum(a * r_psi ** l for l, a in enumerate(nums, 1))
+                 + c * r * r_psi / (1 - r * r_psi))
+    t, ct = g.denominator, c_psi * g.denominator * R ** depth
+    kappa = (p * rn * rn + (q - p) * rd * rd) * R // (rn * rd)      # kappa q R
+    zs = collections.deque([g.numerator * R ** depth], maxlen=depth + 1)
+    weights = [b * t * R ** (depth - k) for k, b in enumerate(b_nums, 1)]
+    scale = den * b_den * t * R ** depth
     diags = collections.deque(maxlen=max(depth, 2))
-    for d, x in enumerate(flux, 1):
-        # diag[k] is level k + 1 at time d - 1 - k
-        below = [0, *diags[-2]] if len(diags) > 1 else [0]
-        diag = [x // (q - p)]
-        for k in range(1, min(depth, d)):
-            diag.append((diag[k - 1] - 4 * p * below[k - 1]) // (q - p))
-        diags.append(diag)
+    for d, x in enumerate(_flux(nums, c, r, p, q, R)):
+        if d:
+            zs.append(kappa * zs[-1] - ct * x)
+        if depth:
+            # diag[k] is level k + 1 at time d - 1 - k
+            below = [0, *diags[-2]] if len(diags) > 1 else [0]
+            diag = [x // (q - p)]
+            for k in range(1, min(depth, d)):
+                diag.append((diag[k - 1] - p * R * R * below[k - 1])
+                            // (q - p))
+            diags.append(diag)
         if d >= depth:           # time d - depth has all its levels
-            yield sum(b * diags[k - depth][k]
-                      for k, b in enumerate(weights)), scale
+            yield (sum((b * diags[k - depth][k]
+                        for k, b in enumerate(weights)), zs[0])
+                   if depth else zs[0]), scale
             if d - depth == n_max:
                 return
-            scale *= 2 * q
+            scale *= q * R
 
 
 def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
@@ -205,13 +204,13 @@ def exact_reduced_correlation(phi: Observable3D, psi: Observable3D,
     observable's dyadic depth plus n_max would pass level 20.
     """
     _at_least(n_max, 0, "n_max")
+    if numeric not in ("rational", "double"):
+        raise ValueError("numeric must be 'rational' or 'double'")
     op = op or ReducedOp.neutral(2)
     if mode == "haar":
         return _haar_series(phi, psi, n_max, op)
     if mode != "squarewave":
         raise ValueError("mode must be 'squarewave' or 'haar'")
-    if numeric not in ("rational", "double"):
-        raise ValueError("numeric must be 'rational' or 'double'")
     op.require_m2("square-wave subspace")
     series = _squarewave_series(_squarewave_profile(phi),
                                 _squarewave_profile(psi), n_max, op.w)

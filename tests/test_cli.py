@@ -479,6 +479,19 @@ def test_headline_has_the_readme_sha256(capsys):
         expected
 
 
+def test_exponential_regime_has_the_readme_sha256(capsys):
+    # the CI check: the second 64-hex value in backquotes in the README is
+    # the sha256 of its exponential-regime run, a series at w = 3/5
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        expected = re.findall(r"`([0-9a-f]{64})`", fh.read())[1]
+    assert main(["corr", "--M", "2", "--a", "3/10", "--b", "1/5", "--phi",
+                 "xc-1/2", "--psi", "xc-1/2", "--method", "squarewave",
+                 "--n-max", "512"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        expected
+
+
 def test_headline_csv_streams(tmp_path):
     # the rows were held three times over (tuples, lines, one string) before
     # the first byte was written, and each record had a __dict__: 6.1 MiB
@@ -685,6 +698,20 @@ PINNED_FILES = {
         "d5d22eccd210840db97ed4be473b70b764e67cc63ac8526b6ce7e1456eb024ed",
     ("ruin", "--delta", "3", "--n", "12"):
         "f9537c963d11a1789f8b91ae2cbed0e5d54ab24ef716cbda1e66fdef3950c6d8",
+    # the square-wave route off w = 1/2: tail against tail (the README's
+    # exponential regime), a finite profile against a tail, a tail against
+    # the level read-back, and finite against finite
+    ("corr", "--a", "3/10", "--b", "1/5", "--phi", "xc-1/2", "--psi",
+     "xc-1/2", "--n-max", "512"):
+        "c6da12f0ac9b1c35788767f36454826bb157ea724bbeb2fe405adb441973d777",
+    ("corr", "--phi", "staircase-4", "--psi", "xc-1/2", "--a", "1/5", "--b",
+     "3/10", "--n-max", "256"):
+        "4f06011c3af2731e0618515fd19a9ae2ed182a13429e4a545761715cbb58927a",
+    ("corr", "--phi", "xc-1/2", "--psi", "staircase-4", "--a", "1/5", "--b",
+     "3/10", "--n-max", "256"):
+        "55a780e14a0717cfd3ed579a0af4ab50dae94f4039adac83029f35311da64315",
+    ("corr", "--n-max", "64", "--phi", "staircase-4", "--psi", "staircase-4"):
+        "8dcee4402bad4ac332b9c046eefa89f3f7a086842185a2636566f8cdbf826756",
 }
 
 

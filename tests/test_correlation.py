@@ -120,33 +120,37 @@ SIZING = [
 
 def _walk_series(phi, psi, w, n_max):
     """<P0^n phi, psi> by stepping the whole integer level vector with
-    `ruin.walk_step`: phi materialised to depth n_max + 2 + its PC depth,
-    psi to that depth plus n_max + 1.  Past that depth a geometric phi
-    tail never meets the wall within n_max steps, so against a geometric
-    psi it contributes c_phi c_psi kappa^n 4^-(L+1) / (1 - 1/4), with
-    kappa = w/2 + 2(1 - w)."""
+    `ruin.walk_step`; phi and psi are observables or profiles
+    (nums, den, c, r), a_l = (nums[l - 1] + c r^l) / den.  phi is
+    materialised to depth L = n_max + 2 + the longer finite part, psi to
+    L + n_max + 1.  Past L phi's tail never meets the wall within n_max
+    steps, so against psi's tail it contributes
+    c c' kappa^n (r r')^(L+1) / (1 - r r') over den den', with
+    kappa = w r' + (1 - w)/r'."""
     from heterobaker.correlation import _squarewave_profile
     from heterobaker.ruin import walk_step
 
     def levels(profile, depth):
-        nums, den, c = profile
-        vals = [F(a, den) for a in nums] + [c / 2 ** l for l in
-                                            range(len(nums) + 1, depth + 1)]
+        nums, den, c, r = profile
+        vals = [F(nums[l - 1] if l <= len(nums) else 0, den) + c * r ** l / den
+                for l in range(1, depth + 1)]
         den = math.lcm(*(v.denominator for v in vals))
         return np.array([int(v * den) for v in vals], dtype=object), den
 
-    prof_phi, prof_psi = _squarewave_profile(phi), _squarewave_profile(psi)
+    prof_phi, prof_psi = (o if isinstance(o, tuple) else _squarewave_profile(o)
+                          for o in (phi, psi))
     L = n_max + 2 + max(len(prof_phi[0]), len(prof_psi[0]))
     state, den_a = levels(prof_phi, L)
     b, den_b = levels(prof_psi, L + n_max + 1)
     scale = F(1, den_a * den_b)
-    tail = prof_phi[2] * prof_psi[2] * F(1, 4) ** (L + 1) / F(3, 4)
+    (_, d, c, r), (_, d_psi, c_psi, r_psi) = prof_phi, prof_psi
+    tail = F(c * c_psi, d * d_psi) * (r * r_psi) ** (L + 1) / (1 - r * r_psi)
     out = []
     for n in range(n_max + 1):
         out.append(int(state @ b[:state.size]) * scale + tail)
         state = walk_step(state, w.numerator, w.denominator - w.numerator)
         scale /= w.denominator
-        tail *= w / 2 + 2 * (1 - w)
+        tail *= w * r_psi + (1 - w) / r_psi
     return out
 
 
@@ -165,6 +169,24 @@ def test_flux_series_matches_the_walk_loop(w):
         got = hb.exact_reduced_correlation(PHI, PHI, 400, op=op,
                                            numeric="rational")
         assert [rec.exact for rec in got] == _walk_series(PHI, PHI, w, 400)
+
+
+# a finite part plus one geometric tail, of each ratio the kernel must
+# read from the profile, and one pure tail and one pure finite part
+MIXED = [([3, -1, 0, 2], 5, -2, F(1, 2)), ([1, 4], 3, 7, F(1, 3)),
+         ([-2, 0, 0, 0, 1], 1, 3, F(1, 4)), ([5, -3, 1], 8, 1, F(3, 4)),
+         ([], 7, -4, F(3, 4)), ([2, -1, 1], 3, 0, F(1, 3))]
+
+
+@pytest.mark.parametrize("w", [F(1, 10), F(2, 5), F(1, 2), F(7, 13)])
+def test_flux_series_reads_the_tail_ratio(w):
+    # every pair of MIXED against the whole walk, exactly, to n = 40
+    from heterobaker.correlation import _squarewave_series
+    for phi in MIXED:
+        for psi in MIXED:
+            got = [F(num, den) for num, den in
+                   _squarewave_series(phi, psi, 40, w)]
+            assert got == _walk_series(phi, psi, w, 40)
 
 
 def test_double_mode_tracks_rational():

@@ -124,3 +124,12 @@ def test_measure_preservation_is_one_check(call):
                        match=r"^[\w -]+ needs a \+ b = 1/M = 1/2, "
                              r"got a \+ b = 2/5$"):
         call()
+
+
+@pytest.mark.parametrize("mode", ["squarewave", "haar"])
+def test_an_unknown_numeric_is_refused_on_every_mode(mode):
+    # the check came after the haar dispatch, which returned 3 records
+    with pytest.raises(ValueError, match="^numeric must be 'rational' or "
+                                         "'double'$"):
+        hb.exact_reduced_correlation(hb.staircase4(), hb.staircase4(), 2,
+                                     mode=mode, numeric="bogus")
